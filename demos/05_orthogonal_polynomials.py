@@ -7,7 +7,7 @@ parameter symmetry of the Askey-Wilson family directly testable.
 
 from fractions import Fraction
 
-from qrucible import SeriesContext, equal_to_order, mono, qpow
+from qrucible import SeriesContext, equal_to_order, load_registry, mono, qpow, verify
 from qrucible.cyclotomic import OMEGA
 from qrucible.ortho import (
     AWParam,
@@ -16,7 +16,6 @@ from qrucible.ortho import (
     rogers_at_minus_half,
     rogers_half_sum,
     rogers_poly,
-    transform_check,
 )
 
 ctx = SeriesContext(2, 40)
@@ -44,6 +43,7 @@ lhs = rogers_at_minus_half(9, p, ctx)
 rhs = rogers_half_sum(9, p, ctx)
 print("cube-root dissection:", equal_to_order(lhs, rhs, 36))
 
-# The quartic transform, checked exactly at a summable specialization.
-rep = transform_check("quartic", {"a": qpow(1), "t": qpow(2)}, SeriesContext(1, 30))
-print("quartic transform:", "PASS" if rep.ok else f"FAIL {rep.mismatch}")
+# The quartic transform, checked exactly at a summable specialization
+# stated as data in suites/transforms.qid.
+rep = verify(load_registry().get("quartic-2"))
+print("quartic transform:", rep.status, f"to order {rep.proven_order}")

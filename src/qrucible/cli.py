@@ -4,7 +4,8 @@
                     [--denom D] [--json PATH] [--strict] [--jobs K]
 
 Exit code 0 iff all selected cases PASS (SKIPs tolerated unless
---strict). QRUCIBLE_SUITE_DIR overrides the default suite location.
+--strict); 2 on a usage error or a suite file that does not parse.
+QRUCIBLE_SUITE_DIR overrides the default suite location.
 """
 
 from __future__ import annotations
@@ -12,7 +13,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import reports_to_json, run_suite
+from .errors import ParseError
+from .harness import load_registry, reports_to_json, run_suite
+
+
+def positive_int(text: str) -> int:
+    """argparse type for --order, --denom and --jobs: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,13 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--filter", metavar="GLOB", help="select cases by name or tag glob")
     v.add_argument(
         "--order",
-        type=int,
+        type=positive_int,
         metavar="N",
         help="override the verification order (scaled units, multiples of 1/D)",
     )
     v.add_argument(
         "--denom",
-        type=int,
+        type=positive_int,
         metavar="D",
         help="refine the exponent grid to lcm(case D, D)",
     )
@@ -45,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--strict", action="store_true", help="treat SKIP as failure (CI mode)"
     )
-    v.add_argument("--jobs", type=int, default=1, metavar="K", help="parallel workers")
+    v.add_argument("--jobs", type=positive_int, default=1, metavar="K", help="parallel workers")
     return parser
 
 
@@ -53,8 +66,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command != "verify":
         return 2
+    try:
+        registry = load_registry(args.suite)
+    except ParseError as exc:
+        print(f"qrucible: error: {exc}", file=sys.stderr)
+        return 2
     code, reports = run_suite(
-        files=args.suite,
+        registry=registry,
         pattern=args.filter,
         order=args.order,
         denom=args.denom,

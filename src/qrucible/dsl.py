@@ -1,24 +1,7 @@
 """Expression language in which every registry identity is declared.
 
 The grammar is infix with function heads so that suite files double as
-readable documentation:
-
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' exponent)?
-    atom   := INT | 'q' | 'w' | 'w2' | 'z' | call | '(' expr ')'
-    call   := 'qp' '(' expr (',' expr)* ';' expr ';' count ')'
-            | 'phi' '(' '[' list ']' ';' '[' list ']' ';' expr ';' expr ')'
-            | 'F' '(' expr ',' expr ',' expr ')'
-            | 'theta' '(' expr ')'
-            | 'ct' '{' expr '}'
-            | 'rc' '(' INT ';' expr ';' expr ';' expr ')'
-            | 'awp' '(' INT ';' expr, expr, expr, expr ';' expr ';' expr ')'
-            | 'cgf' '(' INT ';' INT ';' expr ';' expr ')'
-            | ('capparelli'|'tsum_a'|'tsum_b'|'tsum_c'|'tsum_h') '(' ')'
-    count  := INT | 'inf'
-
+readable documentation. It is stated once, in `docs/grammar.ebnf`.
 `w` is the primitive cube root of unity, `w2` its square; exponents are
 integers or parenthesized rationals such as q^(3/2) and q^(-1). Printing
 is canonical: parse(unparse(e)) is structurally e, and unparse(parse(s))
@@ -333,6 +316,8 @@ class Parser:
                 t = self.peek()
                 if t.kind != "NUM":
                     self.error("expected a denominator in exponent")
+                if t.value == 0:
+                    self.error("zero denominator in exponent")
                 den = self.next().value
             self.expect(")")
             return Fraction(sign * num, den)

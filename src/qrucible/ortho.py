@@ -1,6 +1,7 @@
 """Rogers (continuous q-ultraspherical) and Askey-Wilson polynomials as
-symmetric z-Laurent objects, their generating functions, and the
-transformation identities built on them.
+symmetric z-Laurent objects and their generating functions. The
+transformation identities built on them are data in
+`suites/transforms.qid`.
 
 x is never a first-class variable: every polynomial lives in z with
 x = (z + 1/z)/2 implicit. The generating-function machinery treats t as
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cyclotomic import CycRat, OMEGA, ONE
 from .errors import ZeroDenominator
@@ -21,9 +21,7 @@ from .series import (
     QSeries,
     SeriesContext,
     div_binomial,
-    first_mismatch,
     mono,
-    monomial_to_series,
     mul_binomial,
     qpow,
 )
@@ -367,221 +365,3 @@ def genfun_rhs_coeff(variant: int, n: int, a: Monomial, ctx: SeriesContext) -> Z
     else:
         raise ValueError(f"unknown generating-function variant {variant}")
     return cn.scale(num * den.inverse())
-
-
-# -- transformation identities -------------------------------------------
-
-
-@dataclass
-class TransformReport:
-    name: str
-    lhs: QSeries
-    rhs: QSeries
-    order: int
-    mismatch: Optional[tuple]
-
-    @property
-    def ok(self) -> bool:
-        return self.mismatch is None
-
-
-def _prod(ctx, *specs) -> QSeries:
-    """Product of (arg; base)_inf over (arg, base) pairs."""
-    acc = ctx.one()
-    for arg, base in specs:
-        acc = acc * poch(arg, base, ctx)
-    return acc
-
-
-def _one_minus(ctx, m: Monomial) -> QSeries:
-    return ctx.one() - monomial_to_series(m, ctx)
-
-
-TRANSFORMS = {}
-
-
-def _register(name):
-    def wrap(fn):
-        TRANSFORMS[name] = fn
-        return fn
-    return wrap
-
-
-@_register("sextic_a")
-def _sextic_a(s, ctx):
-    a = s["a"]
-    q, q2, q6 = _Q, qpow(2), qpow(6)
-    w, w2 = mono(OMEGA, 0), mono(OMEGA, 0) ** 2
-    a2, a4, a6 = a ** 2, a ** 4, a ** 6
-    lhs = phi_series([a * w, -(a * w)], [-a2], q, a2 * qpow(-1) * w2, ctx)
-    pref = _prod(ctx, (a6, q2), (a6 * qpow(-3), q6)) * _prod(
-        ctx, (a2 * qpow(-1) * w2, q), (a4 * qpow(-1), q)
-    ).inverse()
-    rhs = pref * phi_series(
-        [a2 * q, a2 * qpow(3), a2 * qpow(5)],
-        [a6 * q2, a6 * qpow(4)],
-        q6, a6 * qpow(-3), ctx)
-    return lhs, rhs
-
-
-@_register("sextic_b")
-def _sextic_b(s, ctx):
-    a = s["a"]
-    q, q2, q3 = _Q, qpow(2), qpow(3)
-    w, w2 = mono(OMEGA, 0), mono(OMEGA, 0) ** 2
-    a2, a3, a4 = a ** 2, a ** 3, a ** 4
-    lhs = phi_series([a * w, a * q * w], [a2 * q], q2, a2 * w2, ctx)
-    pref = _prod(ctx, (a3, q), (-a3, q3)) * _prod(ctx, (a2 * w2, q2), (a4, q2)).inverse()
-    rhs = pref * phi_series([-a, -(a * q), -(a * q2)], [a3 * q, a3 * q2], q3, -a3, ctx)
-    return lhs, rhs
-
-
-@_register("sextic_c")
-def _sextic_c(s, ctx):
-    a = s["a"]
-    q, q6 = _Q, qpow(6)
-    w, w2 = mono(OMEGA, 0), mono(OMEGA, 0) ** 2
-    a2, a3, a4, a6 = a ** 2, a ** 3, a ** 4, a ** 6
-    qi = qpow(-1)
-    lhs = phi_series([a2 * qi * w, a2 * qi * w2], [a3 * qi, -(a3 * qi)], q,
-                     -(a2 * qi), ctx)
-    pref = _prod(ctx, (-(a2 * qi), q), (a6 * qpow(-3), q6)) * poch(
-        a4 * qpow(-2), q, ctx).inverse()
-    rhs = pref * phi_series(
-        [a2 * qi, a2 * q, a2 * qpow(3)],
-        [a6 * qpow(-2), a6 * qpow(2)],
-        q6, a6 * qpow(-3), ctx)
-    return lhs, rhs
-
-
-@_register("sextic_d")
-def _sextic_d(s, ctx):
-    a = s["a"]
-    q, q6 = _Q, qpow(6)
-    w, w2 = mono(OMEGA, 0), mono(OMEGA, 0) ** 2
-    a2, a3, a4, a6 = a ** 2, a ** 3, a ** 4, a ** 6
-    lhs = phi_series(
-        [a2 * qpow(-3) * w, a2 * qpow(-3) * w2],
-        [a3 * qpow(-3), -(a3 * qpow(-3))],
-        q, -(a2 * qpow(-1)), ctx)
-    den = (
-        _one_minus(ctx, a2 * qpow(-3))
-        * _one_minus(ctx, a6 * qpow(-6))
-        * poch(a4 * qpow(-3), q, ctx)
-    )
-    pref = _prod(ctx, (-(a2 * qpow(-1)), q), (a6 * qpow(-9), q6)) * den.inverse()
-    phi1 = phi_series(
-        [a2 * qpow(-1), a2 * q, a2 * qpow(3)],
-        [a6 * qpow(-4), a6 * qpow(-2)],
-        q6, a6 * qpow(-9), ctx)
-    phi2 = phi_series(
-        [a2 * q, a2 * qpow(3), a2 * qpow(5)],
-        [a6 * qpow(-2), a6 * qpow(2)],
-        q6, a6 * qpow(-9), ctx)
-    corr = _one_minus(ctx, a2 * qpow(-1)) * _one_minus(ctx, a6 * qpow(-4)).inverse()
-    inner = phi1 - monomial_to_series(a2 * qpow(-3), ctx) * corr * phi2
-    return lhs, pref * inner
-
-
-@_register("quadratic_a")
-def _quadratic_a(s, ctx):
-    a, z, t = s["a"], s["z"], s["t"]
-    q, q2 = _Q, qpow(2)
-    a2 = a ** 2
-    lhs = phi_series([a * z, -(a * z)], [-a2], q, t * z.inv(), ctx)
-    pref = poch(a2 * t * z * q, q2, ctx) * poch(t * q * z.inv(), q2, ctx).inverse()
-    rhs = pref * phi_series(
-        [a2, a2 * q, a2 * z ** 2], [a2 ** 2, a2 * t * z * q], q2, t * z.inv(), ctx)
-    return lhs, rhs
-
-
-@_register("quadratic_jain")
-def _quadratic_jain(s, ctx):
-    a, z, t = s["a"], s["z"], s["t"]
-    q, q2 = _Q, qpow(2)
-    a2, z2 = a ** 2, z ** 2
-    lhs = phi_series([a * z2, a * z2 * q], [a2 * q], q2, (t * z.inv()) ** 2, ctx)
-    pref = poch(-(a * t * z), q, ctx) * poch(-(t * z.inv()), q, ctx).inverse()
-    rhs = pref * phi_series([a, -a, a * z2], [a2, -(a * t * z)], q, t * z.inv(), ctx)
-    return lhs, rhs
-
-
-@_register("quartic")
-def _quartic(s, ctx):
-    a, t = s["a"], s["t"]
-    q, q2, q4 = _Q, qpow(2), qpow(4)
-    a2 = a ** 2
-    lhs = phi_series([a, -a], [a2], q, t, ctx)
-    pref = poch(-t, q2, ctx) * poch(t * q, q2, ctx).inverse()
-    rhs = pref * phi_series(
-        [-(a2 * q), -(a2 * qpow(3))], [a2 ** 2 * q2], q4, t ** 2, ctx)
-    return lhs, rhs
-
-
-@_register("koornwinder1")
-def _koorn1(s, ctx):
-    a, t = s["a"], s["t"]
-    q, q2 = _Q, qpow(2)
-    a2 = a ** 2
-    lhs = phi_series([a, -a], [a2], q, t, ctx)
-    rhs = poch(-t, q, ctx) * phi_series(
-        [mono(0), mono(0)], [a2 * q], q2, t ** 2, ctx)
-    return lhs, rhs
-
-
-@_register("koornwinder2")
-def _koorn2(s, ctx):
-    a, t = s["a"], s["t"]
-    q, q2 = _Q, qpow(2)
-    a2 = a ** 2
-    lhs = phi_series([a, -a], [a2], q, t, ctx)
-    rhs = poch(t, q, ctx).inverse() * phi_series(
-        [], [a2 * q], q2, a2 * t ** 2 * q, ctx)
-    return lhs, rhs
-
-
-@_register("gs_analytic1")
-def _gs1(s, ctx):
-    a, c, x = s["a"], s["c"], s["x"]
-    q, q2 = _Q, qpow(2)
-    a2, c2 = a ** 2, c ** 2
-    lhs = phi_series([a, -a], [-c], q, c * x, ctx)
-    t1 = (
-        poch(a2 * x, q2, ctx)
-        * poch(x, q2, ctx).inverse()
-        * phi_series([c, c * q, a2], [c2, q2 * x.inv()], q2, qpow(2), ctx)
-    )
-    t2 = (
-        _prod(ctx, (a2, q2), (c2 * x, q2))
-        * (_prod(ctx, (-c, q), (c * x, q)) * poch(x.inv(), q2, ctx)).inverse()
-        * phi_series([c * x, c * q * x, a2 * x], [c2 * x, q2 * x], q2, qpow(2), ctx)
-    )
-    return lhs, t1 + t2
-
-
-@_register("gs_analytic2")
-def _gs2(s, ctx):
-    a, c, x = s["a"], s["c"], s["x"]
-    q, q2 = _Q, qpow(2)
-    c2 = c ** 2
-    lhs = phi_series([a, a * q], [c2 * q], q2, (c * x) ** 2, ctx)
-    t1 = (
-        poch(a * x, q, ctx)
-        * poch(x, q, ctx).inverse()
-        * phi_series([c, -c, a], [c2, q * x.inv()], q, qpow(1), ctx)
-    )
-    t2 = (
-        _prod(ctx, (a, q), (c2 * x, q))
-        * (_prod(ctx, (c2 * q, q2), (c2 * x ** 2, q2)) * poch(x.inv(), q, ctx)).inverse()
-        * phi_series([c * x, -(c * x), a * x], [c2 * x, q * x], q, qpow(1), ctx)
-    )
-    return lhs, t1 + t2
-
-
-def transform_check(name: str, spec: dict, ctx: SeriesContext) -> TransformReport:
-    """Expand both sides of a named transformation at monomial parameters
-    and compare exactly to the context order."""
-    builder = TRANSFORMS[name]
-    lhs, rhs = builder(spec, ctx)
-    order = min(lhs.trunc, rhs.trunc, ctx.order)
-    return TransformReport(name, lhs, rhs, order, first_mismatch(lhs, rhs, order))

@@ -28,7 +28,6 @@ from qrucible.ortho import (
     rogers_half_4phi3,
     rogers_half_sum,
     rogers_poly,
-    transform_check,
 )
 from qrucible.qkernel import INF, f_triple, phi_series, poch, pochhammer_multi
 from qrucible.series import (
@@ -291,54 +290,53 @@ def test_criterion_9_orthogonal_polynomial_suite():
             assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc, 40)), n
 
 
-TRANSFORM_SAMPLES = {
-    "sextic_a": [{"a": qpow(1)}, {"a": qpow(2)}],
-    "sextic_b": [{"a": qpow(1)}, {"a": qpow(2)}],
-    "sextic_c": [{"a": qpow(1)}, {"a": qpow(2)}],
-    "sextic_d": [{"a": qpow(2)}, {"a": qpow(3)}],
-    "quadratic_a": [
-        {"a": qpow(1), "z": qpow(2), "t": qpow(3)},
-        {"a": qpow(1), "z": qpow(1), "t": qpow(3)},
-        {"a": qpow(2), "z": qpow(1), "t": qpow(4)},
-    ],
-    "quadratic_jain": [
-        {"a": qpow(1), "z": qpow(1), "t": qpow(2)},
-        {"a": qpow(1), "z": qpow(2), "t": qpow(3)},
-        {"a": qpow(2), "z": qpow(1), "t": qpow(2)},
-    ],
-    "quartic": [{"a": qpow(1), "t": qpow(1)}, {"a": qpow(1), "t": qpow(2)},
-                {"a": qpow(2), "t": qpow(1)}],
-    "koornwinder1": [{"a": qpow(1), "t": qpow(1)}, {"a": qpow(1), "t": qpow(2)},
-                     {"a": qpow(2), "t": qpow(1)}],
-    "koornwinder2": [{"a": qpow(1), "t": qpow(1)}, {"a": qpow(1), "t": qpow(2)},
-                     {"a": qpow(2), "t": qpow(1)}],
-    "gs_analytic1": [
-        {"a": qpow(1), "c": qpow(1), "x": qpow(1)},
-        {"a": qpow(2), "c": qpow(1), "x": qpow(1)},
-        {"a": qpow(1), "c": qpow(1), "x": qpow(3)},
-    ],
+# every (family, specialization) the transformation suite checks, in
+# suite order
+REGISTRY_TRANSFORM_MAP = {
+    "sextic-a-1": ("sextic_a", {"a": "q"}),
+    "sextic-a-2": ("sextic_a", {"a": "q^2"}),
+    "sextic-b-1": ("sextic_b", {"a": "q"}),
+    "sextic-b-2": ("sextic_b", {"a": "q^2"}),
+    "sextic-c-1": ("sextic_c", {"a": "q"}),
+    "sextic-c-2": ("sextic_c", {"a": "q^2"}),
+    "sextic-d-1": ("sextic_d", {"a": "q^2"}),
+    "sextic-d-2": ("sextic_d", {"a": "q^3"}),
+    "quadratic-a-1": ("quadratic_a", {"a": "q", "z": "q^2", "t": "q^3"}),
+    "quadratic-a-2": ("quadratic_a", {"a": "q", "z": "q", "t": "q^3"}),
+    "quadratic-a-3": ("quadratic_a", {"a": "q^2", "z": "q", "t": "q^4"}),
+    "quadratic-jain-1": ("quadratic_jain", {"a": "q", "z": "q", "t": "q^2"}),
+    "quadratic-jain-2": ("quadratic_jain", {"a": "q", "z": "q^2", "t": "q^3"}),
+    "quadratic-jain-3": ("quadratic_jain", {"a": "q^2", "z": "q", "t": "q^2"}),
+    "quartic-1": ("quartic", {"a": "q", "t": "q"}),
+    "quartic-2": ("quartic", {"a": "q", "t": "q^2"}),
+    "quartic-3": ("quartic", {"a": "q^2", "t": "q"}),
+    "koornwinder-1-1": ("koornwinder1", {"a": "q", "t": "q"}),
+    "koornwinder-1-2": ("koornwinder1", {"a": "q", "t": "q^2"}),
+    "koornwinder-1-3": ("koornwinder1", {"a": "q^2", "t": "q"}),
+    "koornwinder-2-1": ("koornwinder2", {"a": "q", "t": "q"}),
+    "koornwinder-2-2": ("koornwinder2", {"a": "q", "t": "q^2"}),
+    "koornwinder-2-3": ("koornwinder2", {"a": "q^2", "t": "q"}),
+    "gessel-stanton-1-1": ("gs_analytic1", {"a": "q", "c": "q", "x": "q"}),
+    "gessel-stanton-1-2": ("gs_analytic1", {"a": "q^2", "c": "q", "x": "q"}),
+    "gessel-stanton-1-3": ("gs_analytic1", {"a": "q", "c": "q", "x": "q^3"}),
+    "gessel-stanton-2-1": ("gs_analytic2", {"a": "q", "c": "q", "x": "q^(1/2)"}),
+    "gessel-stanton-2-2": ("gs_analytic2", {"a": "q^2", "c": "q", "x": "q^(1/2)"}),
+    "gessel-stanton-2-3": ("gs_analytic2", {"a": "q", "c": "q", "x": "q^(3/2)"}),
 }
 
-GS2_SAMPLES = [
-    {"a": qpow(1), "c": qpow(1), "x": mono(1, HALF)},
-    {"a": qpow(2), "c": qpow(1), "x": mono(1, HALF)},
-    {"a": qpow(1), "c": qpow(1), "x": mono(1, Fraction(3, 2))},
-]
 
-
-def test_criterion_10_transformation_suite():
+def test_criterion_10_transformation_suite(registry):
     with criterion(10, "four sextic transforms at 2 summable specializations, "
                        "quadratic/quartic/Koornwinder/Gessel-Stanton at 3 each, "
                        "order q^30"):
-        ctx = SeriesContext(1, 30)
-        for name, specs in TRANSFORM_SAMPLES.items():
-            for s in specs:
-                rep = transform_check(name, s, ctx)
-                assert rep.ok and rep.order >= 30, (name, s, rep.mismatch)
-        ctx2 = SeriesContext(2, 60)
-        for s in GS2_SAMPLES:
-            rep = transform_check("gs_analytic2", s, ctx2)
-            assert rep.ok and rep.order >= 60, ("gs_analytic2", s, rep.mismatch)
+        cases = registry.group("transforms")
+        assert len(cases) == 29
+        assert [c.name for c in cases] == list(REGISTRY_TRANSFORM_MAP)
+        assert len({family for family, _ in REGISTRY_TRANSFORM_MAP.values()}) == 11
+        for case in cases:
+            rep = verify(case)
+            assert rep.status == "PASS" and rep.proven_order >= case.order, (
+                case.name, rep.status, rep.mismatch, rep.skip_reason)
 
 
 def test_criterion_11_property_suites():

@@ -59,6 +59,9 @@ def test_parse_errors_carry_position():
         parse("1 + ")
     with pytest.raises(ParseError):
         parse("1 1")
+    with pytest.raises(ParseError) as err:
+        parse("q^(1/0)")
+    assert (err.value.line, err.value.col) == (1, 6)
 
 
 def test_print_examples():
@@ -236,3 +239,19 @@ def test_elaborate_ct_with_shift():
     picked = elaborate(parse("ct{z*qp(1/z; q; inf)}"), ctx)
     # coefficient of z^(-1) in (1/z;q)_inf is -(sum of q^j) ... leading -1
     assert picked.coefficient(0) == -ONE
+
+
+def test_grammar_file_names_the_parser_heads():
+    # docs/grammar.ebnf is the one statement of the grammar; its call and
+    # named productions must list exactly the heads the parser accepts
+    import re
+    from pathlib import Path
+
+    from qrucible.dsl import _HEADS
+
+    ebnf = (Path(__file__).resolve().parent.parent / "docs" / "grammar.ebnf").read_text()
+    heads = set()
+    for rule in ("call", "named"):
+        body = re.search(rf"^{rule}\s*=(.*?)(?=^\S)", ebnf, re.M | re.S).group(1)
+        heads |= set(re.findall(r'"([A-Za-z_]\w*)"', body))
+    assert heads == _HEADS

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qrucible.cli import main as cli_main
-from qrucible.errors import BoundExceeded
+from qrucible.errors import BoundExceeded, ParseError
 from qrucible.harness import (
     Registry,
     load_registry,
@@ -17,7 +18,8 @@ from qrucible.harness import (
     verify,
 )
 
-SUITE_DIR = Path(__file__).resolve().parent.parent / "src" / "qrucible" / "suites"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SUITE_DIR = SRC_DIR / "qrucible" / "suites"
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +231,27 @@ def test_cli_exit_code_on_failure(tmp_path):
     assert code == 1
 
 
+def test_suite_zero_exponent_denominator_is_a_parse_error(tmp_path, capsys):
+    text = 'identity "x" { lhs = q^(1/0); rhs = 1; D = 1; order = 5; }\n'
+    with pytest.raises(ParseError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (1, 27)
+    bad = tmp_path / "bad.qid"
+    bad.write_text(text)
+    assert cli_main(["verify", "--suite", str(bad)]) == 2
+    assert "line 1, column 27" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_positive_counts(capsys):
+    for option in ("--order", "--denom", "--jobs"):
+        for value in ("0", "-1", "x"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["verify", "--filter", "rogers-ramanujan-1", option, value])
+            assert exc.value.code == 2, (option, value)
+            err = capsys.readouterr().err
+            assert f"argument {option}: expected a positive integer" in err
+
+
 def test_full_shipped_suite_passes(registry):
     code, reports = run_suite(jobs=2, strict=True, registry=registry)
     assert code == 0
@@ -274,20 +297,20 @@ def test_cross_evaluator_coherence():
         assert equal_to_order(ct, red, upto), (eu, ev, ew)
 
 
-def test_quartic_and_koornwinder_share_a_left_side():
+def test_quartic_and_koornwinder_share_a_left_side(registry):
     # the quartic transform and both Koornwinder companions restate the
     # same 2phi1, so their right sides must agree with each other
-    from qrucible.ortho import transform_check
-    from qrucible.series import SeriesContext, equal_to_order, qpow
+    from qrucible.dsl import elaborate
+    from qrucible.series import SeriesContext, equal_to_order
 
     ctx = SeriesContext(1, 30)
-    spec = {"a": qpow(1), "t": qpow(2)}
-    quartic = transform_check("quartic", spec, ctx)
-    k1 = transform_check("koornwinder1", spec, ctx)
-    k2 = transform_check("koornwinder2", spec, ctx)
-    assert quartic.ok and k1.ok and k2.ok
-    assert equal_to_order(quartic.rhs, k1.rhs, 30)
-    assert equal_to_order(k1.rhs, k2.rhs, 30)
+    quartic, k1, k2 = (
+        elaborate(registry.get(name).rhs(), ctx)
+        for name in ("quartic-2", "koornwinder-1-2", "koornwinder-2-2")
+    )
+    assert equal_to_order(quartic, k1, 30)
+    assert equal_to_order(k1, k2, 30)
+    assert equal_to_order(quartic, k2, 30)
 
 
 def test_cli_entry_point_runs():
@@ -296,6 +319,8 @@ def test_cli_entry_point_runs():
          "--order", "12"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0
     assert "PASS kr-conj-5" in proc.stdout
