@@ -4,7 +4,8 @@
                     [--denom D] [--json PATH] [--strict] [--jobs K]
 
 Exit code 0 iff all selected cases PASS (SKIPs tolerated unless
---strict); 2 on a usage error or a suite file that does not parse.
+--strict); 2 on a usage error, a --filter that selects no case, or a
+suite file that cannot be read or does not parse.
 QRUCIBLE_SUITE_DIR overrides the default suite location.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ParseError
+from .errors import SuiteError
 from .harness import load_registry, reports_to_json, run_suite
 
 
@@ -68,8 +69,11 @@ def main(argv=None) -> int:
         return 2
     try:
         registry = load_registry(args.suite)
-    except ParseError as exc:
+    except SuiteError as exc:
         print(f"qrucible: error: {exc}", file=sys.stderr)
+        return 2
+    if args.filter is not None and not registry.select(args.filter):
+        print(f"qrucible: error: --filter {args.filter!r} selects no case", file=sys.stderr)
         return 2
     code, reports = run_suite(
         registry=registry,

@@ -69,6 +69,11 @@ class ParseError(QrucibleError):
         self.col = col
 
 
+class SuiteError(QrucibleError):
+    """A suite file that cannot be read or does not parse; the message
+    names the file."""
+
+
 class UnknownSymbol(ParseError):
     """An identifier that is not part of the DSL vocabulary."""
 

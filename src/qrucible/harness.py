@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from . import dsl
 from .cyclotomic import render
-from .errors import BoundExceeded, ParseError, QrucibleError
+from .errors import BoundExceeded, ParseError, QrucibleError, SuiteError
 from .series import SeriesContext, first_mismatch
 
 GROUPS = (
@@ -207,13 +207,26 @@ def default_suite_dir() -> Path:
 
 
 def load_registry(files: Optional[Sequence] = None) -> Registry:
+    """Cases of the given suite files, or of the default suite directory.
+
+    A file that cannot be read or does not parse raises `SuiteError`
+    naming the file.
+    """
     if files:
         paths = [Path(f) for f in files]
     else:
         paths = sorted(default_suite_dir().glob("*.qid"))
     cases = []
     for path in paths:
-        cases.extend(parse_suite(path.read_text(encoding="utf-8"), str(path)))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise SuiteError(f"cannot read suite {path}: {reason}") from exc
+        try:
+            cases.extend(parse_suite(text, str(path)))
+        except ParseError as exc:
+            raise SuiteError(f"{path}: {exc}") from exc
     return Registry(cases)
 
 

@@ -6,10 +6,18 @@ arithmetic. Truncation is tracked per value: a series "knows" its
 coefficients for scaled exponents strictly below `trunc`, and every
 operation propagates the tightest correct bound, so silent precision loss
 is impossible. The zero-on-window series carries val == trunc.
+
+Every product goes through one kernel, `_polymul`: both operands are
+scaled to Z[w] by the lcm of their denominators, each of the `re` and `om`
+parts is packed into one Python int (Kronecker substitution q -> 2^k),
+and three big-int multiplies give the Z[w] product (Karatsuba with
+w^2 = -1 - w). `QSeries.inverse` is Newton iteration on that kernel,
+doubling the number of known coefficients per step.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclotomic import CycRat, ONE, ZERO
@@ -246,18 +254,7 @@ class QSeries:
         n = min(t, self.ctx.order) - lo
         if n <= 0:
             return self.ctx.zero(t)
-        out = [ZERO] * n
-        bc = other.coeffs
-        blen = len(bc)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            jmax = min(blen, n - i)
-            for j in range(jmax):
-                b = bc[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return QSeries(self.ctx, lo, out, t)
+        return QSeries(self.ctx, lo, _polymul(self.coeffs, other.coeffs, n), t)
 
     def scale(self, c: CycRat) -> "QSeries":
         if not c:
@@ -279,17 +276,15 @@ class QSeries:
             raise NotInvertible("series is zero on its window")
         a = self.coeffs
         n = self.trunc - self.val
-        inv0 = a[0].inv()
-        out = [inv0]
-        alen = len(a)
-        for k in range(1, n):
-            acc = None
-            for i in range(1, min(k, alen - 1) + 1):
-                ai = a[i]
-                if ai:
-                    term = ai * out[k - i]
-                    acc = term if acc is None else acc + term
-            out.append(-(inv0 * acc) if acc is not None else ZERO)
+        out = [a[0].inv()]
+        while len(out) < n:
+            # Newton step y <- y*(2 - a*y): a*y = 1 + O(q^h), so y keeps its
+            # h known coefficients and gains -y*(a*y)[h:m] above them.
+            h = len(out)
+            m = min(2 * h, n)
+            corr = _polymul(out, _polymul(a, out, m)[h:], m - h)
+            out += [-c if c else ZERO for c in corr]
+            out += [ZERO] * (m - len(out))
         return QSeries(self.ctx, -self.val, out, self.trunc - 2 * self.val)
 
     def truncate(self, new_trunc: int) -> "QSeries":
@@ -330,6 +325,71 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"<QSeries {self}>"
+
+
+def _polymul(a: list, b: list, n: int) -> list:
+    """The first n coefficients of a*b for Q(w) coefficient lists a, b.
+
+    The result has min(n, len(a) + len(b) - 1) entries, so a short
+    operand never builds a long zero tail.
+    """
+    n = min(n, len(a) + len(b) - 1)
+    if not a or not b or n <= 0:
+        return []
+    da, ar, ao, ma = _scaled(a[:n])
+    db, br, bo, mb = _scaled(b[:n])
+    if not ma or not mb:
+        return [ZERO] * n
+    # With A + B*w and C + D*w the scaled operands, the product is
+    # re = AC - BD and om = AD + BC - BD: each output coefficient is at most
+    # 3*m*ma*mb in absolute value, m = min(len(a), len(b), n) the number of
+    # terms in one convolution sum. A signed slot of 8*kb bits holds
+    # [-2^(8kb-1), 2^(8kb-1)), and 8*kb >= bound.bit_length() + 1 makes
+    # 2^(8kb-1) > bound, so no slot of the result, and no slot of an operand
+    # (each at most ma or mb, both nonzero here), can spill into the next.
+    bound = 3 * min(len(a), len(b), n) * ma * mb
+    kb = bound.bit_length() // 8 + 1
+    bias = 1 << (8 * kb - 1)
+    pa, pb = _pack(ar, kb, bias), _pack(ao, kb, bias)
+    pc, pd = _pack(br, kb, bias), _pack(bo, kb, bias)
+    ac = pa * pc
+    bd = pb * pd
+    re = _unpack(ac - bd, n, kb, bias)
+    om = _unpack((pa + pb) * (pc + pd) - ac - 2 * bd, n, kb, bias)
+    d = da * db
+    return [
+        (CycRat(Fraction(r, d), Fraction(o, d)) if r or o else ZERO)
+        for r, o in zip(re, om)
+    ]
+
+
+def _scaled(xs: list):
+    """(d, re, om, m): d the lcm of the denominators of xs, re and om the
+    integer lists d*x.re and d*x.om, m the largest absolute entry."""
+    d = math.lcm(*[c.re.denominator for c in xs], *[c.om.denominator for c in xs])
+    re = [c.re.numerator * (d // c.re.denominator) for c in xs]
+    om = [c.om.numerator * (d // c.om.denominator) for c in xs]
+    m = max(max(re), -min(re), max(om), -min(om))
+    return d, re, om, m
+
+
+def _ones(n: int, kb: int, bias: int) -> int:
+    """bias in each of n slots of kb bytes."""
+    return int.from_bytes(bias.to_bytes(kb, "little") * n, "little")
+
+
+def _pack(xs: list, kb: int, bias: int) -> int:
+    """sum xs[i] * 2^(8*kb*i) for |xs[i]| < bias, by offsetting each entry
+    into [0, 2*bias) and removing the offsets afterwards."""
+    raw = b"".join([(x + bias).to_bytes(kb, "little") for x in xs])
+    return int.from_bytes(raw, "little") - _ones(len(xs), kb, bias)
+
+
+def _unpack(p: int, n: int, kb: int, bias: int) -> list:
+    """The n low signed slots of p, each known to lie in [-bias, bias)."""
+    width = kb * n
+    raw = ((p + _ones(n, kb, bias)) & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    return [int.from_bytes(raw[i : i + kb], "little") - bias for i in range(0, width, kb)]
 
 
 def mul_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qrucible.cli import main as cli_main
-from qrucible.errors import BoundExceeded, ParseError
+from qrucible.errors import BoundExceeded, ParseError, SuiteError
 from qrucible.harness import (
     Registry,
     load_registry,
@@ -240,6 +240,36 @@ def test_suite_zero_exponent_denominator_is_a_parse_error(tmp_path, capsys):
     bad.write_text(text)
     assert cli_main(["verify", "--suite", str(bad)]) == 2
     assert "line 1, column 27" in capsys.readouterr().err
+
+
+def test_cli_filter_selecting_no_case_is_a_usage_error(capsys):
+    assert cli_main(["verify", "--filter", "no-such-case*"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "qrucible: error: --filter 'no-such-case*' selects no case\n"
+    assert captured.out == ""
+
+
+def test_cli_unreadable_suite_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nope.qid"
+    binary = tmp_path / "binary.qid"
+    binary.write_bytes(b"\xff\xfe identity")
+    for path in (missing, binary):
+        assert cli_main(["verify", "--suite", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qrucible: error: cannot read suite {path}: "), err
+    with pytest.raises(SuiteError, match="No such file or directory"):
+        load_registry([missing])
+
+
+def test_cli_bad_suite_error_names_the_file(tmp_path, capsys):
+    good = tmp_path / "good.qid"
+    good.write_text('identity "ok" { lhs = 1+q; rhs = 1+q; D = 1; order = 5; }\n')
+    bad = tmp_path / "bad.qid"
+    bad.write_text('identity "x" {\n  lhs = 1 + q^(1/0); rhs = 1; D = 1; order = 5; }\n')
+    assert cli_main(["verify", "--suite", str(good), "--suite", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"qrucible: error: {bad}: zero denominator in exponent (line 2, column 18)\n"
+    )
 
 
 def test_cli_rejects_non_positive_counts(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_series
-from qrucible.cyclotomic import CycRat, OMEGA, ONE
+from qrucible.cyclotomic import CycRat, OMEGA, ONE, ZERO
 from qrucible.errors import (
     ContextMismatch,
     ExponentNotRepresentable,
@@ -12,7 +12,9 @@ from qrucible.errors import (
     NotInvertible,
 )
 from qrucible.series import (
+    QSeries,
     SeriesContext,
+    _polymul,
     div_binomial,
     equal_to_order,
     first_mismatch,
@@ -35,6 +37,98 @@ def brute_product_1mqj(nfactors, upto):
                 out[i + j] -= c
         poly = out
     return poly
+
+
+def schoolbook(a, b, n):
+    """Oracle: the first n coefficients of a*b by naive convolution."""
+    out = [ZERO] * min(n, len(a) + len(b) - 1)
+    for i, x in enumerate(a[: len(out)]):
+        for j, y in enumerate(b[: len(out) - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def recurrence_inverse(a, n):
+    """Oracle: the first n coefficients of 1/a by the term-by-term recurrence."""
+    inv0 = a[0].inv()
+    out = [inv0]
+    for k in range(1, n):
+        acc = sum((a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1)), ZERO)
+        out.append(-(inv0 * acc))
+    return out
+
+
+def rand_zw_list(rng, length, num=10**30, den=10**20):
+    """Q(w) coefficients with zero runs, w-parts, large numerators and
+    occasional large denominators."""
+    out = []
+    while len(out) < length:
+        if rng.random() < 0.15:
+            out.extend([ZERO] * rng.randint(1, 8))
+            continue
+
+        def part():
+            d = rng.randint(1, den) if rng.random() < 0.3 else 1
+            return Fraction(rng.randint(-num, num), d)
+
+        out.append(CycRat(part(), part() if rng.random() < 0.6 else 0))
+    return out[:length]
+
+
+def test_polymul_matches_schoolbook():
+    rng = random.Random(20261018)
+    for _ in range(120):
+        a = rand_zw_list(rng, rng.randint(1, 60))
+        b = rand_zw_list(rng, rng.randint(1, 60))
+        full = len(a) + len(b) - 1
+        for n in (rng.randint(1, full), full, full + rng.randint(1, 20)):
+            assert _polymul(a, b, n) == schoolbook(a, b, n)
+    # (M - M*w)(-M + M*w) = 3*M^2*w reaches the kernel's slot bound
+    # exactly: every convolution term has the same sign and magnitude
+    for bits in range(70):
+        for big in (2**bits - 1, 2**bits):
+            for length in range(1, 10):
+                for sign in (1, -1):
+                    a = [CycRat(big, -big)] * length
+                    b = [CycRat(-sign * big, sign * big)] * (length + 1)
+                    assert _polymul(a, b, 2 * length) == schoolbook(a, b, 2 * length)
+    small = [CycRat(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(40)]
+    assert _polymul(small, [ZERO, ZERO], 50) == [ZERO] * 41
+    assert _polymul(small, [], 50) == []
+
+
+def test_newton_inverse_matches_recurrence():
+    rng = random.Random(41)
+    ctx = SeriesContext(2, 80)
+    for _ in range(25):
+        a = rand_zw_list(rng, rng.randint(1, 40), num=10**6, den=10**3)
+        a[0] = a[0] or ONE
+        val = rng.randint(-5, 5)
+        x = QSeries(ctx, val, a, rng.randint(val + 1, ctx.order))
+        n = x.trunc - x.val
+        expect = QSeries(ctx, -val, recurrence_inverse(x.coeffs, n), x.trunc - 2 * val)
+        assert x.inverse() == expect
+
+
+def test_products_and_inverses_honest_across_truncations():
+    """The same operands known to N and to N+k: results agree below the
+    smaller claimed truncation, which never exceeds the larger one."""
+    rng = random.Random(5)
+    ctx = SeriesContext(1, 120)
+    for _ in range(30):
+        coeffs = [rand_zw_list(rng, 70, num=50, den=6) for _ in range(2)]
+        vals = [rng.randint(-6, 6) for _ in range(2)]
+        for c in coeffs:
+            c[0] = c[0] or ONE
+        n, k = rng.randint(1, 40), rng.randint(1, 30)
+
+        def operands(trunc):
+            return [QSeries(ctx, v, c[: trunc - v], trunc) for v, c in zip(vals, coeffs)]
+
+        (x, y), (xk, yk) = operands(max(vals) + n), operands(max(vals) + n + k)
+        for short, long in ((x * y, xk * yk), (x.inverse(), xk.inverse()), (y.inverse(), yk.inverse())):
+            assert short.trunc <= long.trunc
+            assert equal_to_order(short, long, short.trunc)
 
 
 def test_monomial_to_series_grid():
