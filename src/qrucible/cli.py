@@ -4,8 +4,9 @@
                     [--denom D] [--json PATH] [--strict] [--jobs K]
 
 Exit code 0 iff all selected cases PASS (SKIPs tolerated unless
---strict); 2 on a usage error, a --filter that selects no case, or a
-suite file that cannot be read or does not parse.
+--strict); 2 on a usage error, a --filter that selects no case, a
+suite file that cannot be read or does not parse, or a --json path
+that cannot be written (checked before any case runs).
 QRUCIBLE_SUITE_DIR overrides the default suite location.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .errors import SuiteError
 from .harness import load_registry, reports_to_json, run_suite
@@ -75,14 +77,23 @@ def main(argv=None) -> int:
     if args.filter is not None and not registry.select(args.filter):
         print(f"qrucible: error: --filter {args.filter!r} selects no case", file=sys.stderr)
         return 2
-    code, reports = run_suite(
-        registry=registry,
-        pattern=args.filter,
-        order=args.order,
-        denom=args.denom,
-        jobs=args.jobs,
-        strict=args.strict,
-    )
+    try:
+        report = open(args.json, "w", encoding="utf-8") if args.json else nullcontext()
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"qrucible: error: cannot write --json {args.json}: {reason}", file=sys.stderr)
+        return 2
+    with report:
+        code, reports = run_suite(
+            registry=registry,
+            pattern=args.filter,
+            order=args.order,
+            denom=args.denom,
+            jobs=args.jobs,
+            strict=args.strict,
+        )
+        if args.json:
+            report.write(reports_to_json(reports) + "\n")
     for r in reports:
         if r.status == "PASS":
             detail = f"order {r.proven_order}/{r.denom}"
@@ -96,10 +107,6 @@ def main(argv=None) -> int:
     n_fail = sum(r.status == "FAIL" for r in reports)
     n_skip = sum(r.status == "SKIP" for r in reports)
     print(f"{len(reports)} cases: {n_pass} pass, {n_fail} fail, {n_skip} skip")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(reports_to_json(reports))
-            fh.write("\n")
     return code
 
 

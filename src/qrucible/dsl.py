@@ -228,10 +228,17 @@ def tokenize(text: str) -> list:
 # -- parser --------------------------------------------------------------
 
 
+# Deepest nesting of parentheses, unary minus, powers and call arguments
+# the parser accepts. Parsing, printing and elaboration recurse once per
+# level, so this keeps all three far from the interpreter's stack limit.
+MAX_NESTING = 100
+
+
 class Parser:
     def __init__(self, tokens: list, pos: int = 0):
         self.toks = tokens
         self.pos = pos
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -261,6 +268,17 @@ class Parser:
             return True
         return False
 
+    def nested(self, parse):
+        """parse() one nesting level deeper; past MAX_NESTING levels a
+        positioned ParseError instead of a RecursionError."""
+        if self.depth >= MAX_NESTING:
+            self.error(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     # expression grammar
 
     def parse_expr(self):
@@ -285,7 +303,7 @@ class Parser:
 
     def parse_unary(self):
         if self.eat("-"):
-            return Neg(self.parse_unary())
+            return Neg(self.nested(self.parse_unary))
         return self.parse_power()
 
     def parse_power(self):
@@ -293,7 +311,7 @@ class Parser:
         if not self.at("^"):
             return base
         self.next()
-        e = self.parse_exponent()
+        e = self.nested(self.parse_exponent)
         if isinstance(base, QPower):
             return QPower(base.exp * e)
         if isinstance(base, ZPower):
@@ -332,7 +350,7 @@ class Parser:
             return Rational(self.next().value)
         if t.kind == "PUNCT" and t.value == "(":
             self.next()
-            e = self.parse_expr()
+            e = self.nested(self.parse_expr)
             self.expect(")")
             return e
         if t.kind != "IDENT":
@@ -351,7 +369,7 @@ class Parser:
             self.next()
             return ZPower(1)
         if name in _HEADS:
-            return self.parse_call()
+            return self.nested(self.parse_call)
         raise UnknownSymbol(f"unknown symbol {name!r}", t.line, t.col)
 
     def parse_int(self) -> int:

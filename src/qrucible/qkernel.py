@@ -9,6 +9,7 @@ passes the truncation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,9 +25,14 @@ from .series import (
     Monomial,
     QSeries,
     SeriesContext,
+    _from_zw,
+    _zw_binomials,
+    _zw_mul,
+    _zw_scale,
     div_binomial,
     mono,
     mul_binomial,
+    mul_binomials,
     qpow,
 )
 
@@ -77,7 +83,10 @@ def pochhammer(spec: PochSpec, ctx: SeriesContext) -> QSeries:
 
     For n infinite, factors (1 - a*b^j) are included until the factor
     exponent plus the accumulated valuation reaches the truncation, which
-    suffices because later factors only touch higher orders.
+    suffices because later factors only touch higher orders. Each factor
+    lowers valuation and truncation alike by min(e, 0) and never cancels
+    the leading coefficient, so that rule is `e < order`, and the whole
+    factor list goes through one binomial pass.
     """
     a, b = spec.arg, spec.base
     if a.is_zero():
@@ -86,26 +95,18 @@ def pochhammer(spec: PochSpec, ctx: SeriesContext) -> QSeries:
     e = ctx.scale(a.exp)
     c = a.coeff
     cb = b.coeff
-    acc = ctx.one()
-    if spec.count is INF:
-        if eb <= 0:
-            raise NonPositiveBaseExponent(
-                f"infinite product needs base exponent > 0, got {b.exp}"
-            )
-        while e + acc.val < acc.trunc:
-            if e == 0 and c == ONE:
-                return ctx.zero()
-            acc = mul_binomial(acc, c, e)
-            c = c * cb
-            e += eb
-        return acc
-    for _ in range(spec.count):
+    if spec.count is INF and eb <= 0:
+        raise NonPositiveBaseExponent(
+            f"infinite product needs base exponent > 0, got {b.exp}"
+        )
+    factors = []
+    while (e < ctx.order) if spec.count is INF else (len(factors) < spec.count):
         if e == 0 and c == ONE:
             return ctx.zero()
-        acc = mul_binomial(acc, c, e)
+        factors.append((c, e, 1))
         c = c * cb
         e += eb
-    return acc
+    return mul_binomials(ctx.one(), factors)
 
 
 def poch(arg: Monomial, base: Monomial, ctx: SeriesContext, count=INF) -> QSeries:
@@ -286,8 +287,16 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     """Exact sum over all lattice points whose exponent is below the
     truncation; per-variable bounds come from the diagonal of the
     quadratic form, then every term is exponent-filtered exactly.
+
+    The rows 1/(d_i; b_i)_k are integer binomial passes. The sum runs
+    innermost variable first: the terms of the last variable are added
+    into one Z[w] list, and each shorter lattice prefix costs one Z[w]
+    product of its row with the sum over its completions, cut to the
+    exponents those completions can reach.
     """
     m = len(spec.lin)
+    if not m:
+        return ctx.one()
     A = spec.quad
     for i in range(m):
         if A[i][i] <= 0:
@@ -324,46 +333,93 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             k += 1
         bounds.append(k)
 
-    inv_pochs = []
+    order = ctx.order
+    # rows[i][k] = 1/(d_i; b_i)_k as (d, re, om, val); its trunc is the order
+    rows = []
     for i in range(m):
         d, b = spec.denom_args[i], spec.denom_bases[i]
         eb = ctx.scale(b.exp)
-        ed = ctx.scale(d.exp)
-        row = [ctx.one()]
-        c, e = d.coeff, ed
+        c, e = d.coeff, ctx.scale(d.exp)
+        row = [(1, [1], [0], 0)]
         for _ in range(bounds[i]):
             if e == 0 and c == ONE:
                 raise ZeroDenominator("multisum denominator has an exact zero factor")
-            row.append(div_binomial(row[-1], c, e))
+            rd, re, om, val = row[-1]
+            rd, re, om, val, _ = _zw_binomials(rd, re, om, val, order, order, [(c, e, -1)])
+            row.append((rd, re, om, val))
             c = c * b.coeff
             e += eb
-        inv_pochs.append(row)
+        rows.append(row)
 
-    total = ctx.zero()
+    # rest[i]: the least exponent variables i.. can add to a prefix; cross
+    # terms are nonnegative, so a prefix whose exponent plus rest reaches
+    # the order has no term below it.
+    rest = [sum(mins[i:]) for i in range(m + 1)]
     ks = [0] * m
+    trunc = order
 
     def rec(i: int, exp_acc: int, coeff_acc: CycRat, sign_acc: int):
-        nonlocal total
-        if i == m:
-            if exp_acc >= ctx.order:
-                return
-            c = -coeff_acc if sign_acc % 2 else coeff_acc
-            s = ctx.monomial(c, exp_acc)
-            for j in range(m):
-                s = s * inv_pochs[j][ks[j]]
-            total = total + s
-            return
+        """The terms over all completions of ks[:i], times the rows of
+        variables i.., as [d, re, om] with index j at exponent
+        exp_acc + rest[i] + j, up to the order."""
+        nonlocal trunc
+        lo = exp_acc + rest[i]
+        acc = [1, [0] * (order - lo), [0] * (order - lo)]
         for k in range(bounds[i] + 1):
             ks[i] = k
             cross = 0
             for j in range(i):
                 cross += 2 * A[i][j] * ks[j] * k
             e = exp_acc + A[i][i] * k * k + eff[i] * k + cross
+            low = e + rest[i + 1]
+            if low >= order:
+                continue
             c = coeff_acc * spec.coeffs[i].coeff ** k if k else coeff_acc
-            rec(i + 1, e, c, sign_acc + spec.signs[i] * k)
+            sign = sign_acc + spec.signs[i] * k
+            rd, rre, rom, rv = rows[i][k]
+            if i < m - 1:
+                sd, sre, som = rec(i + 1, e, c, sign)
+                n = order - low - rv
+                if n > 0 and rre and (any(sre) or any(som)):
+                    _acc_add(acc, rd * sd, *_zw_mul(rre, rom, sre, som, n), low + rv - lo)
+                continue
+            # a lattice point: the trunc of c*q^e times its rows, as
+            # QSeries.__mul__ gives it (a zero row has val == order)
+            t, v = order, e
+            for j in range(m):
+                vr = rows[j][ks[j]][3]
+                t = min(t + vr, order + v, order)
+                v = min(v + vr, t)
+            trunc = min(trunc, t)
+            n = order - e - rv
+            if c and n > 0 and rre:
+                c = -c if sign % 2 else c
+                if c == ONE:
+                    _acc_add(acc, rd, rre[:n], rom[:n], e + rv - lo)
+                else:
+                    _acc_add(acc, *_zw_scale(rd, rre[:n], rom[:n], c), e + rv - lo)
+        return acc
 
-    rec(0, 0, ONE, 0)
-    return total
+    d, re, om = rec(0, 0, ONE, 0)
+    return QSeries(ctx, rest[0], _from_zw(d, re, om), trunc)
+
+
+def _acc_add(acc: list, d: int, re: list, om: list, off: int) -> None:
+    """acc += q^off * (re + om*w)/d for acc = [d, re, om], in place and
+    cut to acc's length; the denominators meet at their lcm."""
+    ad, are, aom = acc
+    if d != ad:
+        big = math.lcm(ad, d)
+        if big != ad:
+            acc[0] = big
+            are[:] = [a * (big // ad) for a in are]
+            aom[:] = [a * (big // ad) for a in aom]
+        re = [a * (big // d) for a in re]
+        om = [a * (big // d) for a in om]
+    n = min(len(re), len(are) - off)
+    are[off : off + n] = [a + b for a, b in zip(are[off : off + n], re)]
+    if any(om):
+        aom[off : off + n] = [a + b for a, b in zip(aom[off : off + n], om)]
 
 
 # -- named multi-sums ---------------------------------------------------

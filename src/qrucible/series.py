@@ -12,13 +12,17 @@ scaled to Z[w] by the lcm of their denominators, each of the `re` and `om`
 parts is packed into one Python int (Kronecker substitution q -> 2^k),
 and three big-int multiplies give the Z[w] product (Karatsuba with
 w^2 = -1 - w). `QSeries.inverse` is Newton iteration on that kernel,
-doubling the number of known coefficients per step.
+doubling the number of known coefficients per step. Binomial factors
+(1 - c*q^e)^(+-1) go through one integer pass on the same Z[w] lists
+(`mul_binomials`), so a product of many factors converts from and to
+Q(w) once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .cyclotomic import CycRat, ONE, ZERO
 from .errors import (
@@ -333,44 +337,77 @@ def _polymul(a: list, b: list, n: int) -> list:
     The result has min(n, len(a) + len(b) - 1) entries, so a short
     operand never builds a long zero tail.
     """
-    n = min(n, len(a) + len(b) - 1)
     if not a or not b or n <= 0:
         return []
-    da, ar, ao, ma = _scaled(a[:n])
-    db, br, bo, mb = _scaled(b[:n])
+    da, ar, ao = _scaled(a[:n])
+    db, br, bo = _scaled(b[:n])
+    return _from_zw(da * db, *_zw_mul(ar, ao, br, bo, n))
+
+
+def _zw_mul(ar: list, ao: list, br: list, bo: list, n: int):
+    """The first min(n, len(a) + len(b) - 1) coefficients of a*b for the
+    Z[w] lists a = ar + ao*w and b = br + bo*w, as (re, om) int lists."""
+    n = min(n, len(ar) + len(br) - 1)
+    if n <= 0:
+        return [], []
+    ar, ao, br, bo = ar[:n], ao[:n], br[:n], bo[:n]
+    ma = max(max(ar), -min(ar), max(ao), -min(ao))
+    mb = max(max(br), -min(br), max(bo), -min(bo))
     if not ma or not mb:
-        return [ZERO] * n
-    # With A + B*w and C + D*w the scaled operands, the product is
+        return [0] * n, [0] * n
+    # With A + B*w and C + D*w the operands, the product is
     # re = AC - BD and om = AD + BC - BD: each output coefficient is at most
     # 3*m*ma*mb in absolute value, m = min(len(a), len(b), n) the number of
     # terms in one convolution sum. A signed slot of 8*kb bits holds
     # [-2^(8kb-1), 2^(8kb-1)), and 8*kb >= bound.bit_length() + 1 makes
     # 2^(8kb-1) > bound, so no slot of the result, and no slot of an operand
     # (each at most ma or mb, both nonzero here), can spill into the next.
-    bound = 3 * min(len(a), len(b), n) * ma * mb
+    bound = 3 * min(len(ar), len(br)) * ma * mb
     kb = bound.bit_length() // 8 + 1
     bias = 1 << (8 * kb - 1)
-    pa, pb = _pack(ar, kb, bias), _pack(ao, kb, bias)
-    pc, pd = _pack(br, kb, bias), _pack(bo, kb, bias)
+    pa, pc = _pack(ar, kb, bias), _pack(br, kb, bias)
     ac = pa * pc
+    if not any(ao) and not any(bo):
+        return _unpack(ac, n, kb, bias), [0] * n
+    pb, pd = _pack(ao, kb, bias), _pack(bo, kb, bias)
     bd = pb * pd
     re = _unpack(ac - bd, n, kb, bias)
     om = _unpack((pa + pb) * (pc + pd) - ac - 2 * bd, n, kb, bias)
-    d = da * db
+    return re, om
+
+
+def _scaled(xs: list):
+    """(d, re, om): d the lcm of the denominators of xs, re and om the
+    integer lists d*x.re and d*x.om."""
+    d = math.lcm(*[c.re.denominator for c in xs], *[c.om.denominator for c in xs])
+    re = [c.re.numerator * (d // c.re.denominator) for c in xs]
+    om = [c.om.numerator * (d // c.om.denominator) for c in xs]
+    return d, re, om
+
+
+def _from_zw(d: int, re: list, om: list) -> list:
+    """The Q(w) list (re + om*w)/d; zero entries are the shared ZERO."""
+    if d == 1:
+        return [
+            (CycRat(Fraction(r), Fraction(o) if o else ZERO.om) if r or o else ZERO)
+            for r, o in zip(re, om)
+        ]
     return [
         (CycRat(Fraction(r, d), Fraction(o, d)) if r or o else ZERO)
         for r, o in zip(re, om)
     ]
 
 
-def _scaled(xs: list):
-    """(d, re, om, m): d the lcm of the denominators of xs, re and om the
-    integer lists d*x.re and d*x.om, m the largest absolute entry."""
-    d = math.lcm(*[c.re.denominator for c in xs], *[c.om.denominator for c in xs])
-    re = [c.re.numerator * (d // c.re.denominator) for c in xs]
-    om = [c.om.numerator * (d // c.om.denominator) for c in xs]
-    m = max(max(re), -min(re), max(om), -min(om))
-    return d, re, om, m
+def _zw_scale(d: int, re: list, om: list, k: CycRat):
+    """(d, re, om) times the nonzero scalar k, as a new (d, re, om)."""
+    s, (kr,), (ko,) = _scaled([k])
+    if not ko:
+        return d * s, [kr * a for a in re], [kr * b for b in om]
+    return (
+        d * s,
+        [kr * a - ko * b for a, b in zip(re, om)],
+        [(kr - ko) * b + ko * a for a, b in zip(re, om)],
+    )
 
 
 def _ones(n: int, kb: int, bias: int) -> int:
@@ -394,27 +431,7 @@ def _unpack(p: int, n: int, kb: int, bias: int) -> list:
 
 def mul_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:
     """x * (1 - c*q^e); e in scaled units, may be negative or zero."""
-    if not c:
-        return x
-    t = min(x.trunc, x.trunc + e)
-    if x.is_zero():
-        return x.ctx.zero(t)
-    lo = min(x.val, x.val + e)
-    n = min(t, x.ctx.order) - lo
-    if n <= 0:
-        return x.ctx.zero(t)
-    out = [ZERO] * n
-    base = x.val - lo
-    for i, a in enumerate(x.coeffs):
-        j = base + i
-        if j < n:
-            out[j] = out[j] + a
-    base = x.val + e - lo
-    for i, a in enumerate(x.coeffs):
-        j = base + i
-        if j < n and a:
-            out[j] = out[j] - c * a
-    return QSeries(x.ctx, lo, out, t)
+    return mul_binomials(x, [(c, e, 1)])
 
 
 def div_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:
@@ -423,25 +440,109 @@ def div_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:
     For e < 0 the factor is rewritten as -c*q^e*(1 - q^(-e)/c) so the
     recurrence always runs upward. e == 0 requires c != 1.
     """
-    if not c:
+    return mul_binomials(x, [(c, e, -1)])
+
+
+def mul_binomials(x: QSeries, factors) -> QSeries:
+    """x * prod (1 - c*q^e)^p over (c, e, p) in factors, p = 1 or -1.
+
+    One integer pass: x is scaled to Z[w] once, each factor is applied in
+    turn with the val/trunc rules of a single mul_binomial (p = 1) or
+    div_binomial (p = -1), and the result is converted back once.
+    """
+    factors = [f for f in factors if f[0]]
+    if not factors:
         return x
-    if e == 0:
-        if c == ONE:
-            raise NotInvertible("division by exact zero factor (1 - 1)")
-        return x.scale((ONE - c).inv())
-    if e < 0:
-        ci = c.inv()
-        y = x.mul_monomial(-ci, -e)
-        return div_binomial(y, ci, -e)
-    if x.is_zero():
-        return x
-    n = x.trunc - x.val
-    out = list(x.coeffs) + [ZERO] * (n - len(x.coeffs))
-    for k in range(e, n):
-        prev = out[k - e]
-        if prev:
-            out[k] = out[k] + c * prev
-    return QSeries(x.ctx, x.val, out, x.trunc)
+    ctx = x.ctx
+    d, re, om = _scaled(x.coeffs)
+    d, re, om, val, trunc = _zw_binomials(d, re, om, x.val, x.trunc, ctx.order, factors)
+    return QSeries(ctx, val, _from_zw(d, re, om), trunc)
+
+
+def _zw_binomials(d, re, om, val, trunc, order, factors):
+    """(d, re, om, val, trunc) of the series q^val * (re + om*w)/d, known
+    below trunc, times each (1 - c*q^e)^p of factors.
+
+    An empty re is the zero series, whose val is its trunc. A nonzero
+    series keeps a nonzero leading entry: no factor with e != 0 cancels
+    it, and e == 0 scales by the constant 1 - c. Where c = (cr + co*w)/s
+    is not in Z[w], d takes the factor s (product) or s^((n-1)//e)
+    (quotient over a window of n), so every step stays in Z[w].
+    """
+    re, om = list(re), list(om)
+    for c, e, p in factors:
+        if not c:
+            continue
+        if e == 0:
+            if c == ONE:
+                if p < 0:
+                    raise NotInvertible("division by exact zero factor (1 - 1)")
+                re, om, val = [], [], trunc
+            elif re:
+                d, re, om = _zw_scale(d, re, om, ONE - c if p > 0 else (ONE - c).inv())
+            continue
+        if p < 0 and e < 0:
+            # 1/(1 - c*q^e) = -c^-1*q^-e / (1 - c^-1*q^-e), so the
+            # recurrence below always runs upward
+            c, e = c.inv(), -e
+            if re:
+                d, re, om = _zw_scale(d, re, om, -c)
+            val, trunc = val + e, min(trunc + e, order)
+            del re[max(0, trunc - val) :], om[max(0, trunc - val) :]
+            if not re:
+                val = trunc
+        if not re:
+            if p > 0:
+                trunc = val = trunc + min(e, 0)
+            continue
+        n = trunc - val
+        s, (cr,), (co,) = _scaled([c])
+        if p > 0:
+            val, trunc = val + min(e, 0), trunc + min(e, 0)
+            f = abs(e)
+            if e >= n:
+                continue  # the q^e part lies past the window
+            m = min(n, len(re) + f)
+            xr, xo = re + [0] * (m - len(re)), om + [0] * (m - len(om))
+            yr, yo = ([0] * min(f, m) + re)[:m], ([0] * min(f, m) + om)[:m]
+            # the window gets u*s - w*cz, cz = cr + co*w, for (u, w) the
+            # series and its shift by f in the order the sign of e gives
+            ur, uo, wr, wo = (xr, xo, yr, yo) if e > 0 else (yr, yo, xr, xo)
+            if s == 1 and not co:
+                re = [a - cr * b for a, b in zip(ur, wr)]
+                om = [a - cr * b for a, b in zip(uo, wo)] if any(om) else [0] * m
+            else:
+                d *= s
+                re = [s * a - cr * b + co * b2 for a, b, b2 in zip(ur, wr, wo)]
+                om = [s * a - (cr - co) * b - co * b2 for a, b, b2 in zip(uo, wo, wr)]
+            continue
+        if e >= n:
+            continue  # the recurrence never reaches back into the window
+        re += [0] * (n - len(re))
+        om += [0] * (n - len(om))
+        if s == 1 and not co:
+            step = None if cr == 1 else (lambda acc, a: a + cr * acc)
+            for r in range(e):
+                re[r::e] = accumulate(re[r::e], step)
+            if any(om):
+                for r in range(e):
+                    om[r::e] = accumulate(om[r::e], step)
+            continue
+        # out[k] = x[k] + c*out[k-e] carried at denominator d*D: out[k-e]
+        # has denominator s^((k-e)//e), so D*out[k-e] is divisible by s.
+        big = s ** ((n - 1) // e)
+        d *= big
+        re, om = [big * a for a in re], [big * b for b in om]
+        for k in range(e, n):
+            pr, po = re[k - e], om[k - e]
+            if pr or po:
+                re[k] += (cr * pr - co * po) // s
+                om[k] += ((cr - co) * po + co * pr) // s
+    if d != 1:
+        g = math.gcd(d, *re, *om)
+        if g != 1:
+            d, re, om = d // g, [a // g for a in re], [b // g for b in om]
+    return d, re, om, val, trunc
 
 
 def equal_to_order(x: QSeries, y: QSeries, up_to: int) -> bool:

@@ -8,7 +8,9 @@ import pytest
 
 from qrucible.cli import main as cli_main
 from qrucible.errors import BoundExceeded, ParseError, SuiteError
+from qrucible.dsl import MAX_NESTING
 from qrucible.harness import (
+    IdentityCase,
     Registry,
     load_registry,
     parse_suite,
@@ -20,6 +22,7 @@ from qrucible.harness import (
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SUITE_DIR = SRC_DIR / "qrucible" / "suites"
+SHIPPED_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-report.json"
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +275,34 @@ def test_cli_bad_suite_error_names_the_file(tmp_path, capsys):
     )
 
 
+def test_cli_unwritable_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert cli_main(["verify", "--filter", "rogers-ramanujan-1", "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any case ran
+    assert err == f"qrucible: error: cannot write --json {path}: No such file or directory\n"
+
+
+def test_deep_nesting_is_a_positioned_error(tmp_path, capsys):
+    limit = MAX_NESTING
+    deep_parens = "(" * (limit + 1) + "q" + ")" * (limit + 1)
+    deep_minus = "-" * (limit + 1) + "q"
+    for lhs in (deep_parens, deep_minus, "(" * 200 + "q" + ")" * 200, "-" * 3000 + "q"):
+        bad = tmp_path / "deep.qid"
+        bad.write_text(f'identity "deep" {{\n  lhs = {lhs}; rhs = q; D = 1; order = 5; }}\n')
+        assert cli_main(["verify", "--suite", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qrucible: error: {bad}: expression nested deeper than {limit} levels (line 2, column "), err
+    at_limit = tmp_path / "limit.qid"
+    lhs = "(" * limit + "q" + ")" * limit
+    at_limit.write_text(f'identity "limit" {{ lhs = {lhs}; rhs = {"-" * limit}q; D = 1; order = 5; }}\n')
+    assert cli_main(["verify", "--suite", str(at_limit)]) == 0
+    for lhs, status in ((deep_minus, "SKIP"), ("-" * 600 + "q", "SKIP"), ("-" * limit + "q", "PASS")):
+        report = verify(IdentityCase("deep", lhs, "q", 1, 5, (), ""))
+        assert report.status == status, report
+    assert "nested deeper" in verify(IdentityCase("deep", deep_parens, "q", 1, 5, (), "")).skip_reason
+
+
 def test_cli_rejects_non_positive_counts(capsys):
     for option in ("--order", "--denom", "--jobs"):
         for value in ("0", "-1", "x"):
@@ -289,6 +320,11 @@ def test_full_shipped_suite_passes(registry):
     assert all(r.status == "PASS" for r in reports)
     # deterministic merge: reports follow case order, not completion order
     assert [r.name for r in reports] == [c.name for c in registry]
+    # a kernel change keeps the report byte for byte, apart from the times
+    items = json.loads(reports_to_json(reports))
+    for item in items:
+        del item["elapsedMs"]
+    assert json.dumps(items, indent=2) + "\n" == SHIPPED_REPORT.read_text(encoding="utf-8")
 
 
 def test_cross_evaluator_coherence():

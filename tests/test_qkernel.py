@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,9 +14,12 @@ from qrucible.errors import (
 from qrucible.harness import partition_count
 from qrucible.qkernel import (
     INF,
+    NAMED_SUMS,
     MultiSumSpec,
+    PochSpec,
     capparelli_spec,
     f_triple,
+    f_triple_spec,
     multisum,
     phi_series,
     poch,
@@ -24,7 +28,15 @@ from qrucible.qkernel import (
     theta_sum,
     tsum_h_spec,
 )
-from qrucible.series import SeriesContext, equal_to_order, mono, monomial_to_series, qpow
+from qrucible.series import (
+    SeriesContext,
+    div_binomial,
+    equal_to_order,
+    mono,
+    monomial_to_series,
+    mul_binomial,
+    qpow,
+)
 
 
 @pytest.fixture
@@ -274,3 +286,154 @@ def test_multisum_agrees_with_phi_reduction():
     )
     red = pref * ph
     assert equal_to_order(f, red, min(f.trunc, red.trunc, 25))
+
+
+def sequential_pochhammer(spec, ctx):
+    """Oracle: (a; b)_n one mul_binomial at a time, stopping an infinite
+    product once the factor exponent plus the valuation reaches the
+    truncation."""
+    a, b = spec.arg, spec.base
+    if a.is_zero():
+        return ctx.one()
+    eb, e, c = ctx.scale(b.exp), ctx.scale(a.exp), a.coeff
+    acc = ctx.one()
+    k = 0
+    while e + acc.val < acc.trunc if spec.count is INF else k < spec.count:
+        if e == 0 and c == ONE:
+            return ctx.zero()
+        acc = mul_binomial(acc, c, e)
+        c, e, k = c * b.coeff, e + eb, k + 1
+    return acc
+
+
+def leaf_product_multisum(spec, ctx):
+    """Oracle: every lattice point below the order as c*q^e times the m
+    rows 1/(d_i; b_i)_(k_i), one QSeries product per row, summed as
+    QSeries."""
+    m = len(spec.lin)
+    A = spec.quad
+    eff = [spec.lin[i] + ctx.scale(spec.coeffs[i].exp) for i in range(m)]
+    bounds = []
+    for i in range(m):
+        rest = 0
+        for j in range(m):
+            if j != i:
+                rest += min(A[j][j] * k * k + eff[j] * k for k in range(4 * ctx.order + 4))
+        k, last = 0, 0
+        while True:
+            v = A[i][i] * k * k + eff[i] * k + rest
+            if v >= ctx.order and v >= last and 2 * A[i][i] * k + eff[i] > 0:
+                break
+            last, k = v, k + 1
+        bounds.append(k)
+    inv_pochs = []
+    for i in range(m):
+        d, b = spec.denom_args[i], spec.denom_bases[i]
+        row = [ctx.one()]
+        c, e = d.coeff, ctx.scale(d.exp)
+        for _ in range(bounds[i]):
+            if e == 0 and c == ONE:
+                raise ZeroDenominator("multisum denominator has an exact zero factor")
+            row.append(div_binomial(row[-1], c, e))
+            c, e = c * b.coeff, e + ctx.scale(b.exp)
+        inv_pochs.append(row)
+    total = ctx.zero()
+    for ks in itertools.product(*[range(n + 1) for n in bounds]):
+        e = sum(A[i][j] * ks[i] * ks[j] for i in range(m) for j in range(m))
+        e += sum(eff[i] * ks[i] for i in range(m))
+        if e >= ctx.order:
+            continue
+        c = ONE
+        for i in range(m):
+            c = c * spec.coeffs[i].coeff ** ks[i]
+        if sum(spec.signs[i] * ks[i] for i in range(m)) % 2:
+            c = -c
+        s = ctx.monomial(c, e)
+        for j in range(m):
+            s = s * inv_pochs[j][ks[j]]
+        total = total + s
+    return total
+
+
+def rand_multisum_spec(rng, ctx):
+    """2 or 3 variables; Q(w) weights and denominator coefficients; lin
+    entries down to -2*D, so some lattice points sit below q^0, and
+    denominator arguments down to q^-1."""
+    m = rng.choice([2, 3])
+    D = ctx.denom
+    quad = [[0] * m for _ in range(m)]
+    for i in range(m):
+        quad[i][i] = D * rng.randint(1, 3)
+        for j in range(i):
+            quad[i][j] = quad[j][i] = D * rng.randint(0, 2)
+    coeff_pool = [ONE, -ONE, OMEGA, OMEGA2, CycRat(Fraction(1, 2)), CycRat(2, -1), CycRat(Fraction(-2, 3), Fraction(1, 3))]
+
+    def monomial(lo, hi):
+        return mono(rng.choice(coeff_pool), Fraction(rng.randint(lo, hi), D))
+
+    denom_args = [monomial(-D, 2 * D) for _ in range(m)]
+    return MultiSumSpec(
+        quad=tuple(tuple(r) for r in quad),
+        lin=tuple(rng.randint(-2 * D, D) for _ in range(m)),
+        signs=tuple(rng.randint(0, 1) for _ in range(m)),
+        denom_args=tuple(denom_args),
+        denom_bases=tuple(monomial(1, 2 * D) for _ in range(m)),
+        coeffs=tuple(monomial(0, D) for _ in range(m)),
+    )
+
+
+def test_multisum_matches_leaf_products_on_random_specs():
+    rng = random.Random(606)
+    for _ in range(60):
+        ctx = SeriesContext(rng.choice([1, 2]), rng.randint(6, 16))
+        spec = rand_multisum_spec(rng, ctx)
+        try:
+            expect = leaf_product_multisum(spec, ctx)
+        except ZeroDenominator:
+            with pytest.raises(ZeroDenominator):
+                multisum(spec, ctx)
+            continue
+        assert multisum(spec, ctx) == expect, spec
+
+
+def test_multisum_matches_leaf_products_on_named_and_triple_sums():
+    for name, make in NAMED_SUMS.items():
+        ctx = SeriesContext(2, 40)
+        assert multisum(make(ctx), ctx) == leaf_product_multisum(make(ctx), ctx), name
+    for order in (1, 7, 30, 60):
+        ctx = SeriesContext(1, order)
+        for u, v, w in [(qpow(1), mono(1, 0), qpow(3)), (qpow(2), qpow(4), qpow(9)), (mono(OMEGA, 1), mono(-1, 2), qpow(6))]:
+            spec = f_triple_spec(u, v, w, ctx)
+            assert multisum(spec, ctx) == leaf_product_multisum(spec, ctx), (order, u, v, w)
+
+
+def test_pochhammer_matches_sequential_factors():
+    rng = random.Random(9)
+    for _ in range(60):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 40))
+        D = ctx.denom
+        arg = mono(rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(1, 2)), CycRat(3, 1)]), Fraction(rng.randint(-3 * D, 3 * D), D))
+        base = mono(rng.choice([ONE, -ONE, OMEGA2, CycRat(2)]), Fraction(rng.randint(1, 3 * D), D))
+        spec = PochSpec(arg, base, rng.choice([INF, 0, 1, 5, 12]))
+        assert pochhammer(spec, ctx) == sequential_pochhammer(spec, ctx), spec
+
+
+def _agree_below(short, long):
+    """short and long, the same value elaborated to two orders, agree
+    below the truncation short claims, which long matches or passes."""
+    assert short.trunc <= long.trunc
+    assert all(short.coefficient(e) == long.coefficient(e) for e in range(min(short.val, long.val), short.trunc))
+
+
+def test_pochhammer_and_multisum_honest_across_truncations():
+    rng = random.Random(12)
+    for _ in range(40):
+        D, n, k = rng.choice([1, 2]), rng.randint(1, 30), rng.randint(1, 20)
+        arg = mono(rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(2, 3))]), Fraction(rng.randint(-4 * D, 3 * D), D))
+        base = mono(rng.choice([ONE, OMEGA2, CycRat(-2)]), Fraction(rng.randint(1, 3 * D), D))
+        spec = PochSpec(arg, base, rng.choice([INF, 3, 9, 40]))
+        _agree_below(pochhammer(spec, SeriesContext(D, n)), pochhammer(spec, SeriesContext(D, n + k)))
+    for _ in range(12):
+        D, n, k = rng.choice([1, 2]), rng.randint(3, 14), rng.randint(1, 8)
+        spec = rand_multisum_spec(rng, SeriesContext(D, n))
+        _agree_below(multisum(spec, SeriesContext(D, n)), multisum(spec, SeriesContext(D, n + k)))

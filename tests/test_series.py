@@ -21,6 +21,7 @@ from qrucible.series import (
     mono,
     monomial_to_series,
     mul_binomial,
+    mul_binomials,
     qpow,
 )
 
@@ -56,6 +57,55 @@ def recurrence_inverse(a, n):
         acc = sum((a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1)), ZERO)
         out.append(-(inv0 * acc))
     return out
+
+
+def binomial_oracle(x, c, e):
+    """Oracle: x * (1 - c*q^e) coefficient by coefficient in Q(w)."""
+    if not c:
+        return x
+    t = min(x.trunc, x.trunc + e)
+    if x.is_zero():
+        return x.ctx.zero(t)
+    lo = min(x.val, x.val + e)
+    n = min(t, x.ctx.order) - lo
+    if n <= 0:
+        return x.ctx.zero(t)
+    out = [ZERO] * n
+    base = x.val - lo
+    for i, a in enumerate(x.coeffs):
+        j = base + i
+        if j < n:
+            out[j] = out[j] + a
+    base = x.val + e - lo
+    for i, a in enumerate(x.coeffs):
+        j = base + i
+        if j < n and a:
+            out[j] = out[j] - c * a
+    return QSeries(x.ctx, lo, out, t)
+
+
+def div_binomial_oracle(x, c, e):
+    """Oracle: x / (1 - c*q^e) by the Q(w) recurrence; for e < 0 the
+    factor is -c*q^e*(1 - q^(-e)/c)."""
+    if not c:
+        return x
+    if e == 0:
+        if c == ONE:
+            raise NotInvertible("division by exact zero factor (1 - 1)")
+        return x.scale((ONE - c).inv())
+    if e < 0:
+        ci = c.inv()
+        y = x.mul_monomial(-ci, -e)
+        return div_binomial_oracle(y, ci, -e)
+    if x.is_zero():
+        return x
+    n = x.trunc - x.val
+    out = list(x.coeffs) + [ZERO] * (n - len(x.coeffs))
+    for k in range(e, n):
+        prev = out[k - e]
+        if prev:
+            out[k] = out[k] + c * prev
+    return QSeries(x.ctx, x.val, out, x.trunc)
 
 
 def rand_zw_list(rng, length, num=10**30, den=10**20):
@@ -108,6 +158,83 @@ def test_newton_inverse_matches_recurrence():
         n = x.trunc - x.val
         expect = QSeries(ctx, -val, recurrence_inverse(x.coeffs, n), x.trunc - 2 * val)
         assert x.inverse() == expect
+
+
+def rand_factor_coeff(rng):
+    """A nonzero c: an integer, a rational, w-valued, or a general Q(w)."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return CycRat(rng.choice([1, -1, 2, -3]))
+    if kind == 1:
+        return CycRat(Fraction(rng.choice([1, -1, 3, -5]), rng.randint(2, 7)))
+    if kind == 2:
+        return rng.choice([OMEGA, -OMEGA, CycRat(-1, -1), CycRat(2, 1)])
+    if kind == 3:
+        return ONE
+    return CycRat(Fraction(rng.randint(-4, 4), rng.randint(1, 5)), Fraction(rng.randint(1, 4), rng.randint(1, 5)))
+
+
+def rand_window_series(rng, ctx):
+    """A series with a rational or Q(w) window, sometimes zero, sometimes
+    known to less than the context order."""
+    val = rng.randint(-8, 8)
+    trunc = rng.randint(val + 1, ctx.order) if rng.random() < 0.5 else ctx.order
+    if rng.random() < 0.1:
+        return ctx.zero(trunc)
+    coeffs = rand_zw_list(rng, rng.randint(1, 30), num=20, den=6)
+    coeffs[0] = coeffs[0] or ONE
+    if rng.random() < 0.4:
+        coeffs = [CycRat(c.re) for c in coeffs]
+        coeffs[0] = coeffs[0] or ONE
+    return QSeries(ctx, val, coeffs, trunc)
+
+
+def oracle_step(x, c, e, p):
+    return binomial_oracle(x, c, e) if p > 0 else div_binomial_oracle(x, c, e)
+
+
+def test_binomial_pass_matches_cycrat_oracles():
+    """val, trunc and every coefficient of the integer pass equal the Q(w)
+    loops: rational and w-valued c, e < 0, e == 0 with c != 1, e past the
+    window, the zero series."""
+    rng = random.Random(77)
+    ctx = SeriesContext(2, 40)
+    for _ in range(400):
+        x = rand_window_series(rng, ctx)
+        c = rand_factor_coeff(rng)
+        window = max(1, x.trunc - x.val)
+        e = rng.choice([0, rng.randint(-12, -1), rng.randint(1, 12), window + rng.randint(0, 5), -window - rng.randint(0, 5)])
+        if e == 0 and c == ONE:
+            c = OMEGA
+        assert mul_binomial(x, c, e) == binomial_oracle(x, c, e)
+        assert div_binomial(x, c, e) == div_binomial_oracle(x, c, e)
+    x = rand_window_series(rng, ctx)
+    assert mul_binomial(x, ONE, 0) == binomial_oracle(x, ONE, 0)
+    for e in (-(10**12), 10**12):  # exponents far outside any window
+        assert mul_binomial(x, OMEGA, e) == binomial_oracle(x, OMEGA, e)
+        assert div_binomial(x, OMEGA, e) == div_binomial_oracle(x, OMEGA, e)
+    assert mul_binomial(x, ZERO, 3) is x and div_binomial(x, ZERO, 3) is x
+    with pytest.raises(NotInvertible):
+        div_binomial(x, ONE, 0)
+
+
+def test_binomial_factor_lists_match_sequential_oracles():
+    rng = random.Random(78)
+    ctx = SeriesContext(3, 45)
+    for _ in range(150):
+        x = rand_window_series(rng, ctx)
+        factors = []
+        for _ in range(rng.randint(1, 8)):
+            c = rand_factor_coeff(rng) if rng.random() < 0.9 else ZERO
+            e = rng.randint(-10, 50)
+            p = rng.choice([1, -1])
+            if e == 0 and c == ONE:
+                p = 1
+            factors.append((c, e, p))
+        expect = x
+        for c, e, p in factors:
+            expect = oracle_step(expect, c, e, p)
+        assert mul_binomials(x, factors) == expect
 
 
 def test_products_and_inverses_honest_across_truncations():
