@@ -153,7 +153,7 @@ _KEYWORDS = {"q", "w", "w2", "z", "inf", *_HEADS}
 # -- lexer ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # NUM IDENT STR PUNCT EOF
     value: object

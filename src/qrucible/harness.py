@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -311,8 +311,15 @@ def run_suite(
             )
             for c in cases
         ]
+        # imported here: a serial run does not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_worker, payloads))
+        for c, r in zip(cases, reports):
+            # each report comes back with its own copies of these strings;
+            # sharing the case's makes held reports cost what serial ones do
+            r.name, r.ref, r.status = c.name, c.ref, sys.intern(r.status)
     else:
         reports = [verify(c, order, denom) for c in cases]
     bad = any(r.status == "FAIL" for r in reports)

@@ -9,7 +9,6 @@ passes the truncation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,10 +24,8 @@ from .series import (
     Monomial,
     QSeries,
     SeriesContext,
-    _from_zw,
-    _zw_binomials,
-    _zw_mul,
-    _zw_scale,
+    ZwSum,
+    chain_trunc,
     div_binomial,
     mono,
     mul_binomial,
@@ -288,11 +285,10 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     truncation; per-variable bounds come from the diagonal of the
     quadratic form, then every term is exponent-filtered exactly.
 
-    The rows 1/(d_i; b_i)_k are integer binomial passes. The sum runs
-    innermost variable first: the terms of the last variable are added
-    into one Z[w] list, and each shorter lattice prefix costs one Z[w]
-    product of its row with the sum over its completions, cut to the
-    exponents those completions can reach.
+    The sum runs innermost variable first (Horner form): the terms of the
+    last variable go into one ZwSum, and each shorter lattice prefix costs
+    one QSeries product of its row 1/(d_i; b_i)_k with the sum over its
+    completions, instead of one product per row at every lattice point.
     """
     m = len(spec.lin)
     if not m:
@@ -333,20 +329,17 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             k += 1
         bounds.append(k)
 
-    order = ctx.order
-    # rows[i][k] = 1/(d_i; b_i)_k as (d, re, om, val); its trunc is the order
+    # rows[i][k] = 1/(d_i; b_i)_k, known to the order
     rows = []
     for i in range(m):
         d, b = spec.denom_args[i], spec.denom_bases[i]
         eb = ctx.scale(b.exp)
         c, e = d.coeff, ctx.scale(d.exp)
-        row = [(1, [1], [0], 0)]
+        row = [ctx.one()]
         for _ in range(bounds[i]):
             if e == 0 and c == ONE:
                 raise ZeroDenominator("multisum denominator has an exact zero factor")
-            rd, re, om, val = row[-1]
-            rd, re, om, val, _ = _zw_binomials(rd, re, om, val, order, order, [(c, e, -1)])
-            row.append((rd, re, om, val))
+            row.append(div_binomial(row[-1], c, e))
             c = c * b.coeff
             e += eb
         rows.append(row)
@@ -354,72 +347,38 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     # rest[i]: the least exponent variables i.. can add to a prefix; cross
     # terms are nonnegative, so a prefix whose exponent plus rest reaches
     # the order has no term below it.
+    order = ctx.order
     rest = [sum(mins[i:]) for i in range(m + 1)]
     ks = [0] * m
     trunc = order
 
-    def rec(i: int, exp_acc: int, coeff_acc: CycRat, sign_acc: int):
+    def rec(i: int, exp_acc: int, coeff_acc: CycRat, sign_acc: int) -> ZwSum:
         """The terms over all completions of ks[:i], times the rows of
-        variables i.., as [d, re, om] with index j at exponent
-        exp_acc + rest[i] + j, up to the order."""
+        variables i.., summed from exponent exp_acc + rest[i] up."""
         nonlocal trunc
-        lo = exp_acc + rest[i]
-        acc = [1, [0] * (order - lo), [0] * (order - lo)]
+        acc = ZwSum(ctx, exp_acc + rest[i])
         for k in range(bounds[i] + 1):
             ks[i] = k
             cross = 0
             for j in range(i):
                 cross += 2 * A[i][j] * ks[j] * k
             e = exp_acc + A[i][i] * k * k + eff[i] * k + cross
-            low = e + rest[i + 1]
-            if low >= order:
+            if e + rest[i + 1] >= order:
                 continue
             c = coeff_acc * spec.coeffs[i].coeff ** k if k else coeff_acc
             sign = sign_acc + spec.signs[i] * k
-            rd, rre, rom, rv = rows[i][k]
             if i < m - 1:
-                sd, sre, som = rec(i + 1, e, c, sign)
-                n = order - low - rv
-                if n > 0 and rre and (any(sre) or any(som)):
-                    _acc_add(acc, rd * sd, *_zw_mul(rre, rom, sre, som, n), low + rv - lo)
+                # the product is exact below its own trunc, which is never
+                # below the trunc its lattice points give the whole sum
+                acc.add(rows[i][k] * rec(i + 1, e, c, sign).series())
                 continue
-            # a lattice point: the trunc of c*q^e times its rows, as
-            # QSeries.__mul__ gives it (a zero row has val == order)
-            t, v = order, e
-            for j in range(m):
-                vr = rows[j][ks[j]][3]
-                t = min(t + vr, order + v, order)
-                v = min(v + vr, t)
-            trunc = min(trunc, t)
-            n = order - e - rv
-            if c and n > 0 and rre:
-                c = -c if sign % 2 else c
-                if c == ONE:
-                    _acc_add(acc, rd, rre[:n], rom[:n], e + rv - lo)
-                else:
-                    _acc_add(acc, *_zw_scale(rd, rre[:n], rom[:n], c), e + rv - lo)
+            # a lattice point: its trunc is that of c*q^e times its rows
+            vals = [e if c else order] + [rows[j][ks[j]].val for j in range(m)]
+            trunc = min(trunc, chain_trunc(order, vals))
+            acc.add(rows[i][k], -c if sign % 2 else c, e)
         return acc
 
-    d, re, om = rec(0, 0, ONE, 0)
-    return QSeries(ctx, rest[0], _from_zw(d, re, om), trunc)
-
-
-def _acc_add(acc: list, d: int, re: list, om: list, off: int) -> None:
-    """acc += q^off * (re + om*w)/d for acc = [d, re, om], in place and
-    cut to acc's length; the denominators meet at their lcm."""
-    ad, are, aom = acc
-    if d != ad:
-        big = math.lcm(ad, d)
-        if big != ad:
-            acc[0] = big
-            are[:] = [a * (big // ad) for a in are]
-            aom[:] = [a * (big // ad) for a in aom]
-        re = [a * (big // d) for a in re]
-        om = [a * (big // d) for a in om]
-    n = min(len(re), len(are) - off)
-    are[off : off + n] = [a + b for a, b in zip(are[off : off + n], re)]
-    if any(om):
-        aom[off : off + n] = [a + b for a, b in zip(aom[off : off + n], om)]
+    return rec(0, 0, ONE, 0).series(trunc)
 
 
 # -- named multi-sums ---------------------------------------------------

@@ -15,7 +15,7 @@ w^2 = -1 - w). `QSeries.inverse` is Newton iteration on that kernel,
 doubling the number of known coefficients per step. Binomial factors
 (1 - c*q^e)^(+-1) go through one integer pass on the same Z[w] lists
 (`mul_binomials`), so a product of many factors converts from and to
-Q(w) once.
+Q(w) once, and `ZwSum` adds many scaled, shifted series the same way.
 """
 
 from __future__ import annotations
@@ -331,6 +331,21 @@ class QSeries:
         return f"<QSeries {self}>"
 
 
+def chain_trunc(order: int, vals) -> int:
+    """The trunc of x_0 * x_1 * ..., multiplied left to right by
+    QSeries.__mul__, for series x_j with val vals[j] (a zero series has
+    val == trunc), each known below the order.
+
+    v runs ahead of the product's val once the product is zero, but then
+    order + v >= order + t >= t + w, so the trunc is the same.
+    """
+    t, v = order, vals[0]
+    for w in vals[1:]:
+        t = min(t + w, order + v, order)
+        v += w
+    return t
+
+
 def _polymul(a: list, b: list, n: int) -> list:
     """The first n coefficients of a*b for Q(w) coefficient lists a, b.
 
@@ -379,10 +394,12 @@ def _zw_mul(ar: list, ao: list, br: list, bo: list, n: int):
 def _scaled(xs: list):
     """(d, re, om): d the lcm of the denominators of xs, re and om the
     integer lists d*x.re and d*x.om."""
-    d = math.lcm(*[c.re.denominator for c in xs], *[c.om.denominator for c in xs])
-    re = [c.re.numerator * (d // c.re.denominator) for c in xs]
-    om = [c.om.numerator * (d // c.om.denominator) for c in xs]
-    return d, re, om
+    res = [c.re.as_integer_ratio() for c in xs]
+    oms = [c.om.as_integer_ratio() for c in xs]
+    d = math.lcm(*[q for _, q in res], *[q for _, q in oms])
+    if d == 1:
+        return 1, [p for p, _ in res], [p for p, _ in oms]
+    return d, [p * (d // q) for p, q in res], [p * (d // q) for p, q in oms]
 
 
 def _from_zw(d: int, re: list, om: list) -> list:
@@ -408,6 +425,52 @@ def _zw_scale(d: int, re: list, om: list, k: CycRat):
         [kr * a - ko * b for a, b in zip(re, om)],
         [(kr - ko) * b + ko * a for a, b in zip(re, om)],
     )
+
+
+class ZwSum:
+    """A running sum of terms c*q^e*x, x a QSeries, held as one Z[w] list
+    (re + om*w)/d over the scaled exponents lo..order-1: each term is
+    scaled to Z[w] once and added in integers, and the sum converts back
+    to Q(w) once. Terms must start at or above lo; their truncs are not
+    tracked (the caller states the trunc of the sum)."""
+
+    __slots__ = ("ctx", "lo", "d", "re", "om")
+
+    def __init__(self, ctx: SeriesContext, lo: int):
+        n = max(0, ctx.order - lo)
+        self.ctx, self.lo, self.d, self.re, self.om = ctx, lo, 1, [0] * n, [0] * n
+
+    def add(self, x: QSeries, c: CycRat = ONE, e: int = 0) -> None:
+        """self += c*q^e*x, cut to the order."""
+        off = x.val + e - self.lo
+        if off < 0 and x.coeffs:
+            raise ValueError(f"term at exponent {x.val + e} is below the sum's {self.lo}")
+        n = len(self.re) - off
+        if not c or not x.coeffs or n <= 0:
+            return
+        d, re, om = _scaled(x.coeffs[:n])
+        if c != ONE:
+            d, re, om = _zw_scale(d, re, om, c)
+        are, aom = self.re, self.om
+        if d != self.d:
+            big = math.lcm(self.d, d)
+            if big != self.d:
+                k = big // self.d
+                are[:] = [a * k for a in are]
+                aom[:] = [a * k for a in aom]
+                self.d = big
+            if big != d:
+                k = big // d
+                re, om = [a * k for a in re], [a * k for a in om]
+        n = len(re)
+        are[off : off + n] = [a + b for a, b in zip(are[off : off + n], re)]
+        if any(om):
+            aom[off : off + n] = [a + b for a, b in zip(aom[off : off + n], om)]
+
+    def series(self, trunc: int | None = None) -> QSeries:
+        """The sum as a QSeries known below trunc (default: the order)."""
+        t = self.ctx.order if trunc is None else trunc
+        return QSeries(self.ctx, self.lo, _from_zw(self.d, self.re, self.om), t)
 
 
 def _ones(n: int, kb: int, bias: int) -> int:
@@ -449,30 +512,21 @@ def mul_binomials(x: QSeries, factors) -> QSeries:
     One integer pass: x is scaled to Z[w] once, each factor is applied in
     turn with the val/trunc rules of a single mul_binomial (p = 1) or
     div_binomial (p = -1), and the result is converted back once.
+
+    The pass carries q^val * (re + om*w)/d; an empty re is the zero
+    series, whose val is its trunc. A nonzero series keeps a nonzero
+    leading entry: no factor with e != 0 cancels it, and e == 0 scales by
+    the constant 1 - c. Where c = (cr + co*w)/s is not in Z[w], d takes
+    the factor s (product) or s^((n-1)//e) (quotient over a window of n),
+    so every step stays in Z[w].
     """
     factors = [f for f in factors if f[0]]
     if not factors:
         return x
-    ctx = x.ctx
+    order = x.ctx.order
     d, re, om = _scaled(x.coeffs)
-    d, re, om, val, trunc = _zw_binomials(d, re, om, x.val, x.trunc, ctx.order, factors)
-    return QSeries(ctx, val, _from_zw(d, re, om), trunc)
-
-
-def _zw_binomials(d, re, om, val, trunc, order, factors):
-    """(d, re, om, val, trunc) of the series q^val * (re + om*w)/d, known
-    below trunc, times each (1 - c*q^e)^p of factors.
-
-    An empty re is the zero series, whose val is its trunc. A nonzero
-    series keeps a nonzero leading entry: no factor with e != 0 cancels
-    it, and e == 0 scales by the constant 1 - c. Where c = (cr + co*w)/s
-    is not in Z[w], d takes the factor s (product) or s^((n-1)//e)
-    (quotient over a window of n), so every step stays in Z[w].
-    """
-    re, om = list(re), list(om)
+    val, trunc = x.val, x.trunc
     for c, e, p in factors:
-        if not c:
-            continue
         if e == 0:
             if c == ONE:
                 if p < 0:
@@ -542,7 +596,7 @@ def _zw_binomials(d, re, om, val, trunc, order, factors):
         g = math.gcd(d, *re, *om)
         if g != 1:
             d, re, om = d // g, [a // g for a in re], [b // g for b in om]
-    return d, re, om, val, trunc
+    return QSeries(x.ctx, val, _from_zw(d, re, om), trunc)
 
 
 def equal_to_order(x: QSeries, y: QSeries, up_to: int) -> bool:

@@ -161,6 +161,8 @@ def test_parallel_matches_serial(registry):
     assert code1 == code2 == 0
     assert [r.name for r in serial] == [r.name for r in para]
     assert [r.status for r in serial] == [r.status for r in para]
+    # pooled reports hold the case's strings, as serial ones do
+    assert all(p.name is s.name and p.ref is s.ref for s, p in zip(serial, para))
 
 
 def test_strict_mode_fails_on_skip():

@@ -14,7 +14,9 @@ from qrucible.errors import (
 from qrucible.series import (
     QSeries,
     SeriesContext,
+    ZwSum,
     _polymul,
+    chain_trunc,
     div_binomial,
     equal_to_order,
     first_mismatch,
@@ -235,6 +237,48 @@ def test_binomial_factor_lists_match_sequential_oracles():
         for c, e, p in factors:
             expect = oracle_step(expect, c, e, p)
         assert mul_binomials(x, factors) == expect
+
+
+def test_zw_sum_matches_qseries_sums():
+    """ZwSum adds c*q^e*x exactly as QSeries.mul_monomial and + do, below
+    the order: rational and w-valued c, windows cut by the order, terms
+    past the order, the zero series."""
+    rng = random.Random(79)
+    for _ in range(60):
+        ctx = SeriesContext(rng.choice([1, 2]), rng.randint(10, 40))
+        lo = rng.randint(-12, 4)
+        acc, expect = ZwSum(ctx, lo), ctx.zero()
+        for _ in range(rng.randint(0, 6)):
+            x = rand_window_series(rng, ctx)
+            c = rand_factor_coeff(rng) if rng.random() < 0.9 else ZERO
+            e = lo - min(x.val, x.trunc) + rng.randint(0, ctx.order + 4)
+            acc.add(x, c, e)
+            term = x.mul_monomial(c, e)
+            expect = expect + QSeries(ctx, term.val, term.coeffs, ctx.order)
+        got = acc.series()
+        assert got.trunc == ctx.order
+        assert equal_to_order(got, expect, ctx.order)
+    acc = ZwSum(SeriesContext(1, 10), 2)
+    with pytest.raises(ValueError):
+        acc.add(QSeries(SeriesContext(1, 10), 1, [ONE], 10))
+
+
+def test_chain_trunc_matches_left_to_right_products():
+    """chain_trunc gives the trunc of x_0 * x_1 * ... for series known to
+    the order, zero series among them, and negative vals."""
+    rng = random.Random(80)
+    for _ in range(300):
+        ctx = SeriesContext(1, rng.randint(1, 30))
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.15:
+                factors.append(ctx.zero())
+            else:
+                factors.append(QSeries(ctx, rng.randint(-15, ctx.order + 3), [OMEGA, ONE], ctx.order))
+        product = factors[0]
+        for f in factors[1:]:
+            product = product * f
+        assert chain_trunc(ctx.order, [f.val for f in factors]) == product.trunc
 
 
 def test_products_and_inverses_honest_across_truncations():
