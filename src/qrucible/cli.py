@@ -5,8 +5,9 @@
 
 Exit code 0 iff all selected cases PASS (SKIPs tolerated unless
 --strict); 2 on a usage error, a --filter that selects no case, a
-suite file that cannot be read or does not parse, or a --json path
-that cannot be written (checked before any case runs).
+suite file that cannot be read or does not parse, an identity name
+given twice, or a --json path that cannot be written (checked before
+any case runs).
 QRUCIBLE_SUITE_DIR overrides the default suite location.
 """
 

@@ -3,14 +3,15 @@
 The grammar is infix with function heads so that suite files double as
 readable documentation. It is stated once, in `docs/grammar.ebnf`.
 `w` is the primitive cube root of unity, `w2` its square; exponents are
-integers or parenthesized rationals such as q^(3/2) and q^(-1). Printing
-is canonical: parse(unparse(e)) is structurally e, and unparse(parse(s))
-is a fixpoint after one pass.
+integers or parenthesized rationals such as q^(3/2) and q^(-1). An
+operator chain is one n-ary Sum or Product node, whose first operand is
+never a node of the same kind. Printing is canonical: parse(unparse(e))
+is structurally e, and unparse(parse(s)) is a fixpoint after one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from typing import Optional
 
@@ -27,7 +28,7 @@ from . import ortho
 
 @dataclass(frozen=True)
 class Rational:
-    value: int  # nonnegative; signs and fractions are Neg/Div nodes
+    value: int  # nonnegative; signs and fractions are Neg/Product nodes
 
 
 @dataclass(frozen=True)
@@ -51,27 +52,17 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Sum:
+    terms: tuple  # (negated, expr) pairs, left to right; the first is not negated
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Product:
+    factors: tuple  # (inverted, expr) pairs, left to right; the first is not inverted
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+def _operands(e) -> tuple:
+    return e.terms if isinstance(e, Sum) else e.factors
 
 
 @dataclass(frozen=True)
@@ -144,10 +135,32 @@ class GenfunCoeff:
     z: object
 
 
-NAMED_SUM_HEADS = ("capparelli", "tsum_a", "tsum_b", "tsum_c", "tsum_h")
+# Argument signature of each call head: one letter per field of its node,
+# in field order, with the ',' and ';' that separate them in the text.
+_CALLS = {
+    "qp": (Poch, "A;E;C"),
+    "phi": (Phi, "L;L;E;E"),
+    "F": (TripleF, "E,E,E"),
+    "theta": (Theta, "E"),
+    "rc": (RogersC, "I;E;E;E"),
+    "awp": (AWPoly, "I;E,E,E,E;E;E"),
+    "cgf": (GenfunCoeff, "I;I;E;E"),
+}
+_HEAD_OF = {node: head for head, (node, _) in _CALLS.items()}
 
-_HEADS = {"qp", "phi", "F", "theta", "ct", "rc", "awp", "cgf", *NAMED_SUM_HEADS}
-_KEYWORDS = {"q", "w", "w2", "z", "inf", *_HEADS}
+# The field letters, each with the Parser method that reads it and the
+# function that prints it: E expression, I integer, C count (integer or
+# inf), A one or more expressions, L bracketed list of expressions.
+_FIELD_KINDS = {
+    "E": ("parse_expr", lambda e: unparse(e)),
+    "I": ("parse_int", str),
+    "C": ("parse_count", lambda n: "inf" if n is None else str(n)),
+    "A": ("parse_exprs", lambda es: ", ".join(map(unparse, es))),
+    "L": ("parse_list", lambda es: f"[{', '.join(map(unparse, es))}]"),
+}
+
+# ct{...} and the named sums, such as capparelli(), are special forms
+_HEADS = {*_CALLS, "ct", *qkernel.NAMED_SUMS}
 
 
 # -- lexer ---------------------------------------------------------------
@@ -231,6 +244,8 @@ def tokenize(text: str) -> list:
 # Deepest nesting of parentheses, unary minus, powers and call arguments
 # the parser accepts. Parsing, printing and elaboration recurse once per
 # level, so this keeps all three far from the interpreter's stack limit.
+# An operator chain is one n-ary node whatever its length, so it does
+# not count.
 MAX_NESTING = 100
 
 
@@ -282,24 +297,24 @@ class Parser:
     # expression grammar
 
     def parse_expr(self):
-        e = self.parse_term()
-        while True:
-            if self.eat("+"):
-                e = Add(e, self.parse_term())
-            elif self.eat("-"):
-                e = Sub(e, self.parse_term())
-            else:
-                return e
+        return self.parse_chain(Sum, self.parse_term, "+-")
 
     def parse_term(self):
-        e = self.parse_unary()
-        while True:
-            if self.eat("*"):
-                e = Mul(e, self.parse_unary())
-            elif self.eat("/"):
-                e = Div(e, self.parse_unary())
-            else:
-                return e
+        return self.parse_chain(Product, self.parse_unary, "*/")
+
+    def parse_chain(self, node, operand, ops):
+        """One `node` for a left-associative chain `x op y op ...`; the
+        second operator of `ops` flags its operand. A first operand that
+        is already a `node` (parenthesized) is continued, so (a+b)+c and
+        a+b+c give the same tree."""
+        e = operand()
+        items = None
+        while (t := self.peek()).kind == "PUNCT" and t.value in ops:
+            self.next()
+            if items is None:
+                items = list(_operands(e)) if type(e) is node else [(False, e)]
+            items.append((t.value == ops[1], operand()))
+        return e if items is None else node(tuple(items))
 
     def parse_unary(self):
         if self.eat("-"):
@@ -378,15 +393,24 @@ class Parser:
             self.error("expected an integer")
         return self.next().value
 
+    def parse_count(self) -> Optional[int]:
+        t = self.peek()
+        if t.kind == "IDENT" and t.value == "inf":
+            self.next()
+            return None
+        return self.parse_int()
+
+    def parse_exprs(self) -> tuple:
+        items = [self.parse_expr()]
+        while self.eat(","):
+            items.append(self.parse_expr())
+        return tuple(items)
+
     def parse_list(self) -> tuple:
         self.expect("[")
-        items = []
-        if not self.at("]"):
-            items.append(self.parse_expr())
-            while self.eat(","):
-                items.append(self.parse_expr())
+        items = () if self.at("]") else self.parse_exprs()
         self.expect("]")
-        return tuple(items)
+        return items
 
     def parse_call(self):
         head = self.next().value
@@ -396,83 +420,18 @@ class Parser:
             self.expect("}")
             return CT(inner)
         self.expect("(")
-        if head == "qp":
-            args = [self.parse_expr()]
-            while self.eat(","):
-                args.append(self.parse_expr())
-            self.expect(";")
-            base = self.parse_expr()
-            self.expect(";")
-            t = self.peek()
-            if t.kind == "IDENT" and t.value == "inf":
-                self.next()
-                count = None
-            else:
-                count = self.parse_int()
-            self.expect(")")
-            return Poch(tuple(args), base, count)
-        if head == "phi":
-            uppers = self.parse_list()
-            self.expect(";")
-            lowers = self.parse_list()
-            self.expect(";")
-            base = self.parse_expr()
-            self.expect(";")
-            arg = self.parse_expr()
-            self.expect(")")
-            return Phi(uppers, lowers, base, arg)
-        if head == "F":
-            u = self.parse_expr()
-            self.expect(",")
-            v = self.parse_expr()
-            self.expect(",")
-            w = self.parse_expr()
-            self.expect(")")
-            return TripleF(u, v, w)
-        if head == "theta":
-            zv = self.parse_expr()
-            self.expect(")")
-            return Theta(zv)
-        if head == "rc":
-            n = self.parse_int()
-            self.expect(";")
-            a = self.parse_expr()
-            self.expect(";")
-            base = self.parse_expr()
-            self.expect(";")
-            zv = self.parse_expr()
-            self.expect(")")
-            return RogersC(n, a, base, zv)
-        if head == "awp":
-            n = self.parse_int()
-            self.expect(";")
-            a = self.parse_expr()
-            self.expect(",")
-            b = self.parse_expr()
-            self.expect(",")
-            c = self.parse_expr()
-            self.expect(",")
-            d = self.parse_expr()
-            self.expect(";")
-            base = self.parse_expr()
-            self.expect(";")
-            zv = self.parse_expr()
-            self.expect(")")
-            return AWPoly(n, a, b, c, d, base, zv)
-        if head == "cgf":
-            v = self.parse_int()
-            self.expect(";")
-            n = self.parse_int()
-            self.expect(";")
-            a = self.parse_expr()
-            self.expect(";")
-            zv = self.parse_expr()
-            self.expect(")")
-            return GenfunCoeff(v, n, a, zv)
-        if head in NAMED_SUM_HEADS:
+        if head in qkernel.NAMED_SUMS:
             self.expect(")")
             return NamedSum(head)
-        self.error(f"unknown head {head!r}")
+        node, signature = _CALLS[head]
+        fields = []
+        for ch in signature:
+            if ch in ",;":
+                self.expect(ch)
+            else:
+                fields.append(getattr(self, _FIELD_KINDS[ch][0])())
+        self.expect(")")
+        return node(*fields)
 
 
 def parse(text: str):
@@ -491,9 +450,9 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
 
 
 def _prec(e) -> int:
-    if isinstance(e, (Add, Sub)):
+    if isinstance(e, Sum):
         return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
+    if isinstance(e, Product):
         return _PREC_MUL
     if isinstance(e, Neg):
         return _PREC_UNARY
@@ -525,146 +484,120 @@ def unparse(e) -> str:
         return "z" if e.deg == 1 else f"z^{_exp_str(Fraction(e.deg))}"
     if isinstance(e, Neg):
         return "-" + _wrap(e.arg, _PREC_UNARY)
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)}+{_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)}-{_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
+    if isinstance(e, (Sum, Product)):
+        prec = _prec(e)
+        ops = "+-" if prec == _PREC_ADD else "*/"
+        (_, first), *rest = _operands(e)
+        out = [_wrap(first, prec)]
+        for flagged, x in rest:
+            out += ops[flagged], _wrap(x, prec + 1)
+        return "".join(out)
     if isinstance(e, IntPower):
         return f"{_wrap(e.base, _PREC_ATOM)}^{_exp_str(Fraction(e.exp))}"
-    if isinstance(e, Poch):
-        args = ", ".join(unparse(a) for a in e.args)
-        count = "inf" if e.count is None else str(e.count)
-        return f"qp({args}; {unparse(e.base)}; {count})"
-    if isinstance(e, Phi):
-        ups = ", ".join(unparse(a) for a in e.uppers)
-        los = ", ".join(unparse(a) for a in e.lowers)
-        return f"phi([{ups}]; [{los}]; {unparse(e.base)}; {unparse(e.arg)})"
-    if isinstance(e, TripleF):
-        return f"F({unparse(e.u)}, {unparse(e.v)}, {unparse(e.w)})"
     if isinstance(e, NamedSum):
         return f"{e.name}()"
-    if isinstance(e, Theta):
-        return f"theta({unparse(e.z)})"
     if isinstance(e, CT):
         return f"ct{{{unparse(e.integrand)}}}"
-    if isinstance(e, RogersC):
-        return f"rc({e.n}; {unparse(e.a)}; {unparse(e.base)}; {unparse(e.z)})"
-    if isinstance(e, AWPoly):
-        parts = ", ".join(unparse(x) for x in (e.a, e.b, e.c, e.d))
-        return f"awp({e.n}; {parts}; {unparse(e.base)}; {unparse(e.z)})"
-    if isinstance(e, GenfunCoeff):
-        return f"cgf({e.variant}; {e.n}; {unparse(e.a)}; {unparse(e.z)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    head = _HEAD_OF.get(type(e))
+    if head is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    values = iter(getattr(e, f.name) for f in dataclass_fields(e))
+    args = "".join(
+        ch + " " if ch in ",;" else _FIELD_KINDS[ch][1](next(values))
+        for ch in _CALLS[head][1]
+    )
+    return f"{head}({args})"
 
 
 # -- elaboration ---------------------------------------------------------
 
+_KEY0 = (Fraction(0), 0)
+
 
 def _const_fold(e) -> dict:
-    """Fold a z-free constant expression to {exponent: coefficient}."""
+    """Fold a constant expression, in which z may appear, to
+    {(q-exponent, z-degree): coefficient}."""
     if isinstance(e, Rational):
-        return {Fraction(0): CycRat(e.value)}
+        return {_KEY0: CycRat(e.value)}
     if isinstance(e, Omega):
-        return {Fraction(0): omega_power(e.power)}
+        return {_KEY0: omega_power(e.power)}
     if isinstance(e, QPower):
-        return {e.exp: ONE}
+        return {(e.exp, 0): ONE}
+    if isinstance(e, ZPower):
+        return {(Fraction(0), e.deg): ONE}
     if isinstance(e, Neg):
         return {k: -v for k, v in _const_fold(e.arg).items()}
-    if isinstance(e, (Add, Sub)):
-        out = dict(_const_fold(e.left))
-        sgn = 1 if isinstance(e, Add) else -1
-        for k, v in _const_fold(e.right).items():
-            cur = out.get(k)
-            out[k] = (cur + sgn * v) if cur is not None else sgn * v
-        return {k: v for k, v in out.items() if v}
-    if isinstance(e, Mul):
-        lf, rf = _const_fold(e.left), _const_fold(e.right)
+    if isinstance(e, Sum):
         out = {}
-        for k1, v1 in lf.items():
-            for k2, v2 in rf.items():
-                k = k1 + k2
-                p = v1 * v2
-                out[k] = out[k] + p if k in out else p
+        for negated, x in e.terms:
+            for k, v in _const_fold(x).items():
+                v = -v if negated else v
+                out[k] = out[k] + v if k in out else v
         return {k: v for k, v in out.items() if v}
-    if isinstance(e, Div):
-        rf = _const_fold(e.right)
-        if len(rf) != 1:
-            raise MonomialExpected(f"non-monomial divisor: {unparse(e.right)}")
-        (k2, v2), = rf.items()
-        inv = v2.inv()
-        return {k1 - k2: v1 * inv for k1, v1 in _const_fold(e.left).items()}
+    if isinstance(e, Product):
+        out = {_KEY0: ONE}
+        for inverted, x in e.factors:
+            f = _const_fold(x)
+            out = _fold_mul(out, _fold_inverse(f, x) if inverted else f)
+        return out
     if isinstance(e, IntPower):
         base = _const_fold(e.base)
-        if len(base) == 1 and e.exp < 0:
-            (k, v), = base.items()
-            return {k * e.exp: v ** e.exp}
         if e.exp < 0:
-            raise MonomialExpected("negative power of a non-monomial constant")
-        out = {Fraction(0): ONE}
-        for _ in range(e.exp):
-            nxt = {}
-            for k1, v1 in out.items():
-                for k2, v2 in base.items():
-                    k = k1 + k2
-                    p = v1 * v2
-                    nxt[k] = nxt[k] + p if k in nxt else p
-            out = {k: v for k, v in nxt.items() if v}
+            base = _fold_inverse(base, e.base)
+        out = {_KEY0: ONE}
+        for _ in range(abs(e.exp)):
+            out = _fold_mul(out, base)
         return out
     raise MonomialExpected(f"not a constant expression: {unparse(e)}")
 
 
-def as_monomial(e) -> Monomial:
-    """Fold a parameter expression to a single monomial c*q^e."""
+def _fold_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for (q1, d1), v1 in a.items():
+        for (q2, d2), v2 in b.items():
+            k = (q1 + q2, d1 + d2)
+            p = v1 * v2
+            out[k] = out[k] + p if k in out else p
+    return {k: v for k, v in out.items() if v}
+
+
+def _fold_inverse(f: dict, e) -> dict:
+    if len(f) != 1:
+        raise MonomialExpected(f"non-monomial divisor: {unparse(e)}")
+    ((qe, d), v), = f.items()
+    return {(-qe, -d): v.inv()}
+
+
+def _term(e) -> tuple:
+    """Fold e to a single term (coefficient, q-exponent, z-degree)."""
     folded = _const_fold(e)
     if not folded:
-        return Monomial(0)
-    if len(folded) != 1:
+        return CycRat(0), Fraction(0), 0
+    if len(folded) > 1:
         raise MonomialExpected(f"expected a monomial, got {unparse(e)}")
-    (k, v), = folded.items()
-    return Monomial(v, k)
+    ((qe, d), v), = folded.items()
+    return v, qe, d
 
 
-def _as_z_monomial(e):
-    """Fold a ct-integrand atom to (coeff, q-exponent, z-degree)."""
-    if isinstance(e, ZPower):
-        return (ONE, Fraction(0), e.deg)
-    if isinstance(e, Mul):
-        c1, q1, d1 = _as_z_monomial(e.left)
-        c2, q2, d2 = _as_z_monomial(e.right)
-        return (c1 * c2, q1 + q2, d1 + d2)
-    if isinstance(e, Div):
-        c1, q1, d1 = _as_z_monomial(e.left)
-        c2, q2, d2 = _as_z_monomial(e.right)
-        return (c1 / c2, q1 - q2, d1 - d2)
-    if isinstance(e, Neg):
-        c, qe, d = _as_z_monomial(e.arg)
-        return (-c, qe, d)
-    if isinstance(e, IntPower):
-        c, qe, d = _as_z_monomial(e.base)
-        return (c ** e.exp, qe * e.exp, d * e.exp)
-    m = as_monomial(e)
-    return (m.coeff, m.exp, 0)
+def as_monomial(e) -> Monomial:
+    """Fold a parameter expression to a single monomial c*q^e."""
+    c, qe, d = _term(e)
+    if d:
+        raise MonomialExpected(f"not a constant expression: {unparse(e)}")
+    return Monomial(c, qe)
 
 
 def _collect_ct(e, inverted, families, scalars, shifts):
     """Split a multiplicative integrand into Pochhammer families in z,
     scalar factors, and bare z-monomial shifts."""
-    if isinstance(e, Mul):
-        _collect_ct(e.left, inverted, families, scalars, shifts)
-        _collect_ct(e.right, inverted, families, scalars, shifts)
-        return
-    if isinstance(e, Div):
-        _collect_ct(e.left, inverted, families, scalars, shifts)
-        _collect_ct(e.right, not inverted, families, scalars, shifts)
+    if isinstance(e, Product):
+        for inv, x in e.factors:
+            _collect_ct(x, inverted != inv, families, scalars, shifts)
         return
     if isinstance(e, Poch):
         base = as_monomial(e.base)
         for arg in e.args:
-            c, qe, d = _as_z_monomial(arg)
+            c, qe, d = _term(arg)
             if d == 0:
                 scalars.append((Poch((arg,), e.base, e.count), inverted))
             else:
@@ -672,7 +605,7 @@ def _collect_ct(e, inverted, families, scalars, shifts):
                     ctengine.ZPochFamily(c, qe, d, base, inverted, e.count)
                 )
         return
-    c, qe, d = _as_z_monomial(e)
+    c, qe, d = _term(e)
     if d == 0:
         scalars.append((e, inverted))
     else:
@@ -697,16 +630,19 @@ def _elaborate(e, ctx, path) -> QSeries:
         return monomial_to_series(as_monomial(e), ctx)
     if isinstance(e, Neg):
         return -sub(e.arg, "arg")
-    if isinstance(e, Add):
-        return sub(e.left, "left") + sub(e.right, "right")
-    if isinstance(e, Sub):
-        return sub(e.left, "left") - sub(e.right, "right")
-    if isinstance(e, Mul):
-        return sub(e.left, "left") * sub(e.right, "right")
-    if isinstance(e, Div):
-        num = sub(e.left, "left")
-        den = sub(e.right, "right")
-        return num * _wrap_err(den.inverse, path)
+    if isinstance(e, Sum):
+        (_, first), *rest = e.terms
+        acc = sub(first, 0)
+        for i, (negated, x) in enumerate(rest, 1):
+            acc = acc - sub(x, i) if negated else acc + sub(x, i)
+        return acc
+    if isinstance(e, Product):
+        (_, first), *rest = e.factors
+        acc = sub(first, 0)
+        for i, (inverted, x) in enumerate(rest, 1):
+            f = sub(x, i)
+            acc = acc * (_wrap_err(f.inverse, f"{path}.{i}") if inverted else f)
+        return acc
     if isinstance(e, IntPower):
         base = sub(e.base, "base")
         k = e.exp

@@ -150,6 +150,8 @@ def parse_suite(text: str, source: str = "<string>") -> list:
             if key_tok.kind != "IDENT":
                 raise ParseError("expected a field name", key_tok.line, key_tok.col)
             key = key_tok.value
+            if key in fields:
+                raise ParseError(f"field {key!r} given twice", key_tok.line, key_tok.col)
             p.expect("=")
             if key in ("lhs", "rhs"):
                 expr = p.parse_expr()
@@ -158,6 +160,8 @@ def parse_suite(text: str, source: str = "<string>") -> list:
                 t = p.next()
                 if t.kind != "NUM":
                     raise ParseError(f"{key} must be an integer", t.line, t.col)
+                if t.value < 1:
+                    raise ParseError(f"{key} must be at least 1", t.line, t.col)
                 fields[key] = t.value
             elif key == "tags":
                 p.expect("[")
@@ -209,14 +213,15 @@ def default_suite_dir() -> Path:
 def load_registry(files: Optional[Sequence] = None) -> Registry:
     """Cases of the given suite files, or of the default suite directory.
 
-    A file that cannot be read or does not parse raises `SuiteError`
-    naming the file.
+    A file that cannot be read or does not parse, or that repeats an
+    identity name, raises `SuiteError` naming the file.
     """
     if files:
         paths = [Path(f) for f in files]
     else:
         paths = sorted(default_suite_dir().glob("*.qid"))
     cases = []
+    first_seen = {}
     for path in paths:
         try:
             text = path.read_text(encoding="utf-8")
@@ -224,9 +229,17 @@ def load_registry(files: Optional[Sequence] = None) -> Registry:
             reason = getattr(exc, "strerror", None) or exc
             raise SuiteError(f"cannot read suite {path}: {reason}") from exc
         try:
-            cases.extend(parse_suite(text, str(path)))
+            parsed = parse_suite(text, str(path))
         except ParseError as exc:
             raise SuiteError(f"{path}: {exc}") from exc
+        for case in parsed:
+            if case.name in first_seen:
+                raise SuiteError(
+                    f"{path}: duplicate identity name {case.name!r}"
+                    f" (first in {first_seen[case.name]})"
+                )
+            first_seen[case.name] = path
+        cases.extend(parsed)
     return Registry(cases)
 
 

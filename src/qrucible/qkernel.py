@@ -178,15 +178,8 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
             break
         if term_at is not None and n >= term_at:
             break
-        # factors indexed by n build term_(n+1) from term_n
-        dead = False
-        for c, e in scaled_uppers:
-            fe = e + n * eb
-            if fe == 0 and c * cb ** n == ONE:
-                dead = True
-                break
-        if dead:
-            break
+        # factors indexed by n build term_(n+1) from term_n; an upper one
+        # is exactly zero only at n == term_at, which stopped the loop
         nxt = term
         for c, e in scaled_uppers:
             nxt = mul_binomial(nxt, c * cb ** n, e + n * eb)

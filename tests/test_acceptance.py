@@ -402,43 +402,28 @@ def test_criterion_11_property_suites():
 
 def _bump_nth_qpower(node, skip):
     """Replace the (skip+1)-th q-power leaf with exponent+1; returns
-    (new_node, remaining_skip, found)."""
+    (new_node, remaining_skip, found). Walks dataclass fields and tuples,
+    which include the (flag, expr) operands of Sum and Product."""
     if isinstance(node, dsl.QPower):
         if skip == 0:
             return dsl.QPower(node.exp + 1), -1, True
         return node, skip - 1, False
     import dataclasses
 
-    if not dataclasses.is_dataclass(node):
+    if isinstance(node, tuple):
+        children = list(node)
+    elif dataclasses.is_dataclass(node):
+        children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    else:
         return node, skip, False
-    changed = False
-    values = {}
-    for f in dataclasses.fields(node):
-        val = getattr(node, f.name)
-        if changed or skip < 0:
-            values[f.name] = val
-            continue
-        if isinstance(val, tuple):
-            out = []
-            for item in val:
-                if not changed and skip >= 0:
-                    item2, skip, found = _bump_nth_qpower(item, skip)
-                    if found:
-                        changed = True
-                        skip = -1
-                    out.append(item2)
-                else:
-                    out.append(item)
-            values[f.name] = tuple(out)
-        elif dataclasses.is_dataclass(val):
-            val2, skip, found = _bump_nth_qpower(val, skip)
-            if found:
-                changed = True
-                skip = -1
-            values[f.name] = val2
-        else:
-            values[f.name] = val
-    return type(node)(**values), skip, changed
+    for i, child in enumerate(children):
+        new, skip, found = _bump_nth_qpower(child, skip)
+        if found:
+            children[i] = new
+            if isinstance(node, tuple):
+                return tuple(children), -1, True
+            return type(node)(*children), -1, True
+    return node, skip, False
 
 
 def test_criterion_12_mutation_detection(registry):

@@ -1,26 +1,26 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qrucible.cyclotomic import CycRat, OMEGA2, ONE
 from qrucible.dsl import (
     AWPoly,
-    Add,
     CT,
-    Div,
     GenfunCoeff,
     IntPower,
-    Mul,
     NamedSum,
     Neg,
     Omega,
     Phi,
     Poch,
+    Product,
     QPower,
     Rational,
     RogersC,
-    Sub,
+    Sum,
     Theta,
     TripleF,
     ZPower,
@@ -39,14 +39,14 @@ def test_parse_poch():
 
 
 def test_parse_monomial_product():
-    assert parse("q^(3/2)*w2") == Mul(QPower(Fraction(3, 2)), Omega(2))
+    assert parse("q^(3/2)*w2") == Product(((False, QPower(Fraction(3, 2))), (False, Omega(2))))
 
 
 def test_parse_phi_head():
     e = parse("phi([q^(3/4)*w, -q^(3/4)*w]; [-q^(3/2)]; q; q^(1/2)*w2)")
     assert isinstance(e, Phi)
     assert len(e.uppers) == 2 and len(e.lowers) == 1
-    assert e.uppers[1] == Mul(Neg(QPower(Fraction(3, 4))), Omega(1))
+    assert e.uppers[1] == Product(((False, Neg(QPower(Fraction(3, 4)))), (False, Omega(1))))
 
 
 def test_parse_errors_carry_position():
@@ -79,6 +79,36 @@ def test_print_is_idempotent_on_registry():
             assert unparse(parse(text)) == text
 
 
+def test_registry_sides_print_as_recorded():
+    # every shipped side prints exactly as the recorded canonical text, so
+    # a change of the printer shows here and not only in its own round trip
+    from qrucible.harness import load_registry
+
+    path = Path(__file__).resolve().parent / "data" / "shipped-suite-sides.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+    sides = [
+        {"name": c.name, "lhs_text": c.lhs_text, "rhs_text": c.rhs_text}
+        for c in load_registry()
+    ]
+    assert len(sides) == 99
+    assert sides == recorded
+
+
+def test_long_chains_parse_print_and_elaborate():
+    # a chain is one n-ary node, so 500 operands cost no recursion
+    ctx = SeriesContext(1, 5)
+    for text, value in (
+        ("+".join(["q"] * 500), "500*q"),
+        ("q" + "-q+q" * 250, "q"),
+        ("*".join(["w"] * 500), "w2"),  # 500 = 2 mod 3
+        ("q" + "/w*w" * 250, "q"),
+    ):
+        e = parse(text)
+        assert len(e.terms if isinstance(e, Sum) else e.factors) >= 500
+        assert unparse(e) == text
+        assert equal_to_order(elaborate(e, ctx), elaborate(parse(value), ctx), 5)
+
+
 def _gen(rng: random.Random, depth: int):
     leaf_kinds = ("num", "q", "w", "z")
     kinds = leaf_kinds if depth <= 0 else (
@@ -96,14 +126,19 @@ def _gen(rng: random.Random, depth: int):
     if k == "z":
         return ZPower(rng.choice((-3, -1, 1, 2)))
     sub = lambda: _gen(rng, depth - 1)
-    if k == "add":
-        return Add(sub(), sub())
-    if k == "sub":
-        return Sub(sub(), sub())
-    if k == "mul":
-        return Mul(sub(), sub())
-    if k == "div":
-        return Div(sub(), sub())
+    if k in ("add", "sub", "mul", "div"):
+        # canonical shape: a first operand of the same kind is spliced in,
+        # as the parser continues a parenthesized chain
+        node = Sum if k in ("add", "sub") else Product
+        first = sub()
+        if isinstance(first, node):
+            items = list(first.terms if node is Sum else first.factors)
+        else:
+            items = [(False, first)]
+        items.append((k in ("sub", "div"), sub()))
+        while rng.random() < 0.3:
+            items.append((rng.random() < 0.5, sub()))
+        return node(tuple(items))
     if k == "neg":
         return Neg(sub())
     if k == "pow":
@@ -180,7 +215,7 @@ def test_elaborate_error_carries_path():
     ctx = SeriesContext(1, 10)
     with pytest.raises(EvalError) as err:
         elaborate(parse("1/(q-q)"), ctx)
-    assert "Div" in str(err.value)
+    assert "at Product.1:" in str(err.value)
     with pytest.raises(EvalError) as err2:
         elaborate(parse("qp(q^(1/2); q; inf)"), ctx)  # off-grid exponent
     assert "Poch" in str(err2.value)
@@ -199,7 +234,7 @@ def test_elaborate_matches_direct_kernel_calls():
         e = rng.randint(lo, hi)
         node = QPower(Fraction(e)) if e else Rational(1)
         if rng.random() < 0.3:
-            node = Mul(node, Omega(rng.choice((1, 2))))
+            node = Product(((False, node), (False, Omega(rng.choice((1, 2))))))
         if rng.random() < 0.4:
             node = Neg(node)
         return node

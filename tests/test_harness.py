@@ -305,6 +305,65 @@ def test_deep_nesting_is_a_positioned_error(tmp_path, capsys):
     assert "nested deeper" in verify(IdentityCase("deep", deep_parens, "q", 1, 5, (), "")).skip_reason
 
 
+def test_long_flat_chain_verifies(tmp_path, capsys):
+    # one n-ary node per chain: no recursion per operator
+    suite = tmp_path / "flat.qid"
+    lhs = "+".join(["q"] * 500)
+    suite.write_text(f'identity "flat" {{ lhs = {lhs}; rhs = 500*q; D = 1; order = 5; }}\n')
+    assert cli_main(["verify", "--suite", str(suite)]) == 0
+    assert "PASS flat" in capsys.readouterr().out
+
+
+def test_suite_counts_below_one_are_positioned_errors(tmp_path, capsys):
+    # D = 0 divided by zero in verify and order = 0 failed in SeriesContext
+    for key in ("D", "order"):
+        counts = {"D": 1, "order": 5, key: 0}
+        text = (
+            f'identity "x" {{ lhs = q; rhs = q; D = {counts["D"]}; '
+            f'order = {counts["order"]}; }}\n'
+        )
+        col = text.index(f"{key} = 0") + len(key) + 4
+        with pytest.raises(ParseError) as err:
+            parse_suite(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        bad = tmp_path / "zero.qid"
+        bad.write_text(text)
+        assert cli_main(["verify", "--suite", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"qrucible: error: {bad}: {key} must be at least 1 (line 1, column {col})\n"
+        )
+
+
+def test_suite_field_given_twice_is_a_positioned_error(tmp_path, capsys):
+    # the first lhs used to be dropped without a word
+    text = 'identity "x" {\n  lhs = 1+q;\n  lhs = 1;\n  rhs = 1; D = 1; order = 5; }\n'
+    with pytest.raises(ParseError) as err:
+        parse_suite(text)
+    assert (err.value.line, err.value.col) == (3, 3)
+    bad = tmp_path / "twice.qid"
+    bad.write_text(text)
+    assert cli_main(["verify", "--suite", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"qrucible: error: {bad}: field 'lhs' given twice (line 3, column 3)\n"
+    )
+
+
+def test_duplicate_identity_names_across_suites_are_usage_errors(tmp_path, capsys):
+    entry = 'identity "x" { lhs = 1; rhs = 1; D = 1; order = 5; }\n'
+    a, b, both = tmp_path / "a.qid", tmp_path / "b.qid", tmp_path / "both.qid"
+    a.write_text(entry)
+    b.write_text(entry)
+    both.write_text(entry + entry)
+    for files in ([a, b], [both]):
+        message = f"{files[-1]}: duplicate identity name 'x' (first in {files[0]})"
+        with pytest.raises(SuiteError) as err:
+            load_registry(files)
+        assert str(err.value) == message
+        args = [arg for f in files for arg in ("--suite", str(f))]
+        assert cli_main(["verify", *args]) == 2
+        assert capsys.readouterr().err == f"qrucible: error: {message}\n"
+
+
 def test_cli_rejects_non_positive_counts(capsys):
     for option in ("--order", "--denom", "--jobs"):
         for value in ("0", "-1", "x"):
