@@ -1,10 +1,11 @@
 """Bivariate z-Laurent series over QSeries and constant-term extraction.
 
 Contour integrals "separating 0 from all poles" are modeled purely
-formally: each denominator factor 1/(1 - c q^e z^d) expands as the
-geometric series in positive powers of z^d, numerator factors in 1/z
-expand in negative powers, and the integral is the z-degree-0 coefficient
-of the resulting Laurent expansion.
+formally: each Pochhammer family (c q^e z^d; b)_K^(+-1) of the integrand
+expands whole in powers of z^d (Euler's identities and the Cauchy
+q-binomial theorem, `qkernel.poch_rows`), the families multiply as Z[w]
+lists packed through z = q^L, and the integral is the z-degree-0
+coefficient of the resulting Laurent expansion.
 
 The z window is bounded: a term at degree n can only return to degree 0
 through the theta-type 1/z factors, at a q-cost that grows quadratically
@@ -18,26 +19,20 @@ tested invariant, not an assumption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cyclotomic import CycRat, ONE
-from .errors import BalanceViolated, WindowOverflow
-from .series import Monomial, QSeries, SeriesContext, mono, qpow
+from .errors import BalanceViolated, NonPositiveBaseExponent, WindowOverflow
+from .qkernel import INF, poch, poch_rows, pochhammer_multi
+from .series import Monomial, QSeries, SeriesContext, qpow
+from .series import _from_zw, _scaled, _zw_mul, _zw_scale
 
 _Q = qpow(1)
 
 MAX_WINDOW = 512
-
-
-@dataclass(frozen=True)
-class ZFactor:
-    """(1 - coeff * q^qexp * z^zdeg); qexp in scaled units, zdeg != 0."""
-
-    coeff: CycRat
-    qexp: int
-    zdeg: int
 
 
 @dataclass(frozen=True)
@@ -50,6 +45,10 @@ class ZPochFamily:
     base: Monomial
     inverted: bool = False
     count: Optional[int] = None  # None = infinite product
+
+    def __post_init__(self):
+        if self.count is None and self.base.exp <= 0:
+            raise NonPositiveBaseExponent(f"infinite product base exponent {self.base.exp} <= 0")
 
 
 class ZSeries:
@@ -120,73 +119,100 @@ def constant_term(x: ZSeries) -> QSeries:
     return x.terms.get(0, x.ctx.zero())
 
 
-def _apply_factor(x: ZSeries, f: ZFactor, lo: int, hi: int) -> ZSeries:
-    out = dict(x.terms)
-    for d, s in x.terms.items():
-        t = d + f.zdeg
-        if lo <= t <= hi:
-            shifted = s.mul_monomial(-f.coeff, f.qexp)
-            out[t] = out[t] + shifted if t in out else shifted
-    return ZSeries(x.ctx, out)
-
-
-def _apply_inverse_factor(x: ZSeries, f: ZFactor, lo: int, hi: int) -> ZSeries:
-    # y = x / (1 - c q^e z^d): y[m] = x[m] + c q^e y[m - d], swept in the
-    # direction of increasing m*sign(d) so the recurrence is causal.
-    out: dict = {}
-    degs = range(lo, hi + 1) if f.zdeg > 0 else range(hi, lo - 1, -1)
-    for m in degs:
-        s = x.terms.get(m, None)
-        prev = out.get(m - f.zdeg, None)
-        if prev is not None and not prev.is_zero():
-            inc = prev.mul_monomial(f.coeff, f.qexp)
-            s = inc if s is None else s + inc
-        if s is not None:
-            out[m] = s
-    return ZSeries(x.ctx, out)
-
-
 def zproduct(
-    factors: Sequence[tuple[ZFactor, bool]],
+    families: Sequence[ZPochFamily],
     ctx: SeriesContext,
     window: int,
+    degree: int | None = None,
 ) -> ZSeries:
-    """Product of (1 - c q^e z^d)^(+-1) starting from 1, on [-window, window].
+    """Product of the families on [-window, window], starting from 1: every
+    factor of a finite family, the factors (1 - c q^e z^d) below the order
+    of an infinite one. With a degree given, only that row is returned.
 
-    Factors whose q-exponent can no longer influence the window below the
-    working order are the caller's responsibility to omit (see
-    _expand_family).
+    The product maps each z-degree to (trunc, re, om): Z[w] lists over one
+    denominator from the exponent lo up, cut at the trunc. Each family is
+    multiplied in whole, by one _zw_mul on operands packed through z = q^L.
     """
     if window > MAX_WINDOW:
         raise WindowOverflow(f"window {window} exceeds the configured maximum")
-    acc = zs_one(ctx)
-    lo, hi = -window, window
-    for f, inverted in factors:
-        if f.zdeg == 0:
+    order = ctx.order
+    den, lo, rows = 1, 0, {0: (order, [1], [0])}
+    for fam in families:
+        if fam.zdeg == 0:
             raise WindowOverflow("z-degree-0 factor is not an integrand factor")
-        if inverted:
-            acc = _apply_inverse_factor(acc, f, lo, hi)
+        x, k, eb = Monomial(fam.coeff, fam.qexp), fam.count, ctx.scale(fam.base.exp)
+        # an infinite family stops below the order; a finite one whose base
+        # exponent is not positive splits into its factors
+        if k is None:
+            parts = [(x, max(0, -((ctx.scale(fam.qexp) - order) // eb)))]
         else:
-            acc = _apply_factor(acc, f, lo, hi)
-    return acc
+            parts = [(x, k)] if eb > 0 else [(x * fam.base**j, 1) for j in range(k)]
+        for x, count in parts:
+            if rows:
+                den, lo, rows = _times_family(den, lo, rows, x, count, fam, ctx, window)
+    return ZSeries(ctx, {m: QSeries(ctx, lo, _from_zw(den, r, o), t)
+                         for m, (t, r, o) in rows.items() if degree in (None, m)})
+
+
+def _flat(rows: dict, span: int):
+    """The rows (z-degree -> (_, re, om)) from the lowest degree up, at
+    stride span, as one (re, om) pair."""
+    zero = [0] * span
+    re, om = [], []
+    for j in range(min(rows), max(rows) + 1):
+        _, r, o = rows.get(j, (0, zero, zero))
+        re += r + zero[len(r) :]
+        om += o + zero[len(o) :]
+    return re, om
+
+
+def _times_family(den, lo, rows, x: Monomial, count: int, fam: ZPochFamily,
+                  ctx: SeriesContext, window: int):
+    """(den, lo, rows) times (x z^d; base)_count^(+-1) on [-window, window].
+
+    Row m's trunc is the minimum over the nonzero row pairs (a, b) with
+    deg a + deg b = m of QSeries.__mul__'s min(t_a + v_b, t_b + v_a),
+    capped at the order. A family row is known to relative precision
+    order (t_b = v_b + order), and every row of the product has
+    t_a <= order + v_a, so that minimum is t_a + v_b.
+    """
+    order, d, inv = ctx.order, fam.zdeg, fam.inverted
+    e, eb = ctx.scale(x.exp), ctx.scale(fam.base.exp)
+    top = (window - min(rows)) // d if d > 0 else (max(rows) + window) // -d
+    top = top if inv else min(top, count)
+    # row n sits at q^(ne) or q^(ne + eb*C(n,2)), convex in n from 0, so the
+    # rows below order - lo are a prefix
+    while top > 0 and top * e + (0 if inv else eb * top * (top - 1) // 2) >= order - lo:
+        top -= 1
+    frows, fden = {}, 1
+    for n, (c, en, g) in enumerate(poch_rows(x, fam.base, count, inv, top, ctx)):
+        if c and g.coeffs:
+            frows[d * n] = (en, *_zw_scale(*_scaled(g.coeffs[: order - lo - en]), c))
+            fden = math.lcm(fden, frows[d * n][1])
+    f0 = min(en for en, *_ in frows.values())
+    for k, (en, s, r, o) in frows.items():
+        pre, s = [0] * (en - f0), fden // s
+        frows[k] = (en, pre + [s * v for v in r], pre + [s * v for v in o])
+    span = order - lo + max(len(r) for _, r, _ in frows.values()) - 1
+    at0 = min(rows) + min(frows)
+    pr, po = _zw_mul(*_flat(rows, span), *_flat(frows, span), (window - at0 + 1) * span)
+    truncs: dict = {}
+    for j, (t, _, _) in rows.items():
+        for k, (en, _, _) in frows.items():
+            if abs(j + k) <= window:
+                truncs[j + k] = min(truncs.get(j + k, order), t + en)
+    lo, out = lo + f0, {}
+    for m, t in truncs.items():
+        at, n = (m - at0) * span, max(0, t - lo)
+        r, o = pr[at : at + n], po[at : at + n]
+        if any(r) or any(o):
+            out[m] = (t, r, o)
+    g = math.gcd(den * fden, *(v for _, r, o in out.values() for v in r + o))
+    return den * fden // g, lo, {m: (t, [v // g for v in r], [v // g for v in o])
+                                 for m, (t, r, o) in out.items()}
 
 
 # -- planning -----------------------------------------------------------
-
-
-def _family_members(fam: ZPochFamily, ctx: SeriesContext, stop: int):
-    """Scaled factors (coeff, qexp) of the family below the stop order."""
-    eb = ctx.scale(fam.base.exp)
-    e = ctx.scale(fam.qexp)
-    c = fam.coeff
-    j = 0
-    while (fam.count is None or j < fam.count) and (e < stop or fam.count is not None):
-        yield ZFactor(c, e, fam.zdeg)
-        c = c * fam.base.coeff
-        e += eb
-        j += 1
-        if fam.count is None and e >= stop:
-            break
 
 
 def _neg_return_cost(families, ctx: SeriesContext, n: int) -> int:
@@ -201,7 +227,7 @@ def _neg_return_cost(families, ctx: SeriesContext, n: int) -> int:
         need = -(-n // -fam.zdeg)  # ceil(n / |zdeg|)
         m = need
         # picking extra negative-exponent factors can only lower the cost
-        while e0 + m * eb < 0:
+        while e0 + m * eb < 0 and (fam.count is None or m < fam.count):
             m += 1
         cost = sum(e0 + j * eb for j in range(m))
         if best is None or cost < best:
@@ -267,13 +293,7 @@ def ct_product(
     if window is None:
         window = auto_window + abs(degree)
     work = SeriesContext(ctx.denom, ctx.order + margin)
-    stop = work.order
-    factors = []
-    for fam in families:
-        for f in _family_members(fam, work, stop):
-            factors.append((f, fam.inverted))
-    z = zproduct(factors, work, window)
-    ct = z.terms.get(degree, work.zero())
+    ct = zproduct(families, work, window, degree).coefficient(degree)
     return QSeries(ctx, ct.val, list(ct.coeffs), min(ct.trunc, ctx.order))
 
 
@@ -289,8 +309,6 @@ def triple_sum_ct(u: Monomial, v: Monomial, w: Monomial, ctx: SeriesContext,
 
     the contour representation of the triple sum F(u, v, w).
     """
-    from .qkernel import poch
-
     families = [
         ZPochFamily(ONE, Fraction(0), -1, qpow(2)),
         ZPochFamily(ONE, Fraction(2), 1, qpow(2)),
@@ -348,8 +366,6 @@ def phi21_contour(a: Monomial, b: Monomial, c: Monomial, t: Monomial,
         (q;q)_inf / (c, t; q)_inf *
         CT[(abz, cz, qz/t, t/z; q)_inf / ((az, bz, cz/t; q)_inf)].
     """
-    from .qkernel import INF, poch, pochhammer_multi
-
     ab = a * b
     ct_families = [
         ZPochFamily(ab.coeff, ab.exp, 1, _Q),

@@ -649,8 +649,8 @@ def _elaborate(e, ctx, path) -> QSeries:
         if k < 0:
             base = _wrap_err(base.inverse, path)
             k = -k
-        out = ctx.one()
-        for _ in range(k):
+        out = base if k else ctx.one()
+        for _ in range(k - 1):
             out = out * base
         return out
     if isinstance(e, Poch):

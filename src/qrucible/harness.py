@@ -142,7 +142,7 @@ def parse_suite(text: str, source: str = "<string>") -> list:
         t = p.next()
         if t.kind != "STR":
             raise ParseError("expected a quoted identity name", t.line, t.col)
-        name = t.value
+        name, at = t.value, (t.line, t.col)
         p.expect("{")
         fields = {}
         while not p.at("}"):
@@ -187,7 +187,7 @@ def parse_suite(text: str, source: str = "<string>") -> list:
         p.expect("}")
         for req in ("lhs", "rhs", "D", "order"):
             if req not in fields:
-                raise ParseError(f"identity {name!r} missing field {req!r}", t.line, t.col)
+                raise ParseError(f"identity {name!r} missing field {req!r}", *at)
         cases.append(
             IdentityCase(
                 name=name,

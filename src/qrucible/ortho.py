@@ -25,7 +25,7 @@ from .series import (
     mul_binomial,
     qpow,
 )
-from .qkernel import phi_series, poch
+from .qkernel import INF, phi_series, poch, poch_rows
 from .ctengine import ZSeries, zmul, zs_one, zsubst
 
 _Q = qpow(1)
@@ -185,35 +185,13 @@ def _t_scale(A: list, s: QSeries) -> list:
     return [x.scale(s) for x in A]
 
 
-def _t_euler_inv(x: Monomial, zdeg: int, base: Monomial, t_order, ctx) -> list:
-    """1/(x z^zdeg t; base)_inf as a t-series: t^m -> x^m z^(m zdeg)/(base;base)_m."""
-    out = []
-    invp = ctx.one()
-    eb = ctx.scale(base.exp)
-    for m in range(t_order + 1):
-        if m:
-            invp = div_binomial(invp, base.coeff ** m, m * eb)
-        xm = x ** m
-        out.append(ZSeries(ctx, {m * zdeg: invp.mul_monomial(xm.coeff, ctx.scale(xm.exp))}))
-    return out
-
-
-def _t_euler(x: Monomial, zdeg: int, base: Monomial, t_order, ctx, t_step: int = 1) -> list:
-    """(x z^zdeg t^t_step; base)_inf as a t-series:
-    t^(m t_step) -> (-1)^m base^C(m,2) x^m z^(m zdeg)/(base;base)_m."""
+def _t_euler(x: Monomial, zdeg: int, base: Monomial, t_order, ctx, t_step: int = 1,
+             inverted: bool = False) -> list:
+    """(x z^zdeg t^t_step; base)_inf, or its reciprocal, as a t-series:
+    t^(m t_step) -> the z^(m zdeg) row of qkernel.poch_rows."""
     out = [_t_zero(ctx) for _ in range(t_order + 1)]
-    invp = ctx.one()
-    eb = ctx.scale(base.exp)
-    m = 0
-    while m * t_step <= t_order:
-        if m:
-            invp = div_binomial(invp, base.coeff ** m, m * eb)
-        binom = m * (m - 1) // 2
-        cm = (-ONE) ** m * base.coeff ** binom
-        xm = x ** m
-        coeff = invp.mul_monomial(cm * xm.coeff, eb * binom + ctx.scale(xm.exp))
-        out[m * t_step] = ZSeries(ctx, {m * zdeg: coeff})
-        m += 1
+    for m, (c, e, g) in enumerate(poch_rows(x, base, INF, inverted, t_order // t_step, ctx)):
+        out[m * t_step] = ZSeries(ctx, {m * zdeg: g.mul_monomial(c, e)})
     return out
 
 
@@ -313,12 +291,12 @@ def genfun_lhs(variant: int, a: Monomial, t_order: int, ctx: SeriesContext) -> l
     a2 = a ** 2
     if variant == 1:
         A = _t_euler(qpow(1), -1, q2, t_order, ctx)
-        B = _t_euler_inv(mono(1, 0), 1, q2, t_order, ctx)
+        B = _t_euler(mono(1, 0), 1, q2, t_order, ctx, inverted=True)
         C = _t_phi([(a, 1), (-a, 1)], [-a2], q, mono(1, 0), -1, t_order, ctx)
         return _t_mul(_t_mul(A, B, t_order), C, t_order)
     if variant == 2:
         A = _t_euler(mono(-1, 0), -1, q, t_order, ctx)
-        B = _t_euler_inv(mono(1, 0), 1, q, t_order, ctx)
+        B = _t_euler(mono(1, 0), 1, q, t_order, ctx, inverted=True)
         C = _t_phi([(a, 2), (a * q, 2)], [a2 * q], q2, mono(1, 0), -2,
                    t_order, ctx, t_step=2)
         return _t_mul(_t_mul(A, B, t_order), C, t_order)
@@ -331,8 +309,8 @@ def genfun_lhs(variant: int, a: Monomial, t_order: int, ctx: SeriesContext) -> l
         shift = mono(1, 0) if variant == 4 else qpow(-1)
         arg = -(a2 * shift)
         A = _t_euler(a2, 0, q2, t_order, ctx, t_step=2)
-        B = _t_euler_inv(mono(1, 0), 1, q2, t_order, ctx)
-        C = _t_euler_inv(mono(1, 0), -1, q2, t_order, ctx)
+        B = _t_euler(mono(1, 0), 1, q2, t_order, ctx, inverted=True)
+        C = _t_euler(mono(1, 0), -1, q2, t_order, ctx, inverted=True)
         D = _t_phi22_sym(a, arg, t_order, ctx)
         pref = poch(arg, q, ctx).inverse()
         out = _t_mul(_t_mul(_t_mul(A, B, t_order), C, t_order), D, t_order)

@@ -120,6 +120,36 @@ def pochhammer_multi(
     return acc
 
 
+def poch_rows(x: Monomial, base: Monomial, count, inverted: bool, nmax: int,
+              ctx: SeriesContext) -> list:
+    """[(c_n, e_n, g_n) for n <= nmax] with (x*y; base)_count^(-1 if inverted)
+    = sum c_n q^(e_n) g_n y^n, by Euler's identities and the Cauchy
+    q-binomial theorem (Andrews, The Theory of Partitions, Thms 2.1, 3.3):
+    (x; b)_K = sum (-1)^n b^C(n,2) [K, n]_b x^n and 1/(x; b)_K =
+    sum [K+n-1, n]_b x^n, [K, n]_b read as 1/(b; b)_n for K = INF.
+    g_n is that Gaussian coefficient (val 0, known below the order, one
+    binomial pass from g_(n-1)); the base exponent must be positive
+    unless count is 1.
+    """
+    if count is not INF and not inverted:
+        nmax = min(nmax, count)
+    e, eb, b = ctx.scale(x.exp), ctx.scale(base.exp), base.coeff
+    c, en, g = ONE, 0, ctx.one()
+    rows = [(c, en, g)]
+    for n in range(1, nmax + 1):
+        factors = [(b ** n, n * eb, -1)]
+        if count is not INF:
+            a = count + n - 1 if inverted else count - n + 1
+            factors = [] if a == n else factors + [(b ** a, a * eb, 1)]
+        g = mul_binomials(g, factors)
+        if inverted:
+            c, en = c * x.coeff, en + e
+        else:
+            c, en = -c * x.coeff * b ** (n - 1), en + e + (n - 1) * eb
+        rows.append((c, en, g))
+    return rows
+
+
 def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
     """Basic hypergeometric series with the standard implicit (b;b)_n
     denominator factor and the ((-1)^n b^C(n,2))^(1+s-r) convention.

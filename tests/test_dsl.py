@@ -268,6 +268,41 @@ def test_elaborate_matches_direct_kernel_calls():
         assert equal_to_order(got, want, min(got.trunc, want.trunc))
 
 
+def test_int_power_multiplies_k_minus_one_times(monkeypatch):
+    from qrucible.series import QSeries
+
+    calls = []
+    mul = QSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    ctx = SeriesContext(1, 12)
+    for text, products in (("(1-q)^2", 1), ("(1-q)^(-1)", 0), ("(1-q)^3", 2), ("(1-q)^1", 0)):
+        calls.clear()
+        elaborate(parse(text), ctx)
+        assert len(calls) == products, text
+    monkeypatch.undo()
+    assert elaborate(parse("(1-q)^2"), ctx).coeffs == [ONE, CycRat(-2), ONE]
+    inv = elaborate(parse("(1-q)^(-1)"), ctx)
+    assert inv.coeffs == [ONE] * 12 and inv.trunc == 12
+    assert elaborate(parse("(1-q)^0"), ctx) == ctx.one()
+
+
+def test_int_power_of_negative_valuation_is_honest():
+    # (q^(-1) + 1)^3 at orders N and N + 6 agrees below the smaller trunc
+    text = "(q^(-1)+1)^3"
+    for n in (4, 9, 15):
+        low = elaborate(parse(text), SeriesContext(1, n))
+        high = elaborate(parse(text), SeriesContext(1, n + 6))
+        assert [low.coefficient(k) for k in range(-3, low.trunc)] == [
+            high.coefficient(k) for k in range(-3, low.trunc)
+        ]
+        assert low.coeffs == [ONE, CycRat(3), CycRat(3), ONE][: low.trunc + 3]
+
+
 def test_elaborate_ct_with_shift():
     # CT(z * P(z)) picks the z^(-1) coefficient of P
     ctx = SeriesContext(1, 12)

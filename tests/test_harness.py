@@ -23,6 +23,7 @@ from qrucible.harness import (
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SUITE_DIR = SRC_DIR / "qrucible" / "suites"
 SHIPPED_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-report.json"
+CT_ORDER50_REPORT = Path(__file__).resolve().parent / "data" / "ct-order50-report.json"
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +278,17 @@ def test_cli_bad_suite_error_names_the_file(tmp_path, capsys):
     )
 
 
+def test_cli_missing_field_error_names_the_entry(tmp_path, capsys):
+    # the error points at the entry's name, not at the last token read
+    bad = tmp_path / "short.qid"
+    bad.write_text('identity "ok" { lhs = q; rhs = q; D = 1; order = 5; }\n'
+                   '\n  identity "x" {\n  lhs = q;\n  rhs = q;\n  D = 1;\n}\n')
+    assert cli_main(["verify", "--suite", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"qrucible: error: {bad}: identity 'x' missing field 'order' (line 3, column 12)\n"
+    )
+
+
 def test_cli_unwritable_json_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     assert cli_main(["verify", "--filter", "rogers-ramanujan-1", "--json", str(path)]) == 2
@@ -386,6 +398,19 @@ def test_full_shipped_suite_passes(registry):
     for item in items:
         del item["elapsedMs"]
     assert json.dumps(items, indent=2) + "\n" == SHIPPED_REPORT.read_text(encoding="utf-8")
+
+
+def test_contour_cases_at_order_50_match_the_pinned_report(tmp_path, capsys):
+    # the constant-term engine at twice the stated orders, pinned as
+    # `verify --filter 'contour*' --order 50 --json` wrote it before the
+    # whole-family products, times removed
+    path = tmp_path / "ct50.json"
+    assert cli_main(["verify", "--filter", "contour*", "--order", "50", "--json", str(path)]) == 0
+    capsys.readouterr()
+    items = json.loads(path.read_text(encoding="utf-8"))
+    for item in items:
+        del item["elapsedMs"]
+    assert json.dumps(items, indent=2) + "\n" == CT_ORDER50_REPORT.read_text(encoding="utf-8")
 
 
 def test_cross_evaluator_coherence():
