@@ -3,9 +3,10 @@
 A positively oriented contour separating 0 from all poles picks out the
 z-degree-0 coefficient of the integrand's Laurent expansion, so the
 integral becomes exact series algebra: denominator factors expand as
-geometric series in z, the 1/z theta factors supply negative degrees at
-quadratically growing q-cost, and that cost bounds the z-window needed
-below any truncation order.
+geometric series in z, the 1/z factors supply negative degrees at a
+q-cost that grows with the degree, and the cheapest way the whole 1/z
+supply can pay for a degree bounds the z-window needed below any
+truncation order.
 """
 
 from qrucible import SeriesContext, equal_to_order, f_triple, mono, phi_series, qpow

@@ -34,8 +34,8 @@ broken = parse_suite(
     'rhs = 1/qp(q, q^3; q^5; inf); D = 1; order = 20; ref = "wrong"; }'
 )[0]
 rep = verify(broken)
-print(f"{rep.name}: {rep.status}, first mismatch at q^({rep.mismatch.exponent}): "
-      f"{rep.mismatch.lhs} vs {rep.mismatch.rhs}")
+print(f"{rep.name} is rejected: {rep.status == 'FAIL'}, first mismatch at "
+      f"q^({rep.mismatch.exponent}): {rep.mismatch.lhs} vs {rep.mismatch.rhs}")
 
 # The same machinery drives the CLI:
 #   qrucible verify --filter section5 --json report.json

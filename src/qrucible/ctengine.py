@@ -7,10 +7,11 @@ q-binomial theorem, `qkernel.poch_rows`), the families multiply as Z[w]
 lists packed through z = q^L, and the integral is the z-degree-0
 coefficient of the resulting Laurent expansion.
 
-The z window is bounded: a term at degree n can only return to degree 0
-through the theta-type 1/z factors, at a q-cost that grows quadratically
-in n, so degrees beyond a computable bound W cannot touch the constant
-term below the truncation. Products with negative q-exponents (q^(-1)
+The z window is bounded by the whole negative-degree supply: a term at
+degree n or -n reaches degree 0 only if the 1/z factors of all families
+together, inverted ones included, supply degree -n, and a lower bound on
+the q-cost of that passes the truncation beyond a computable W, or the
+supply runs out first. Products with negative q-exponents (q^(-1)
 parameters) demote coefficients downward, so the pipeline runs at an
 elevated working order (the margin) and narrows back at the end. Both
 bounds are deliberately conservative; window-enlargement stability is a
@@ -215,28 +216,60 @@ def _times_family(den, lo, rows, x: Monomial, count: int, fam: ZPochFamily,
 # -- planning -----------------------------------------------------------
 
 
-def _neg_return_cost(families, ctx: SeriesContext, n: int) -> int:
-    """Cheapest q-cost of assembling total z-degree -n from the negative-
-    degree factor supply; infinite if there is none."""
-    best = None
+def _neg_supply(families, ctx: SeriesContext):
+    """The negative-degree supply, relaxed to units of z-degree -1:
+    (costs, unlimited) with costs the q-costs of the units a window up to
+    MAX_WINDOW can use, cheapest first, and unlimited the cost of units
+    there are without end (None if none).
+
+    A factor (1 - c q^e z^-d) of a family gives d units at e/d each, as
+    many as the family has factors; degree -n takes at most n units from
+    one family, so its MAX_WINDOW cheapest units are all that count. Each
+    power of an inverted family's factor gives d units at e/d without end,
+    so only its cheapest factor counts, and it must cost more than 0.
+    """
+    costs, unlimited = [], None
     for fam in families:
-        if fam.zdeg >= 0 or fam.inverted:
+        if fam.zdeg >= 0 or fam.count == 0:
             continue
-        eb = ctx.scale(fam.base.exp)
-        e0 = ctx.scale(fam.qexp)
-        need = -(-n // -fam.zdeg)  # ceil(n / |zdeg|)
-        m = need
-        # picking extra negative-exponent factors can only lower the cost
-        while e0 + m * eb < 0 and (fam.count is None or m < fam.count):
-            m += 1
-        cost = sum(e0 + j * eb for j in range(m))
-        if best is None or cost < best:
-            best = cost
-    if best is None:
-        raise WindowOverflow(
-            "no negative z-degree factors: constant term window is unbounded"
-        )
-    return best
+        d, e, eb = -fam.zdeg, ctx.scale(fam.qexp), ctx.scale(fam.base.exp)
+        if fam.inverted:
+            last = e if fam.count is None else e + (fam.count - 1) * eb
+            if min(e, last) <= 0:
+                raise WindowOverflow("inverted 1/z family without positive cost: window unbounded")
+            cost = Fraction(min(e, last), d)
+            unlimited = cost if unlimited is None else min(unlimited, cost)
+            continue
+        # its cheapest factors: the first ones, or the last of a shrinking base
+        top = MAX_WINDOW // d + 1 if fam.count is None else min(fam.count, MAX_WINDOW // d + 1)
+        first = 0 if eb >= 0 else fam.count - top
+        costs += [Fraction(e + j * eb, d) for j in range(first, first + top) for _ in range(d)]
+    if not costs and unlimited is None:
+        raise WindowOverflow("no negative z-degree factors: constant term window is unbounded")
+    return sorted(c for c in costs if unlimited is None or c < unlimited), unlimited
+
+
+def _return_degree(supply, target: int) -> int:
+    """The least n >= 1 such that no term of z-degree -n or below is
+    cheaper than q^target (target > 0), or where the supply runs out.
+
+    Degree -n costs at least its n cheapest units plus every other unit of
+    negative cost. A sum of n cheapest units that reaches the positive
+    target already holds every negative unit, and further units cost at
+    least 0, so the first such n bounds every degree below it too.
+    """
+    costs, unlimited = supply
+    cost = 0
+    for n in range(1, MAX_WINDOW + 1):
+        if n <= len(costs):
+            cost += costs[n - 1]
+        elif unlimited is None:
+            return n
+        else:
+            cost += unlimited
+        if cost >= target:
+            return n
+    raise WindowOverflow("required window exceeds the maximum")
 
 
 def _neg_margin(families, ctx: SeriesContext, window: int) -> int:
@@ -258,18 +291,14 @@ def plan_window(families, ctx: SeriesContext, pad: int = 4):
     """(window, margin) for a constant-term product of the families.
 
     The margin depends on the window (a q^(-1) denominator demotes once
-    per geometric step) and vice versa, so iterate to a fixpoint; the
-    quadratic return cost against the linear margin guarantees one.
+    per geometric step) and vice versa, so iterate to a fixpoint; where
+    the return cost does not outgrow the margin, the window passes its
+    maximum and planning ends in WindowOverflow.
     """
+    supply = _neg_supply(families, ctx)
     margin = 0
     while True:
-        target = ctx.order + margin
-        n = 1
-        while _neg_return_cost(families, ctx, n) < target:
-            n += 1
-            if n > MAX_WINDOW:
-                raise WindowOverflow("required window exceeds the maximum")
-        window = n + pad
+        window = _return_degree(supply, ctx.order + margin) + pad
         new_margin = _neg_margin(families, ctx, window)
         if new_margin <= margin:
             return window, margin

@@ -44,6 +44,11 @@ class ZeroDenominator(QrucibleError):
     """A lower Pochhammer parameter produces an exact zero factor."""
 
 
+class InvalidParameter(QrucibleError, ValueError):
+    """A kernel parameter outside its domain, such as a zero theta
+    argument or an unknown generating-function variant."""
+
+
 class DivergentSpec(QrucibleError):
     """Multi-sum whose exponent does not grow along some ray."""
 

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycRat, OMEGA, ONE
-from .errors import ZeroDenominator
+from .errors import InvalidParameter, ZeroDenominator
 from .series import (
     Monomial,
     QSeries,
     SeriesContext,
     div_binomial,
     mono,
-    mul_binomial,
+    mul_binomials,
     qpow,
 )
-from .qkernel import INF, phi_series, poch, poch_rows
+from .qkernel import INF, _zero_factor_index, phi_series, poch, poch_rows
 from .ctengine import ZSeries, zmul, zs_one, zsubst
 
 _Q = qpow(1)
@@ -52,9 +52,9 @@ def _poch_ratio_chain(a: Monomial, base: Monomial, n: int, ctx) -> list:
     ea = ctx.scale(a.exp)
     out = [ctx.one()]
     for k in range(n):
-        r = mul_binomial(out[-1], a.coeff * base.coeff ** k, ea + k * eb)
-        r = div_binomial(r, base.coeff ** (k + 1), (k + 1) * eb)
-        out.append(r)
+        bk = base.coeff ** k
+        out.append(mul_binomials(out[-1], [(a.coeff * bk, ea + k * eb, 1),
+                                           (bk * base.coeff, (k + 1) * eb, -1)]))
     return out
 
 
@@ -84,10 +84,8 @@ def aw_poly(n: int, p: AWParam, ctx: SeriesContext) -> ZSeries:
     ab = p.a * p.b
     cd = p.c * p.d
     for m, label in ((ab, "ab"), (cd, "cd")):
-        if m.is_zero():
-            continue
-        j = -m.exp / b.exp
-        if j.denominator == 1 and 0 <= j < n and m.coeff * b.coeff ** int(j) == ONE:
+        j = _zero_factor_index(m, b)
+        if j is not None and j < n:
             raise ZeroDenominator(f"({label}; base)_k vanishes for k <= {n}")
 
     one = zs_one(ctx)
@@ -101,17 +99,15 @@ def aw_poly(n: int, p: AWParam, ctx: SeriesContext) -> ZSeries:
         stepb = zmul(stepb, _z_binomial(ctx, p.d.coeff * b.coeff ** k, ctx.scale(p.d.exp) + k * eb, -1))
         back.append(zmul(back[-1], stepb))
 
+    # 1/(q, ab; q)_k and 1/(q, cd; q)_k; a zero ab or cd drops out of
+    # the factor list
     inv_q_ab = [ctx.one()]
     inv_q_cd = [ctx.one()]
     for k in range(n):
-        r = div_binomial(inv_q_ab[-1], b.coeff ** (k + 1), (k + 1) * eb)
-        if not ab.is_zero():
-            r = div_binomial(r, ab.coeff * b.coeff ** k, ctx.scale(ab.exp) + k * eb)
-        inv_q_ab.append(r)
-        s = div_binomial(inv_q_cd[-1], b.coeff ** (k + 1), (k + 1) * eb)
-        if not cd.is_zero():
-            s = div_binomial(s, cd.coeff * b.coeff ** k, ctx.scale(cd.exp) + k * eb)
-        inv_q_cd.append(s)
+        bk = b.coeff ** k
+        qk = (bk * b.coeff, (k + 1) * eb, -1)
+        inv_q_ab.append(mul_binomials(inv_q_ab[-1], [qk, (ab.coeff * bk, ctx.scale(ab.exp) + k * eb, -1)]))
+        inv_q_cd.append(mul_binomials(inv_q_cd[-1], [qk, (cd.coeff * bk, ctx.scale(cd.exp) + k * eb, -1)]))
 
     acc = ZSeries(ctx, {})
     for k in range(n + 1):
@@ -186,11 +182,11 @@ def _t_scale(A: list, s: QSeries) -> list:
 
 
 def _t_euler(x: Monomial, zdeg: int, base: Monomial, t_order, ctx, t_step: int = 1,
-             inverted: bool = False) -> list:
-    """(x z^zdeg t^t_step; base)_inf, or its reciprocal, as a t-series:
+             inverted: bool = False, count=INF) -> list:
+    """(x z^zdeg t^t_step; base)_count, or its reciprocal, as a t-series:
     t^(m t_step) -> the z^(m zdeg) row of qkernel.poch_rows."""
     out = [_t_zero(ctx) for _ in range(t_order + 1)]
-    for m, (c, e, g) in enumerate(poch_rows(x, base, INF, inverted, t_order // t_step, ctx)):
+    for m, (c, e, g) in enumerate(poch_rows(x, base, count, inverted, t_order // t_step, ctx)):
         out[m * t_step] = ZSeries(ctx, {m * zdeg: g.mul_monomial(c, e)})
     return out
 
@@ -210,10 +206,9 @@ def _t_phi(uppers, lowers, base: Monomial, argmono: Monomial, arg_zdeg: int,
             for u, zd in uppers:
                 num = zmul(num, _z_binomial(ctx, u.coeff * base.coeff ** (m - 1),
                                             ctx.scale(u.exp) + (m - 1) * eb, zd))
-            den = div_binomial(den, base.coeff ** m, m * eb)
-            for l in lowers:
-                den = div_binomial(den, l.coeff * base.coeff ** (m - 1),
-                                   ctx.scale(l.exp) + (m - 1) * eb)
+            bm = base.coeff ** (m - 1)
+            den = mul_binomials(den, [(bm * base.coeff, m * eb, -1)] + [
+                (l.coeff * bm, ctx.scale(l.exp) + (m - 1) * eb, -1) for l in lowers])
             argpow = argpow * argmono
         coeff = den.mul_monomial(argpow.coeff, ctx.scale(argpow.exp))
         out[m * t_step] = num.scale(coeff).shift(m * arg_zdeg)
@@ -221,58 +216,33 @@ def _t_phi(uppers, lowers, base: Monomial, argmono: Monomial, arg_zdeg: int,
     return out
 
 
-def _t_div_binomial_t2(A: list, c: CycRat, e: int, t_order: int, ctx) -> list:
-    """Divide a t-series by (1 - c q^e t^2)."""
-    out = list(A)
-    for m in range(2, t_order + 1):
-        prev = out[m - 2]
-        if prev.terms:
-            out[m] = out[m] + prev.scale(ctx.monomial(c, e))
-    return out
-
-
 def _t_phi22_sym(a: Monomial, arg: Monomial, t_order: int, ctx) -> list:
     """2phi2(tz, t/z; at, -at; base q, arg) as a t-series.
 
-    The lower product (at, -at; q)_k collapses to (a^2 t^2; q^2)_k, a
-    geometric division in t^2 per k; terms are summed until the scalar
-    part q^C(k,2) arg^k passes the truncation.
+    The lower product (at, -at; q)_k collapses to (a^2 t^2; q^2)_k. Term k
+    is (tz, t/z; q)_k / (a^2 t^2; q^2)_k, three finite poch_rows t-series,
+    times (-1)^k q^C(k,2) arg^k / (q; q)_k; terms are summed until that
+    scalar's exponent passes the truncation, which its C(k,2) growth
+    guarantees.
     """
     earg = ctx.scale(arg.exp)
-    ea = ctx.scale(a.exp)
     u = ctx.scale(1)
     acc = [_t_zero(ctx) for _ in range(t_order + 1)]
-    num = [zs_one(ctx)] + [_t_zero(ctx) for _ in range(t_order)]
-    den_ops = []  # (c, e) of accumulated 1/(1 - a^2 q^(2j) t^2) factors
+    one = mono(1, 0)
     inv_qk = ctx.one()
     k = 0
     while True:
         sc_e = (k * (k - 1) // 2) * u + k * earg
         if k and sc_e >= ctx.order:
             break
-        term = _t_scale(num, inv_qk.mul_monomial((-ONE) ** k * arg.coeff ** k, sc_e))
-        for c, e in den_ops:
-            term = _t_div_binomial_t2(term, c, e, t_order, ctx)
+        num = _t_mul(_t_euler(one, 1, _Q, t_order, ctx, count=k),
+                     _t_euler(one, -1, _Q, t_order, ctx, count=k), t_order)
+        den = _t_euler(a ** 2, 0, qpow(2), t_order, ctx, t_step=2, inverted=True, count=k)
+        term = _t_scale(_t_mul(num, den, t_order),
+                        inv_qk.mul_monomial((-ONE) ** k * arg.coeff ** k, sc_e))
         acc = [x + y for x, y in zip(acc, term)]
-        # extend (tz, t/z; q)_k and the collapsed lower product for the next k
-        nxt = [_t_zero(ctx) for _ in range(t_order + 1)]
-        for m, zs in enumerate(num):
-            if not zs.terms:
-                continue
-            nxt[m] = nxt[m] + zs
-            if m + 1 <= t_order:
-                f = zmul(zs, ZSeries(ctx, {1: ctx.monomial(-ONE, k * u),
-                                           -1: ctx.monomial(-ONE, k * u)}))
-                nxt[m + 1] = nxt[m + 1] + f
-                if m + 2 <= t_order:
-                    g = zmul(zs, ZSeries(ctx, {0: ctx.monomial(ONE, 2 * k * u)}))
-                    nxt[m + 2] = nxt[m + 2] + g
-        num = nxt
-        den_ops.append((a.coeff ** 2, 2 * ea + 2 * k * u))
         inv_qk = div_binomial(inv_qk, ONE, (k + 1) * u)
         k += 1
-        if k > 8 * (ctx.order + 8):
-            break
     return acc
 
 
@@ -315,7 +285,7 @@ def genfun_lhs(variant: int, a: Monomial, t_order: int, ctx: SeriesContext) -> l
         pref = poch(arg, q, ctx).inverse()
         out = _t_mul(_t_mul(_t_mul(A, B, t_order), C, t_order), D, t_order)
         return _t_scale(out, pref)
-    raise ValueError(f"unknown generating-function variant {variant}")
+    raise InvalidParameter(f"unknown generating-function variant {variant}")
 
 
 def genfun_rhs_coeff(variant: int, n: int, a: Monomial, ctx: SeriesContext) -> ZSeries:
@@ -341,5 +311,5 @@ def genfun_rhs_coeff(variant: int, n: int, a: Monomial, ctx: SeriesContext) -> Z
         den = poch(a2 ** 2 * qpow(-2), q2, ctx, n)
         cn = rogers_poly(n, RogersParam(a2, q2), ctx)
     else:
-        raise ValueError(f"unknown generating-function variant {variant}")
+        raise InvalidParameter(f"unknown generating-function variant {variant}")
     return cn.scale(num * den.inverse())

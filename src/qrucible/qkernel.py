@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .cyclotomic import CycRat, ONE
 from .errors import (
     DivergentSpec,
+    InvalidParameter,
     NonPositiveBaseExponent,
     NonSummable,
     ZeroDenominator,
@@ -28,7 +29,7 @@ from .series import (
     chain_trunc,
     div_binomial,
     mono,
-    mul_binomial,
+    mul_binomial,  # noqa: F401 -- perfbench wraps qkernel.mul_binomial by name
     mul_binomials,
     qpow,
 )
@@ -155,11 +156,11 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
     denominator factor and the ((-1)^n b^C(n,2))^(1+s-r) convention.
 
     Terms are built iteratively from the term ratio: each step multiplies
-    by the upper binomials and divides by the lower ones, so the cost per
-    term is linear in the window length. A series that hits an exact zero
-    upper factor terminates; an exact zero lower factor that is not
-    preceded by termination raises ZeroDenominator. Non-growing term
-    valuations raise NonSummable.
+    by the upper binomials and divides by the lower ones in one binomial
+    pass, so the cost per term is linear in the window length. A series
+    that hits an exact zero upper factor terminates; an exact zero lower
+    factor that is not preceded by termination raises ZeroDenominator.
+    Non-growing term valuations raise NonSummable.
     """
     uppers, lowers, b, z = spec.uppers, spec.lowers, spec.base, spec.arg
     eb = ctx.scale(b.exp)
@@ -182,23 +183,14 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
         if g == 0 and ez <= 0:
             raise NonSummable(f"argument exponent {z.exp} must be positive")
 
+    scaled_uppers = [(u.coeff, ctx.scale(u.exp)) for u in uppers if not u.is_zero()]
+    scaled_lowers = [(l.coeff, ctx.scale(l.exp)) for l in lowers if not l.is_zero()]
     # index past which every factor exponent and the term-ratio valuation
     # are strictly positive
-    n0 = 1
-    params = [p for p in uppers if not p.is_zero()] + [
-        p for p in lowers if not p.is_zero()
-    ]
-    for p in params:
-        ep = ctx.scale(p.exp)
-        if ep <= 0:
-            n0 = max(n0, (-ep) // eb + 1)
+    n0 = max([1] + [-e // eb + 1 for _, e in scaled_uppers + scaled_lowers if e <= 0])
     if g > 0:
         while ez + g * n0 * eb <= 0:
             n0 += 1
-
-    scaled_uppers = [(u.coeff, ctx.scale(u.exp)) for u in uppers if not u.is_zero()]
-    scaled_lowers = [(l.coeff, ctx.scale(l.exp)) for l in lowers if not l.is_zero()]
-    cz, czexp = z.coeff, ez
 
     acc = ctx.one()
     term = ctx.one()
@@ -208,29 +200,18 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
             break
         if term_at is not None and n >= term_at:
             break
-        # factors indexed by n build term_(n+1) from term_n; an upper one
-        # is exactly zero only at n == term_at, which stopped the loop
-        nxt = term
-        for c, e in scaled_uppers:
-            nxt = mul_binomial(nxt, c * cb ** n, e + n * eb)
-        for c, e in scaled_lowers:
-            fe = e + n * eb
-            fc = c * cb ** n
-            if fe == 0 and fc == ONE:
-                raise ZeroDenominator(
-                    f"lower parameter hits an exact zero factor at n={n + 1}"
-                )
-            nxt = div_binomial(nxt, fc, fe)
-        # implicit (b; b)_(n+1) denominator factor
-        nxt = div_binomial(nxt, cb ** (n + 1), (n + 1) * eb)
-        coeff = cz
-        e_extra = czexp
-        if g:
-            extra = (-ONE) ** g * cb ** (n * g)
-            coeff = coeff * extra
-            e_extra += g * n * eb
-        nxt = nxt.mul_monomial(coeff, e_extra)
-        term = nxt
+        # factors indexed by n build term_(n+1) from term_n: the uppers, the
+        # lowers and the implicit (b; b)_(n+1) factor in one binomial pass;
+        # an upper one is exactly zero only at n == term_at, which stopped
+        # the loop
+        bn = cb ** n
+        lowers_n = [(c * bn, e + n * eb, -1) for c, e in scaled_lowers]
+        if any(fe == 0 and fc == ONE for fc, fe, _ in lowers_n):
+            raise ZeroDenominator(f"lower parameter hits an exact zero factor at n={n + 1}")
+        factors = [(c * bn, e + n * eb, 1) for c, e in scaled_uppers]
+        factors += lowers_n + [(bn * cb, (n + 1) * eb, -1)]
+        coeff = z.coeff * (-ONE) ** g * cb ** (n * g)
+        term = mul_binomials(term, factors).mul_monomial(coeff, ez + g * n * eb)
         acc = acc + term
         n += 1
         if n > 16 * (ctx.order + 16):
@@ -250,7 +231,7 @@ def theta_sum(z: Monomial, ctx: SeriesContext, base: Monomial | None = None) -> 
     beyond the order.
     """
     if z.is_zero():
-        raise ValueError("theta sum needs a nonzero monomial")
+        raise InvalidParameter("theta sum needs a nonzero monomial")
     b = base if base is not None else _Q
     eb = ctx.scale(b.exp)
     if eb <= 0:

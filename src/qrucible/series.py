@@ -130,12 +130,6 @@ class Monomial:
     def __pow__(self, k: int) -> "Monomial":
         return Monomial(self.coeff ** k, self.exp * k)
 
-    def sqrt(self) -> "Monomial":
-        """Square root, defined only for coefficient +1."""
-        if self.coeff != ONE:
-            raise ValueError("monomial sqrt requires coefficient 1")
-        return Monomial(ONE, self.exp / 2)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Monomial)

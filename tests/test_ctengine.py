@@ -19,7 +19,7 @@ from qrucible.ctengine import (
     zproduct,
     zs_one,
 )
-from qrucible.dsl import elaborate, parse
+from qrucible.dsl import _collect_ct, elaborate, parse
 from qrucible.errors import BalanceViolated, EvalError, NonPositiveBaseExponent, WindowOverflow
 from qrucible.qkernel import INF, f_triple, phi_series, poch, pochhammer_multi
 from qrucible.series import Monomial, QSeries, SeriesContext, equal_to_order, mono, qpow
@@ -262,9 +262,42 @@ def test_infinite_family_needs_a_growing_base():
     shrinking = ZPochFamily(ONE, Fraction(-1), 1, qpow(-1), count=3)
     fams = [shrinking, ZPochFamily(ONE, Fraction(0), -1, qpow(1))]
     assert _window(ct_product(fams, ctx)) == _window(oracle_ct_product(fams, ctx))
-    # as the 1/z supply, one ends in an error, where planning used to loop
+    # as the 1/z supply, three factors reach z^-3 at most: the window ends
+    # there, and the product agrees with the per-factor oracle
+    neg = ZPochFamily(ONE, Fraction(-1), -1, qpow(-1), count=3)
+    window, margin = plan_window([neg], ctx)
+    assert window == 4 + 4 and margin > 0
+    fams = [shrinking, neg]
+    assert _window(ct_product(fams, ctx)) == _window(oracle_ct_product(fams, ctx))
+
+
+def test_window_planning_lists_only_usable_factors():
+    # degree -n draws at most n factors from one family, so a long 1/z
+    # family costs no more to plan than an infinite one
+    ctx = SeriesContext(1, 20)
+    long = ZPochFamily(ONE, Fraction(0), -1, qpow(1), count=10**7)
+    assert plan_window([long], ctx) == plan_window([ZPochFamily(ONE, Fraction(0), -1, qpow(1))], ctx)
+    # a shrinking base's last factors are its cheapest: q^(-10^6) pays for
+    # any degree, so no window is enough
     with pytest.raises(WindowOverflow):
-        plan_window([ZPochFamily(ONE, Fraction(-1), -1, qpow(-1), count=3)], ctx)
+        plan_window([ZPochFamily(ONE, Fraction(5), -1, qpow(-1), count=10**6)], ctx)
+
+
+@pytest.mark.parametrize("text", [
+    # four 1/z families together return from z^-n at 4x the rate of one
+    "ct{qp(1/z, 1/z, 1/z, 1/z; q; inf)/qp(q*z, q*z, q*z, q*z; q; inf)}",
+    # the inverted q/z family returns from z^-n at cost about n
+    "ct{qp(1/z; q; inf)/qp(q*z, q/z; q; inf)}",
+])
+def test_window_covers_the_whole_negative_supply(text):
+    ctx = SeriesContext(1, 40)
+    families, scalars, shifts = [], [], []
+    _collect_ct(parse(text).integrand, False, families, scalars, shifts)
+    window, _ = plan_window(families, ctx)
+    got = ct_product(families, ctx)
+    wide = ct_product(families, ctx, window=3 * window)
+    assert got.trunc == wide.trunc == 40
+    assert got == wide
 
 
 def test_triple_sum_ct_matches_multisum(ctx):

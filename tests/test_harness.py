@@ -476,3 +476,30 @@ def test_cli_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "PASS kr-conj-5" in proc.stdout
+
+
+def test_cli_kernel_domain_errors_end_without_traceback(tmp_path):
+    # each of these used to end in a traceback with exit code 1
+    suite = tmp_path / "hostile.qid"
+    suite.write_text(
+        'identity "theta-zero" { lhs = theta(0); rhs = 1; D = 1; order = 5; }\n'
+        'identity "cgf-zero" { lhs = cgf(0; 2; q; z); rhs = 1; D = 1; order = 5; }\n'
+        'identity "cgf-seven" { lhs = cgf(7; 2; q; z); rhs = 1; D = 1; order = 5; }\n'
+        # base 0: p_2(q, q, q, q | 0) at z = q, from the generating function
+        'identity "awp-base-zero" { lhs = awp(2; q, q, q, q; 0; q);'
+        ' rhs = q^(-2)*(1-q^2)^3; D = 1; order = 5; }\n'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrucible.cli", "verify", "--suite", str(suite)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("SKIP theta-zero  (at Theta: theta sum needs a nonzero monomial")
+    assert lines[1].startswith("SKIP cgf-zero  (at GenfunCoeff: unknown generating-function variant 0")
+    assert lines[2].startswith("SKIP cgf-seven  (at GenfunCoeff: unknown generating-function variant 7")
+    assert lines[3].startswith("PASS awp-base-zero")
+    assert lines[4] == "4 cases: 1 pass, 0 fail, 3 skip"

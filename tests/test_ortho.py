@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from qrucible import ortho
 from qrucible.cyclotomic import CycRat, OMEGA, ONE
-from qrucible.ctengine import zsubst
+from qrucible.ctengine import ZSeries, zmul, zs_one, zsubst
 from qrucible.errors import ZeroDenominator
 from qrucible.ortho import (
     AWParam,
     RogersParam,
+    _z_binomial,
     aw_poly,
     genfun_lhs,
     genfun_rhs_coeff,
@@ -25,6 +28,7 @@ from qrucible.series import (
     equal_to_order,
     mono,
     monomial_to_series,
+    mul_binomial,
     qpow,
 )
 
@@ -291,3 +295,220 @@ def test_transform_sextic_quarter_grid_matches_single_sum():
         ctx,
     )
     assert equal_to_order(lhs, direct, min(lhs.trunc, direct.trunc))
+
+
+# -- the per-factor chains: references for the binomial-pass helpers -----
+
+
+def oracle_poch_ratio_chain(a, base, n, ctx):
+    """[(a;b)_k / (b;b)_k for k = 0..n], one binomial call per factor."""
+    eb = ctx.scale(base.exp)
+    ea = ctx.scale(a.exp)
+    out = [ctx.one()]
+    for k in range(n):
+        r = mul_binomial(out[-1], a.coeff * base.coeff ** k, ea + k * eb)
+        r = div_binomial(r, base.coeff ** (k + 1), (k + 1) * eb)
+        out.append(r)
+    return out
+
+
+def oracle_aw_poly(n, p, ctx):
+    """aw_poly with 1/(q, ab; q)_k and 1/(q, cd; q)_k one factor at a time."""
+    b = p.base
+    eb = ctx.scale(b.exp)
+    ab = p.a * p.b
+    cd = p.c * p.d
+    for m in (ab, cd):
+        if m.is_zero():
+            continue
+        j = -m.exp / b.exp
+        if j.denominator == 1 and 0 <= j < n and m.coeff * b.coeff ** int(j) == ONE:
+            raise ZeroDenominator("zero factor")
+    one = zs_one(ctx)
+    front = [one]
+    back = [one]
+    for k in range(n):
+        step = _z_binomial(ctx, p.a.coeff * b.coeff ** k, ctx.scale(p.a.exp) + k * eb, 1)
+        step = zmul(step, _z_binomial(ctx, p.b.coeff * b.coeff ** k, ctx.scale(p.b.exp) + k * eb, 1))
+        front.append(zmul(front[-1], step))
+        stepb = _z_binomial(ctx, p.c.coeff * b.coeff ** k, ctx.scale(p.c.exp) + k * eb, -1)
+        stepb = zmul(stepb, _z_binomial(ctx, p.d.coeff * b.coeff ** k, ctx.scale(p.d.exp) + k * eb, -1))
+        back.append(zmul(back[-1], stepb))
+    inv_q_ab = [ctx.one()]
+    inv_q_cd = [ctx.one()]
+    for k in range(n):
+        r = div_binomial(inv_q_ab[-1], b.coeff ** (k + 1), (k + 1) * eb)
+        if not ab.is_zero():
+            r = div_binomial(r, ab.coeff * b.coeff ** k, ctx.scale(ab.exp) + k * eb)
+        inv_q_ab.append(r)
+        s = div_binomial(inv_q_cd[-1], b.coeff ** (k + 1), (k + 1) * eb)
+        if not cd.is_zero():
+            s = div_binomial(s, cd.coeff * b.coeff ** k, ctx.scale(cd.exp) + k * eb)
+        inv_q_cd.append(s)
+    acc = ZSeries(ctx, {})
+    for k in range(n + 1):
+        part = zmul(front[k], back[n - k]).shift(n - 2 * k)
+        acc = acc + part.scale(inv_q_ab[k] * inv_q_cd[n - k])
+    pref = poch(b, b, ctx, n)
+    if not ab.is_zero():
+        pref = pref * poch(ab, b, ctx, n)
+    if not cd.is_zero():
+        pref = pref * poch(cd, b, ctx, n)
+    return acc.scale(pref)
+
+
+def oracle_t_phi(uppers, lowers, base, argmono, arg_zdeg, t_order, ctx, t_step=1):
+    """ortho._t_phi with its scalar denominator one factor at a time."""
+    eb = ctx.scale(base.exp)
+    out = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
+    num = zs_one(ctx)
+    den = ctx.one()
+    m = 0
+    argpow = mono(1, 0)
+    while m * t_step <= t_order:
+        if m:
+            for u, zd in uppers:
+                num = zmul(num, _z_binomial(ctx, u.coeff * base.coeff ** (m - 1),
+                                            ctx.scale(u.exp) + (m - 1) * eb, zd))
+            den = div_binomial(den, base.coeff ** m, m * eb)
+            for l in lowers:
+                den = div_binomial(den, l.coeff * base.coeff ** (m - 1),
+                                   ctx.scale(l.exp) + (m - 1) * eb)
+            argpow = argpow * argmono
+        coeff = den.mul_monomial(argpow.coeff, ctx.scale(argpow.exp))
+        out[m * t_step] = num.scale(coeff).shift(m * arg_zdeg)
+        m += 1
+    return out
+
+
+def _t_div_binomial_t2(A, c, e, t_order, ctx):
+    """Divide a t-series by (1 - c q^e t^2)."""
+    out = list(A)
+    for m in range(2, t_order + 1):
+        prev = out[m - 2]
+        if prev.terms:
+            out[m] = out[m] + prev.scale(ctx.monomial(c, e))
+    return out
+
+
+def oracle_t_phi22_sym(a, arg, t_order, ctx):
+    """2phi2(tz, t/z; at, -at; q, arg): (tz, t/z; q)_k one factor at a
+    time, each term divided by (a^2 t^2; q^2)_k one t^2-geometric
+    division per factor."""
+    earg = ctx.scale(arg.exp)
+    ea = ctx.scale(a.exp)
+    u = ctx.scale(1)
+    zero = ZSeries(ctx, {})
+    acc = [zero] * (t_order + 1)
+    num = [zs_one(ctx)] + [zero] * t_order
+    den_ops = []
+    inv_qk = ctx.one()
+    k = 0
+    while True:
+        sc_e = (k * (k - 1) // 2) * u + k * earg
+        if k and sc_e >= ctx.order:
+            break
+        s = inv_qk.mul_monomial((-ONE) ** k * arg.coeff ** k, sc_e)
+        term = [x.scale(s) for x in num]
+        for c, e in den_ops:
+            term = _t_div_binomial_t2(term, c, e, t_order, ctx)
+        acc = [x + y for x, y in zip(acc, term)]
+        nxt = [zero] * (t_order + 1)
+        for m, zs in enumerate(num):
+            if not zs.terms:
+                continue
+            nxt[m] = nxt[m] + zs
+            if m + 1 <= t_order:
+                f = zmul(zs, ZSeries(ctx, {1: ctx.monomial(-ONE, k * u),
+                                           -1: ctx.monomial(-ONE, k * u)}))
+                nxt[m + 1] = nxt[m + 1] + f
+                if m + 2 <= t_order:
+                    nxt[m + 2] = nxt[m + 2] + zmul(zs, ZSeries(ctx, {0: ctx.monomial(ONE, 2 * k * u)}))
+        num = nxt
+        den_ops.append((a.coeff ** 2, 2 * ea + 2 * k * u))
+        inv_qk = div_binomial(inv_qk, ONE, (k + 1) * u)
+        k += 1
+    return acc
+
+
+def _zs_window(zs):
+    return {d: (s.val, s.trunc, s.coeffs) for d, s in zs.terms.items()}
+
+
+def _zs_agree_below(short, long):
+    """short and long, one value elaborated to two orders, agree below the
+    truncation short claims in each z-degree."""
+    for d in set(short.terms) | set(long.terms):
+        s, l = short.coefficient(d), long.coefficient(d)
+        assert s.trunc <= l.trunc, d
+        assert all(s.coefficient(e) == l.coefficient(e) for e in range(min(s.val, l.val), s.trunc)), d
+
+
+_GENFUN_AS = [qpow(1), qpow(2), mono(OMEGA, 1), mono(-1, 1), mono(1, 0)]
+
+
+def test_genfun_lhs_matches_per_factor_oracle(monkeypatch):
+    new = {}
+    for variant in (1, 2, 3, 4, 5):
+        for a in _GENFUN_AS:
+            for D in (1, 2) if variant != 3 else (2,):  # 3 has q^(1/2) parameters
+                for t_order in (0, 1, 4):
+                    ctx = SeriesContext(D, 14 * D)
+                    new[variant, a, D, t_order] = genfun_lhs(variant, a, t_order, ctx)
+    monkeypatch.setattr(ortho, "_t_phi", oracle_t_phi)
+    monkeypatch.setattr(ortho, "_t_phi22_sym", oracle_t_phi22_sym)
+    for (variant, a, D, t_order), got in new.items():
+        want = genfun_lhs(variant, a, t_order, SeriesContext(D, 14 * D))
+        assert [_zs_window(x) for x in got] == [_zs_window(x) for x in want], (variant, a, D, t_order)
+
+
+def _random_aw(rng, D):
+    def m():
+        return mono(rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(1, 2)), CycRat(2, 1)]),
+                    Fraction(rng.randint(-D, 2 * D), D))
+    return AWParam(m(), m(), m(), m(), mono(rng.choice([ONE, -ONE, OMEGA]), Fraction(rng.randint(1, 2 * D), D)))
+
+
+def test_rogers_and_aw_match_per_factor_oracles(monkeypatch):
+    rng = random.Random(808)
+    cases = []
+    for _ in range(40):
+        D = rng.choice([1, 2])
+        ctx = SeriesContext(D, rng.randint(4, 24))
+        n = rng.randint(0, 6)
+        p = _random_aw(rng, D)
+        try:
+            want = oracle_aw_poly(n, p, ctx)
+        except ZeroDenominator:
+            with pytest.raises(ZeroDenominator):
+                aw_poly(n, p, ctx)
+            continue
+        assert _zs_window(aw_poly(n, p, ctx)) == _zs_window(want), (n, p)
+        cases.append((n, RogersParam(p.a, p.base), ctx))
+    new = [rogers_poly(n, p, ctx) for n, p, ctx in cases]
+    monkeypatch.setattr(ortho, "_poch_ratio_chain", oracle_poch_ratio_chain)
+    for (n, p, ctx), got in zip(cases, new):
+        assert _zs_window(got) == _zs_window(rogers_poly(n, p, ctx)), (n, p)
+    assert len(cases) > 25
+
+
+def test_rewritten_helpers_honest_across_truncations():
+    rng = random.Random(909)
+    for _ in range(12):
+        D, N, k = rng.choice([1, 2]), rng.randint(4, 16), rng.randint(1, 8)
+        n = rng.randint(0, 5)
+        p = _random_aw(rng, D)
+        try:
+            short, long = aw_poly(n, p, SeriesContext(D, N)), aw_poly(n, p, SeriesContext(D, N + k))
+        except ZeroDenominator:
+            continue
+        _zs_agree_below(short, long)
+        rp = RogersParam(p.a, p.base)
+        _zs_agree_below(rogers_poly(n, rp, SeriesContext(D, N)), rogers_poly(n, rp, SeriesContext(D, N + k)))
+    for variant in (1, 2, 3, 4, 5):
+        a = rng.choice(_GENFUN_AS)
+        D, N, k = 2, rng.randint(6, 14), rng.randint(1, 8)
+        short = genfun_lhs(variant, a, 3, SeriesContext(D, N))
+        long = genfun_lhs(variant, a, 3, SeriesContext(D, N + k))
+        for s, l in zip(short, long):
+            _zs_agree_below(s, l)

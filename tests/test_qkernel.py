@@ -16,11 +16,14 @@ from qrucible.qkernel import (
     INF,
     NAMED_SUMS,
     MultiSumSpec,
+    PhiSpec,
     PochSpec,
+    _zero_factor_index,
     capparelli_spec,
     f_triple,
     f_triple_spec,
     multisum,
+    phi,
     phi_series,
     poch,
     pochhammer,
@@ -437,3 +440,107 @@ def test_pochhammer_and_multisum_honest_across_truncations():
         D, n, k = rng.choice([1, 2]), rng.randint(3, 14), rng.randint(1, 8)
         spec = rand_multisum_spec(rng, SeriesContext(D, n))
         _agree_below(multisum(spec, SeriesContext(D, n)), multisum(spec, SeriesContext(D, n + k)))
+
+
+def per_factor_phi(spec, ctx):
+    """Oracle: phi with each term built one binomial call per factor, the
+    uppers, then the lowers, then the implicit (b; b)_(n+1)."""
+    uppers, lowers, b, z = spec.uppers, spec.lowers, spec.base, spec.arg
+    eb = ctx.scale(b.exp)
+    if eb <= 0:
+        raise NonPositiveBaseExponent("base")
+    cb = b.coeff
+    g = 1 + len(lowers) - len(uppers)
+    if z.is_zero():
+        return ctx.one()
+    ez = ctx.scale(z.exp)
+    term_at = None
+    for u in uppers:
+        j = _zero_factor_index(u, b)
+        if j is not None:
+            term_at = j if term_at is None else min(term_at, j)
+    if term_at is None and (g < 0 or (g == 0 and ez <= 0)):
+        raise NonSummable("no termination")
+    n0 = 1
+    for p in [p for p in uppers + lowers if not p.is_zero()]:
+        ep = ctx.scale(p.exp)
+        if ep <= 0:
+            n0 = max(n0, (-ep) // eb + 1)
+    if g > 0:
+        while ez + g * n0 * eb <= 0:
+            n0 += 1
+    scaled_uppers = [(u.coeff, ctx.scale(u.exp)) for u in uppers if not u.is_zero()]
+    scaled_lowers = [(l.coeff, ctx.scale(l.exp)) for l in lowers if not l.is_zero()]
+    acc = term = ctx.one()
+    n = 0
+    while not (n >= n0 and (term.is_zero() or term.val >= ctx.order)):
+        if term_at is not None and n >= term_at:
+            break
+        nxt = term
+        for c, e in scaled_uppers:
+            nxt = mul_binomial(nxt, c * cb ** n, e + n * eb)
+        for c, e in scaled_lowers:
+            fe, fc = e + n * eb, c * cb ** n
+            if fe == 0 and fc == ONE:
+                raise ZeroDenominator("zero lower factor")
+            nxt = div_binomial(nxt, fc, fe)
+        nxt = div_binomial(nxt, cb ** (n + 1), (n + 1) * eb)
+        coeff, e_extra = z.coeff, ez
+        if g:
+            coeff = coeff * ((-ONE) ** g * cb ** (n * g))
+            e_extra += g * n * eb
+        term = nxt.mul_monomial(coeff, e_extra)
+        acc = acc + term
+        n += 1
+    return acc
+
+
+def rand_phi_spec(rng, D):
+    """Up to 3 uppers and lowers with Q(w) coefficients and exponents down
+    to -D, some uppers terminating (b^-k) and some lowers hitting zero."""
+    pool = [ONE, -ONE, OMEGA, OMEGA2, CycRat(Fraction(1, 2)), CycRat(2, -1)]
+    base = mono(rng.choice([ONE, ONE, -ONE, OMEGA]), Fraction(rng.randint(1, 2 * D), D))
+
+    def param():
+        if rng.random() < 0.15:
+            return base ** (-rng.randint(0, 3))
+        return mono(rng.choice(pool), Fraction(rng.randint(-D, 2 * D), D))
+
+    uppers = tuple(param() for _ in range(rng.randint(0, 3)))
+    lowers = tuple(param() for _ in range(rng.randint(0, 3)))
+    arg = mono(rng.choice(pool), Fraction(rng.randint(1, 3 * D), D))
+    return PhiSpec(uppers, lowers, base, arg)
+
+
+def test_phi_matches_per_factor_oracle():
+    rng = random.Random(4242)
+    checked = raised = 0
+    for _ in range(200):
+        D = rng.choice([1, 2])
+        ctx = SeriesContext(D, rng.randint(1, 30))
+        spec = rand_phi_spec(rng, D)
+        try:
+            want = per_factor_phi(spec, ctx)
+        except (NonSummable, ZeroDenominator) as exc:
+            with pytest.raises(type(exc)):
+                phi(spec, ctx)
+            raised += 1
+            continue
+        assert phi(spec, ctx) == want, spec
+        checked += 1
+    assert checked > 120 and raised > 10
+
+
+def test_phi_honest_across_truncations():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(60):
+        D, n, k = rng.choice([1, 2]), rng.randint(1, 24), rng.randint(1, 12)
+        spec = rand_phi_spec(rng, D)
+        try:
+            short = phi(spec, SeriesContext(D, n))
+        except (NonSummable, ZeroDenominator):
+            continue
+        _agree_below(short, phi(spec, SeriesContext(D, n + k)))
+        checked += 1
+    assert checked > 40
