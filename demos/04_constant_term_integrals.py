@@ -7,36 +7,43 @@ geometric series in z, the 1/z factors supply negative degrees at a
 q-cost that grows with the degree, and the cheapest way the whole 1/z
 supply can pay for a degree bounds the z-window needed below any
 truncation order.
+
+Each integral below is ct{...} text, as a suite file states it.
 """
 
-from qrucible import SeriesContext, equal_to_order, f_triple, mono, phi_series, qpow
-from qrucible.ctengine import balanced_theta_ct, phi21_contour, triple_sum_ct
+from qrucible import SeriesContext, elaborate, equal_to_order, parse
 
 ctx = SeriesContext(1, 30)
-q = qpow(1)
+
+
+def ev(text, at=ctx):
+    return elaborate(parse(text), at)
+
 
 # The triple sum F(u,v,w) equals (q^2;q^2)_inf times the constant term of
-#   (1/z, q^2 z; q^2)_inf (-w z^3; q^6)_inf / ((-uz; q)_inf (v z^2; q^4)_inf).
-u, v, w = qpow(1), qpow(6), qpow(9)
-print("contour = lattice sum:",
-      equal_to_order(triple_sum_ct(u, v, w, ctx), f_triple(u, v, w, ctx), 30))
+#   (1/z, q^2 z; q^2)_inf (-w z^3; q^6)_inf / ((-uz; q)_inf (v z^2; q^4)_inf),
+# here at (u, v, w) = (q, q^6, q^9).
+triple = ("qp(q^2; q^2; inf)*ct{qp(1/z, q^2*z; q^2; inf)*qp(-q^9*z^3; q^6; inf)"
+          "/qp(-q*z; q; inf)/qp(q^6*z^2; q^4; inf)}")
+print("contour = lattice sum:", equal_to_order(ev(triple), ev("F(q, q^6, q^9)"), 30))
 
-# The 2phi1 has its own contour representation.
-a, b, c, t = qpow(1), qpow(2), qpow(3), qpow(1)
-print("contour = 2phi1:      ",
-      equal_to_order(phi21_contour(a, b, c, t, ctx),
-                     phi_series([a, b], [c], q, t, ctx), 30))
+# The 2phi1 has its own contour representation,
+#   2phi1(a, b; c; q, t) = (q;q)_inf / (c, t; q)_inf
+#     * CT[(abz, cz, qz/t, t/z; q)_inf / (az, bz, cz/t; q)_inf],
+# here at (a, b, c, t) = (q, q^2, q^3, q).
+phi21 = ("qp(q; q; inf)/qp(q^3, q; q; inf)"
+         "*ct{qp(q^3*z, q^3*z, z, q/z; q; inf)/qp(q*z, q^2*z, q^2*z; q; inf)}")
+print("contour = 2phi1:      ", equal_to_order(ev(phi21), ev("phi([q, q^2]; [q^3]; q; q)"), 30))
 
-# The balanced two-over-three integral; with beta_3 = alpha_2/beta_1 the
-# series side telescopes to a bare product, a handy independent oracle.
-from qrucible.qkernel import poch
+# The balanced two-over-three integral (alpha_1 alpha_2 = beta_1 beta_2
+# beta_3); with beta_3 = alpha_2/beta_1 the series side telescopes to a
+# bare product, a handy independent oracle.
+balanced = "ct{qp(q^2*z, q^3*z, q*z, 1/z; q; inf)/qp(q*z, q^2*z, q^2*z; q; inf)}"
+print("balanced CT telescopes:", equal_to_order(ev(balanced), ev("qp(q^2; q; inf)"), 30))
 
-ct = balanced_theta_ct([qpow(2), qpow(3)], [qpow(1), qpow(2), qpow(2)], ctx)
-oracle = poch(qpow(2), q, ctx)
-print("balanced CT telescopes:", equal_to_order(ct, oracle, 30))
-
-# Enlarging the z-window never changes a coefficient: the window policy
-# is falsifiable, and falsification is cheap.
-wide = triple_sum_ct(u, v, w, ctx, pad=8)
+# A higher order widens the z-window and the working margin; no proven
+# coefficient may change, so the window policy is falsifiable, and
+# falsification is cheap.
+low, deep = ev(triple), ev(triple, SeriesContext(1, 45))
 print("window enlargement:    ",
-      equal_to_order(wide, triple_sum_ct(u, v, w, ctx), 30))
+      [low.coefficient(k) for k in range(30)] == [deep.coefficient(k) for k in range(30)])

@@ -7,16 +7,8 @@ parameter symmetry of the Askey-Wilson family directly testable.
 
 from fractions import Fraction
 
-from qrucible import SeriesContext, equal_to_order, load_registry, mono, qpow, verify
-from qrucible.cyclotomic import OMEGA
-from qrucible.ortho import (
-    AWParam,
-    RogersParam,
-    aw_poly,
-    rogers_at_minus_half,
-    rogers_half_sum,
-    rogers_poly,
-)
+from qrucible import SeriesContext, elaborate, equal_to_order, load_registry, mono, parse, qpow, verify
+from qrucible.ortho import AWParam, RogersParam, aw_poly, rogers_poly
 
 ctx = SeriesContext(2, 40)
 q = qpow(1)
@@ -36,11 +28,17 @@ same = all(
 )
 print("AW parameter symmetry:", same)
 
-# At z a cube root of unity (x = -1/2) the Rogers polynomial dissects
-# into a finite cube-indexed sum.
-p = RogersParam(mono(OMEGA, 1), q)
-lhs = rogers_at_minus_half(9, p, ctx)
-rhs = rogers_half_sum(9, p, ctx)
+# At z = w, a primitive cube root of unity (x = -1/2), the Rogers
+# polynomial rc(n; a; q; w) dissects into a finite cube-indexed sum:
+#   sum_l (a^3;q^3)_l (1/a;q)_(n-3l) / ((q^3;q^3)_l (q;q)_(n-3l)) a^(n-3l).
+a, n = "w*q", 9
+dissection = " + ".join(
+    f"qp(({a})^3; q^3; {l})*qp(1/({a}); q; {n - 3 * l})"
+    f"/(qp(q^3; q^3; {l})*qp(q; q; {n - 3 * l}))*({a})^{n - 3 * l}"
+    for l in range(n // 3 + 1)
+)
+lhs = elaborate(parse(f"rc({n}; {a}; q; w)"), ctx)
+rhs = elaborate(parse(dissection), ctx)
 print("cube-root dissection:", equal_to_order(lhs, rhs, 36))
 
 # The quartic transform, checked exactly at a summable specialization

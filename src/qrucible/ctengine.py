@@ -11,11 +11,13 @@ The z window is bounded by the whole negative-degree supply: a term at
 degree n or -n reaches degree 0 only if the 1/z factors of all families
 together, inverted ones included, supply degree -n, and a lower bound on
 the q-cost of that passes the truncation beyond a computable W, or the
-supply runs out first. Products with negative q-exponents (q^(-1)
-parameters) demote coefficients downward, so the pipeline runs at an
-elevated working order (the margin) and narrows back at the end. Both
-bounds are deliberately conservative; window-enlargement stability is a
-tested invariant, not an assumption.
+supply runs out first; the window adds PAD degrees to that bound.
+Factors with negative q-exponents (q^(-1) parameters, and the later
+factors of a finite family whose base shrinks, such as (q z; q^(-1))_4)
+demote coefficients downward, so the pipeline runs at an elevated
+working order (the margin, which counts every such factor) and narrows
+back at the end. Both bounds are deliberately conservative;
+window-enlargement stability is a tested invariant, not an assumption.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cyclotomic import CycRat, ONE
-from .errors import BalanceViolated, NonPositiveBaseExponent, WindowOverflow
-from .qkernel import INF, poch, poch_rows, pochhammer_multi
+from .errors import NonPositiveBaseExponent, WindowOverflow
+from .qkernel import poch, poch_rows
 from .series import Monomial, QSeries, SeriesContext, qpow
 from .series import _from_zw, _scaled, _zw_mul, _zw_scale
 
-_Q = qpow(1)
-
 MAX_WINDOW = 512
+PAD = 4
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,8 @@ class ZSeries:
 
     def __init__(self, ctx: SeriesContext, terms: dict):
         self.ctx = ctx
-        self.terms = {d: s for d, s in terms.items() if not s.is_zero()}
-
-    @property
-    def window(self):
-        if not self.terms:
-            return (0, 0)
-        return (min(self.terms), max(self.terms))
+        # a zero row known only below a trunc short of the order stays
+        self.terms = {d: s for d, s in terms.items() if s.coeffs or s.trunc < ctx.order}
 
     def coefficient(self, deg: int) -> QSeries:
         return self.terms.get(deg, self.ctx.zero())
@@ -81,12 +77,6 @@ class ZSeries:
         for d, s in other.terms.items():
             out[d] = out[d] + s if d in out else s
         return ZSeries(self.ctx, out)
-
-    def __neg__(self) -> "ZSeries":
-        return ZSeries(self.ctx, {d: -s for d, s in self.terms.items()})
-
-    def __sub__(self, other: "ZSeries") -> "ZSeries":
-        return self + (-other)
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         return zmul(self, other)
@@ -114,10 +104,6 @@ def zsubst(x: ZSeries, z: Monomial) -> QSeries:
         zm = z ** d
         acc = acc + s.mul_monomial(zm.coeff, x.ctx.scale(zm.exp))
     return acc
-
-
-def constant_term(x: ZSeries) -> QSeries:
-    return x.terms.get(0, x.ctx.zero())
 
 
 def zproduct(
@@ -273,21 +259,28 @@ def _return_degree(supply, target: int) -> int:
 
 
 def _neg_margin(families, ctx: SeriesContext, window: int) -> int:
-    """Worst possible downward q-shift the product can still apply."""
+    """Worst possible downward q-shift the product can still apply: the
+    sum of the negative exponents e + j*eb over every factor j of every
+    family, the first factors of a growing base and the last ones of a
+    shrinking base, each as often as an inverted family can repeat it."""
     total = 0
     for fam in families:
-        eb = ctx.scale(fam.base.exp)
-        e = ctx.scale(fam.qexp)
+        e, eb, k = ctx.scale(fam.qexp), ctx.scale(fam.base.exp), fam.count
         apps = (2 * window) // abs(fam.zdeg) + 1 if fam.inverted else 1
-        j = 0
-        while e < 0 and (fam.count is None or j < fam.count):
-            total += -e * apps
-            e += eb
-            j += 1
+        # the factors j in [lo, hi) are the negative ones
+        if eb > 0:  # the first ones
+            lo, hi = 0, max(0, -(e // eb))
+            hi = hi if k is None else min(k, hi)
+        elif eb == 0:  # all or none
+            lo, hi = 0, k if e < 0 else 0
+        else:  # the last ones
+            lo, hi = max(0, e // -eb + 1), k
+        n = max(0, hi - lo)
+        total -= apps * (n * e + eb * ((lo + hi - 1) * n // 2))
     return total
 
 
-def plan_window(families, ctx: SeriesContext, pad: int = 4):
+def plan_window(families, ctx: SeriesContext):
     """(window, margin) for a constant-term product of the families.
 
     The margin depends on the window (a q^(-1) denominator demotes once
@@ -298,39 +291,30 @@ def plan_window(families, ctx: SeriesContext, pad: int = 4):
     supply = _neg_supply(families, ctx)
     margin = 0
     while True:
-        window = _return_degree(supply, ctx.order + margin) + pad
+        window = _return_degree(supply, ctx.order + margin) + PAD
         new_margin = _neg_margin(families, ctx, window)
         if new_margin <= margin:
             return window, margin
         margin = new_margin
 
 
-def ct_product(
-    families: Sequence[ZPochFamily],
-    ctx: SeriesContext,
-    pad: int = 4,
-    window: int | None = None,
-    degree: int = 0,
-) -> QSeries:
+def ct_product(families: Sequence[ZPochFamily], ctx: SeriesContext, degree: int = 0) -> QSeries:
     """z-degree coefficient (the constant term by default) of the product
     of Pochhammer families in z.
 
     Runs at order + margin internally and narrows the result back to the
     caller's context, so the returned truncation is honest.
     """
-    auto_window, margin = plan_window(families, ctx, pad)
-    if window is None:
-        window = auto_window + abs(degree)
+    window, margin = plan_window(families, ctx)
     work = SeriesContext(ctx.denom, ctx.order + margin)
-    ct = zproduct(families, work, window, degree).coefficient(degree)
+    ct = zproduct(families, work, window + abs(degree), degree).coefficient(degree)
     return QSeries(ctx, ct.val, list(ct.coeffs), min(ct.trunc, ctx.order))
 
 
-# -- the integrands used by the identity registry -----------------------
+# -- the contour form of the triple sum ----------------------------------
 
 
-def triple_sum_ct(u: Monomial, v: Monomial, w: Monomial, ctx: SeriesContext,
-                  pad: int = 4, window: int | None = None) -> QSeries:
+def triple_sum_ct(u: Monomial, v: Monomial, w: Monomial, ctx: SeriesContext) -> QSeries:
     """(q^2;q^2)_inf times the constant term of
 
         (1/z, q^2 z; q^2)_inf (-w z^3; q^6)_inf
@@ -345,66 +329,5 @@ def triple_sum_ct(u: Monomial, v: Monomial, w: Monomial, ctx: SeriesContext,
         ZPochFamily(-u.coeff, u.exp, 1, qpow(1), inverted=True),
         ZPochFamily(v.coeff, v.exp, 2, qpow(4), inverted=True),
     ]
-    ct = ct_product(families, ctx, pad, window)
+    ct = ct_product(families, ctx)
     return poch(qpow(2), qpow(2), ctx) * ct
-
-
-def theta_contour_ct(
-    alphas: Sequence[Monomial],
-    betas: Sequence[Monomial],
-    ctx: SeriesContext,
-    base: Monomial | None = None,
-    pad: int = 4,
-    window: int | None = None,
-) -> QSeries:
-    """Constant term of (a_1 z, a_2 z, qz, 1/z; q)_inf / (b_1 z, ..., b_m z; q)_inf."""
-    b = base if base is not None else _Q
-    families = [ZPochFamily(a.coeff, a.exp, 1, b) for a in alphas]
-    families.append(ZPochFamily(b.coeff, b.exp, 1, b))
-    families.append(ZPochFamily(ONE, Fraction(0), -1, b))
-    families.extend(ZPochFamily(m.coeff, m.exp, 1, b, inverted=True) for m in betas)
-    return ct_product(families, ctx, pad, window)
-
-
-def balanced_theta_ct(
-    alphas: Sequence[Monomial],
-    betas: Sequence[Monomial],
-    ctx: SeriesContext,
-    base: Monomial | None = None,
-    pad: int = 4,
-    window: int | None = None,
-) -> QSeries:
-    """The balanced two-over-three contour integral; requires
-    alpha_1 alpha_2 = beta_1 beta_2 beta_3 exactly."""
-    if len(alphas) != 2 or len(betas) != 3:
-        raise BalanceViolated("expected 2 numerator and 3 denominator parameters")
-    lhs = alphas[0] * alphas[1]
-    rhs = betas[0] * betas[1] * betas[2]
-    if lhs != rhs:
-        raise BalanceViolated(
-            f"alpha product {lhs!r} differs from beta product {rhs!r}"
-        )
-    return theta_contour_ct(alphas, betas, ctx, base, pad, window)
-
-
-def phi21_contour(a: Monomial, b: Monomial, c: Monomial, t: Monomial,
-                  ctx: SeriesContext, pad: int = 4,
-                  window: int | None = None) -> QSeries:
-    """The contour representation of 2phi1(a, b; c; q, t):
-
-        (q;q)_inf / (c, t; q)_inf *
-        CT[(abz, cz, qz/t, t/z; q)_inf / ((az, bz, cz/t; q)_inf)].
-    """
-    ab = a * b
-    ct_families = [
-        ZPochFamily(ab.coeff, ab.exp, 1, _Q),
-        ZPochFamily(c.coeff, c.exp, 1, _Q),
-        ZPochFamily(t.coeff.inv(), 1 - t.exp, 1, _Q),
-        ZPochFamily(t.coeff, t.exp, -1, _Q),
-        ZPochFamily(a.coeff, a.exp, 1, _Q, inverted=True),
-        ZPochFamily(b.coeff, b.exp, 1, _Q, inverted=True),
-        ZPochFamily(c.coeff / t.coeff, c.exp - t.exp, 1, _Q, inverted=True),
-    ]
-    ct = ct_product(ct_families, ctx, pad, window)
-    pref = poch(_Q, _Q, ctx) * pochhammer_multi([c, t], _Q, INF, ctx).inverse()
-    return pref * ct

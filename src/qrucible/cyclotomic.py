@@ -109,9 +109,6 @@ class CycRat:
         a, b = self.re, self.om
         return a * a - a * b + b * b
 
-    def is_rational(self) -> bool:
-        return not self.om
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.om)
 

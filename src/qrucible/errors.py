@@ -57,10 +57,6 @@ class WindowOverflow(QrucibleError):
     """A z-Laurent computation exceeded its configured degree window."""
 
 
-class BalanceViolated(QrucibleError):
-    """The balanced contour integral was called with unbalanced parameters."""
-
-
 class BoundExceeded(QrucibleError):
     """Partition enumeration beyond the configured safety bound."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycRat, OMEGA, ONE
+from .cyclotomic import CycRat, ONE
 from .errors import InvalidParameter, ZeroDenominator
 from .series import (
     Monomial,
@@ -25,8 +25,8 @@ from .series import (
     mul_binomials,
     qpow,
 )
-from .qkernel import INF, _zero_factor_index, phi_series, poch, poch_rows
-from .ctengine import ZSeries, zmul, zs_one, zsubst
+from .qkernel import INF, _zero_factor_index, poch, poch_rows
+from .ctengine import ZSeries, zmul, zs_one
 
 _Q = qpow(1)
 
@@ -120,41 +120,6 @@ def aw_poly(n: int, p: AWParam, ctx: SeriesContext) -> ZSeries:
     if not cd.is_zero():
         pref = pref * poch(cd, b, ctx, n)
     return acc.scale(pref)
-
-
-def rogers_at_minus_half(n: int, p: RogersParam, ctx: SeriesContext) -> QSeries:
-    """C_n at x = -1/2, i.e. z a primitive cube root of unity."""
-    return zsubst(rogers_poly(n, p, ctx), mono(OMEGA, 0))
-
-
-def rogers_half_sum(n: int, p: RogersParam, ctx: SeriesContext) -> QSeries:
-    """The cube-dissected form of C_n(-1/2; a | b):
-
-        sum_l (a^3;b^3)_l (1/a;b)_(n-3l) / ((b^3;b^3)_l (b;b)_(n-3l)) a^(n-3l).
-    """
-    a3 = p.a ** 3
-    b3 = p.base ** 3
-    ainv = p.a.inv()
-    acc = ctx.zero()
-    for l in range(n // 3 + 1):
-        m = n - 3 * l
-        num = poch(a3, b3, ctx, l) * poch(ainv, p.base, ctx, m)
-        den = poch(b3, b3, ctx, l) * poch(p.base, p.base, ctx, m)
-        am = p.a ** m
-        acc = acc + (num * den.inverse()).mul_monomial(am.coeff, ctx.scale(am.exp))
-    return acc
-
-
-def rogers_half_4phi3(n: int, p: RogersParam, ctx: SeriesContext) -> QSeries:
-    """The balanced 4phi3 restatement of C_n(-1/2; a | b)."""
-    a, b = p.a, p.base
-    b3 = b ** 3
-    uppers = [b ** (-n), b ** (1 - n), b ** (2 - n), a ** 3]
-    lowers = [a * b ** (1 - n), a * b ** (2 - n), a * b ** (3 - n)]
-    series = phi_series(uppers, lowers, b3, b3, ctx)
-    an = a ** n
-    pref = poch(a.inv(), b, ctx, n) * poch(b, b, ctx, n).inverse()
-    return (pref * series).mul_monomial(an.coeff, ctx.scale(an.exp))
 
 
 # -- generating functions in an outer formal variable t ------------------

@@ -13,9 +13,10 @@ from itertools import permutations
 
 import pytest
 
-from conftest import rand_cycrat, rand_series
+from conftest import rand_cycrat, rand_series, rogers_half_4phi3_text, rogers_half_sum_text
+from test_ctengine import CONTOUR_FORMS, ct_families, triple_sum_integrand, widened_ct
 from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE, ZERO
-from qrucible.ctengine import balanced_theta_ct, phi21_contour, theta_contour_ct, triple_sum_ct
+from qrucible.ctengine import ct_product, triple_sum_ct
 from qrucible.errors import QrucibleError
 from qrucible.harness import load_registry, partition_count, verify
 from qrucible.ortho import (
@@ -24,12 +25,9 @@ from qrucible.ortho import (
     aw_poly,
     genfun_lhs,
     genfun_rhs_coeff,
-    rogers_at_minus_half,
-    rogers_half_4phi3,
-    rogers_half_sum,
     rogers_poly,
 )
-from qrucible.qkernel import INF, f_triple, phi_series, poch, pochhammer_multi
+from qrucible.qkernel import INF, f_triple, poch, pochhammer_multi
 from qrucible.series import (
     SeriesContext,
     equal_to_order,
@@ -117,44 +115,11 @@ def test_criterion_4_contour_integral_evaluations():
     with criterion(4, "2phi1 contour representation, balanced integral (both "
                       "forms), and the split 2phi2 at 3 sampled parameter sets "
                       "each, order q^25"):
-        ctx = SeriesContext(1, 25)
-        q = qpow(1)
-        phi21_samples = [
-            (qpow(1), qpow(2), qpow(3), qpow(1)),
-            (qpow(2), qpow(3), qpow(2), qpow(1)),
-            (mono(OMEGA, 1), mono(OMEGA2, 1), qpow(2), qpow(2)),
-        ]
-        for a, b, c, t in phi21_samples:
-            lhs = phi21_contour(a, b, c, t, ctx)
-            rhs = phi_series([a, b], [c], q, t, ctx)
-            assert equal_to_order(lhs, rhs, 25)
-
-        balanced_samples = [
-            ([qpow(2), qpow(3)], [qpow(1), qpow(2), qpow(2)]),
-            ([qpow(2), qpow(2)], [qpow(1), qpow(1), qpow(2)]),
-            ([mono(OMEGA, 2), mono(OMEGA2, 2)], [qpow(1), qpow(1), qpow(2)]),
-        ]
-        for alphas, betas in balanced_samples:
-            ct = balanced_theta_ct(alphas, betas, ctx)
-            a1, a2 = alphas
-            b1, b2, b3 = betas
-            pref1 = pochhammer_multi([b1, a1 * b1.inv()], q, INF, ctx) * poch(q, q, ctx).inverse()
-            form1 = pref1 * phi_series([a2 * b2.inv(), a2 * b3.inv()], [b1], q, a1 * b1.inv(), ctx)
-            assert equal_to_order(ct, form1, 25)
-            pref2 = pochhammer_multi([b2, b3], q, INF, ctx) * poch(q, q, ctx).inverse()
-            form2 = pref2 * phi_series([a1 * b1.inv(), a2 * b1.inv()], [b2, b3], q, b1, ctx)
-            assert equal_to_order(ct, form2, 25)
-
-        split_samples = [
-            ((qpow(2), mono(-1, 2)), (qpow(1), qpow(1))),
-            ((qpow(3), mono(-1, 1)), (qpow(1), qpow(1))),
-            ((mono(OMEGA, 2), mono(-OMEGA2, 2)), (qpow(1), qpow(1))),
-        ]
-        for (a1, a2), (b1, b2) in split_samples:
-            ct = theta_contour_ct([a1, a2], [b1, b2, -b2], ctx)
-            pref = poch(b2 * b2 * qpow(2), qpow(2), ctx) * poch(q, q, ctx).inverse()
-            rhs = pref * phi_series([a1 * b1.inv(), a2 * b1.inv()], [b2 * q, -(b2 * q)], q, b1, ctx)
-            assert equal_to_order(ct, rhs, 25)
+        cases = load_registry([CONTOUR_FORMS])
+        assert len(cases) == 13
+        for case in cases:
+            rep = verify(case)
+            assert rep.status == "PASS" and rep.proven_order >= 25, case.name
 
 
 def test_criterion_5_single_series_reductions(registry):
@@ -275,18 +240,16 @@ def test_criterion_9_orthogonal_polynomial_suite():
                 rhs = genfun_rhs_coeff(variant, n, qpow(1), ctx3)
                 assert _zs_equal(coeffs[n], rhs, 50), (variant, n)
 
-        for av in (qpow(1), qpow(2), mono(OMEGA, 1)):
-            p = RogersParam(av, q)
+        for av in ("q", "q^2", "w*q"):
             for n in range(13):
-                lhs = rogers_at_minus_half(n, p, ctx3)
-                rhs = rogers_half_sum(n, p, ctx3)
+                lhs = dsl.elaborate(dsl.parse(f"rc({n}; {av}; q; w)"), ctx3)
+                rhs = dsl.elaborate(dsl.parse(rogers_half_sum_text(n, av)), ctx3)
                 assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc, 55)), (av, n)
 
         ctx4 = SeriesContext(1, 70)
-        p = RogersParam(mono(OMEGA, 1), q)
         for n in range(9):
-            lhs = rogers_at_minus_half(n, p, ctx4)
-            rhs = rogers_half_4phi3(n, p, ctx4)
+            lhs = dsl.elaborate(dsl.parse(f"rc({n}; w*q; q; w)"), ctx4)
+            rhs = dsl.elaborate(dsl.parse(rogers_half_4phi3_text(n, "w*q")), ctx4)
             assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc, 40)), n
 
 
@@ -391,9 +354,10 @@ def test_criterion_11_property_suites():
             assert dsl.parse(text) == ast, f"fuzz case {i}"
 
         ctx3 = SeriesContext(1, 20)
-        for u, v, w in [(qpow(1), mono(1, 0), qpow(3)), (qpow(2), qpow(-1), qpow(6))]:
-            base = triple_sum_ct(u, v, w, ctx3)
-            wide = triple_sum_ct(u, v, w, ctx3, pad=8)
+        for u, v, w in [("q", "1", "q^3"), ("q^2", "q^(-1)", "q^6")]:
+            families = ct_families(triple_sum_integrand(u, v, w))
+            base = ct_product(families, ctx3)
+            wide = widened_ct(families, ctx3, 4)
             assert equal_to_order(base, wide, min(base.trunc, wide.trunc))
 
 

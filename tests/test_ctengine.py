@@ -1,28 +1,31 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE
 from qrucible.ctengine import (
+    PAD,
     ZPochFamily,
     ZSeries,
-    balanced_theta_ct,
-    constant_term,
     ct_product,
-    phi21_contour,
     plan_window,
-    theta_contour_ct,
     triple_sum_ct,
     zmul,
     zproduct,
     zs_one,
+    zsubst,
 )
 from qrucible.dsl import _collect_ct, elaborate, parse
-from qrucible.errors import BalanceViolated, EvalError, NonPositiveBaseExponent, WindowOverflow
-from qrucible.qkernel import INF, f_triple, phi_series, poch, pochhammer_multi
+from qrucible.errors import EvalError, NonPositiveBaseExponent, WindowOverflow
+from qrucible.harness import load_registry, verify
+from qrucible.qkernel import f_triple, poch
 from qrucible.series import Monomial, QSeries, SeriesContext, equal_to_order, mono, qpow
+
+# the contour integrals with their hypergeometric forms, as suite cases
+CONTOUR_FORMS = Path(__file__).parent / "data" / "contour_forms.qid"
 
 
 # -- the per-factor product: the reference for zproduct -------------------
@@ -126,6 +129,36 @@ def _window(s: QSeries):
     return (s.val, s.trunc, s.coeffs)
 
 
+def ct_families(text: str) -> list:
+    """The z-families of a ct{...} integrand, as `qrucible verify` reads them."""
+    families: list = []
+    _collect_ct(parse(text).integrand, False, families, [], [])
+    return families
+
+
+def triple_sum_integrand(u: str, v: str, w: str) -> str:
+    """The integrand of `triple_sum_ct` for F(u, v, w)."""
+    return (f"ct{{qp(1/z, q^2*z; q^2; inf)*qp(-({w})*z^3; q^6; inf)"
+            f"/qp(-({u})*z; q; inf)/qp(({v})*z^2; q^4; inf)}}")
+
+
+def widened_ct(families, ctx: SeriesContext, extra: int) -> QSeries:
+    """The constant term with the planned window widened by `extra`
+    degrees, narrowed back to ctx as ct_product narrows it."""
+    window, margin = plan_window(families, ctx)
+    work = SeriesContext(ctx.denom, ctx.order + margin)
+    ct = zproduct(families, work, window + extra, 0).coefficient(0)
+    return QSeries(ctx, ct.val, list(ct.coeffs), min(ct.trunc, ctx.order))
+
+
+def assert_cases_pass(pattern: str) -> None:
+    cases = load_registry([CONTOUR_FORMS]).select(pattern)
+    assert cases
+    for case in cases:
+        rep = verify(case)
+        assert rep.status == "PASS" and rep.proven_order >= case.order, (case.name, rep)
+
+
 @pytest.fixture
 def ctx():
     return SeriesContext(1, 20)
@@ -134,10 +167,21 @@ def ctx():
 def test_constant_term_picks_degree_zero(ctx):
     x = ZSeries(ctx, {1: ctx.monomial(ONE, 2), 0: ctx.monomial(CycRat(3), 0),
                       -1: ctx.monomial(ONE, 1)})
-    ct = constant_term(x)
+    ct = x.coefficient(0)
     assert ct.coefficient(0) == CycRat(3)
     pure = ZSeries(ctx, {4: ctx.one()})
-    assert constant_term(pure).is_zero()
+    assert pure.coefficient(0).is_zero() and pure.coefficient(0).trunc == ctx.order
+
+
+def test_zero_row_below_the_order_is_kept(ctx):
+    # a row known to be 0 only below q^5 keeps that trunc, so neither the
+    # row nor a substitution claims coefficients up to the order
+    x = ZSeries(ctx, {0: ctx.zero(5), 1: ctx.one()})
+    assert x.coefficient(0).trunc == 5
+    assert zsubst(x, qpow(1)).trunc == 5
+    assert zmul(x, zs_one(ctx)).coefficient(0).trunc == 5
+    # a row that is 0 to the order carries nothing and is dropped
+    assert 0 not in ZSeries(ctx, {0: ctx.zero()}).terms
 
 
 def test_zmul_laurent_identity(ctx):
@@ -154,7 +198,7 @@ def test_zmul_laurent_identity(ctx):
 
 def test_zproduct_single_factor(ctx):
     z = zproduct([ZPochFamily(ONE, Fraction(1), 1, qpow(1), count=1)], ctx, window=4)
-    assert z.window == (0, 1)
+    assert set(z.terms) == {0, 1}
     assert z.coefficient(1) == ctx.monomial(-ONE, 1)
 
 
@@ -266,7 +310,7 @@ def test_infinite_family_needs_a_growing_base():
     # there, and the product agrees with the per-factor oracle
     neg = ZPochFamily(ONE, Fraction(-1), -1, qpow(-1), count=3)
     window, margin = plan_window([neg], ctx)
-    assert window == 4 + 4 and margin > 0
+    assert window == 4 + PAD and margin > 0
     fams = [shrinking, neg]
     assert _window(ct_product(fams, ctx)) == _window(oracle_ct_product(fams, ctx))
 
@@ -283,6 +327,18 @@ def test_window_planning_lists_only_usable_factors():
         plan_window([ZPochFamily(ONE, Fraction(5), -1, qpow(-1), count=10**6)], ctx)
 
 
+def test_margin_counts_the_factors_of_a_shrinking_base():
+    # (q z; q^(-1))_4 has the factors q z, z, q^(-1) z and q^(-2) z: the
+    # last two can demote a coefficient by q^3 in all
+    families = ct_families("ct{qp(q*z; q^(-1); 4)/qp(q^2/z; q; inf)}")
+    ctx = SeriesContext(1, 8)
+    assert plan_window(families, ctx)[1] == 3
+    got = ct_product(families, ctx)
+    deep = ct_product(families, SeriesContext(1, 24))
+    assert got.trunc == 8
+    assert [got.coefficient(k) for k in (6, 7)] == [deep.coefficient(k) for k in (6, 7)] == [3, 4]
+
+
 @pytest.mark.parametrize("text", [
     # four 1/z families together return from z^-n at 4x the rate of one
     "ct{qp(1/z, 1/z, 1/z, 1/z; q; inf)/qp(q*z, q*z, q*z, q*z; q; inf)}",
@@ -291,11 +347,10 @@ def test_window_planning_lists_only_usable_factors():
 ])
 def test_window_covers_the_whole_negative_supply(text):
     ctx = SeriesContext(1, 40)
-    families, scalars, shifts = [], [], []
-    _collect_ct(parse(text).integrand, False, families, scalars, shifts)
+    families = ct_families(text)
     window, _ = plan_window(families, ctx)
     got = ct_product(families, ctx)
-    wide = ct_product(families, ctx, window=3 * window)
+    wide = widened_ct(families, ctx, 2 * window)
     assert got.trunc == wide.trunc == 40
     assert got == wide
 
@@ -308,88 +363,41 @@ def test_triple_sum_ct_matches_multisum(ctx):
         ct = triple_sum_ct(u, v, w, ctx)
         ms = f_triple(u, v, w, ctx)
         assert equal_to_order(ct, ms, min(ct.trunc, ms.trunc, 20))
+    # the integrand as text is the same product
+    text = "qp(q^2; q^2; inf)*" + triple_sum_integrand("q^2", "q^(-1)", "q^6")
+    assert elaborate(parse(text), ctx) == triple_sum_ct(qpow(2), qpow(-1), qpow(6), ctx)
 
 
 def test_window_enlargement_stability(ctx):
-    u, v, w = qpow(2), qpow(-1), qpow(6)
-    base = triple_sum_ct(u, v, w, ctx)
-    wider = triple_sum_ct(u, v, w, ctx, pad=8)
-    assert equal_to_order(base, wider, min(base.trunc, wider.trunc))
-    a, b, c, t = qpow(1), qpow(2), qpow(3), qpow(1)
-    p1 = phi21_contour(a, b, c, t, ctx)
-    p2 = phi21_contour(a, b, c, t, ctx, pad=8)
-    assert equal_to_order(p1, p2, min(p1.trunc, p2.trunc))
+    # four more degrees on each side of the planned window change nothing
+    for text in [
+        triple_sum_integrand("q^2", "q^(-1)", "q^6"),
+        "ct{qp(q^3*z, q^3*z, z, q/z; q; inf)/qp(q*z, q^2*z, q^2*z; q; inf)}",
+    ]:
+        families = ct_families(text)
+        base = ct_product(families, ctx)
+        wider = widened_ct(families, ctx, 4)
+        assert equal_to_order(base, wider, min(base.trunc, wider.trunc)), text
 
 
 def test_phi21_contour_representation():
-    ctx = SeriesContext(1, 25)
-    samples = [
-        (qpow(1), qpow(2), qpow(3), qpow(1)),
-        (qpow(2), qpow(3), qpow(2), qpow(1)),
-        (mono(OMEGA, 1), mono(OMEGA2, 1), qpow(2), qpow(2)),
-    ]
-    for a, b, c, t in samples:
-        lhs = phi21_contour(a, b, c, t, ctx)
-        rhs = phi_series([a, b], [c], qpow(1), t, ctx)
-        assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc, 25))
+    assert_cases_pass("phi21-contour")
 
 
 def test_balanced_integral_two_forms():
-    ctx = SeriesContext(1, 25)
-    q = qpow(1)
-    samples = [
-        ([qpow(2), qpow(3)], [qpow(1), qpow(2), qpow(2)]),
-        ([qpow(2), qpow(2)], [qpow(1), qpow(1), qpow(2)]),
-        ([mono(OMEGA, 2), mono(OMEGA2, 2)], [qpow(1), qpow(1), qpow(2)]),
-    ]
-    for alphas, betas in samples:
-        ct = balanced_theta_ct(alphas, betas, ctx)
-        b1, b2, b3 = betas
-        a1, a2 = alphas
-        # 2phi1 form
-        pref = pochhammer_multi([b1, a1 * b1.inv()], q, INF, ctx) * poch(q, q, ctx).inverse()
-        rhs1 = pref * phi_series([a2 * b2.inv(), a2 * b3.inv()], [b1], q, a1 * b1.inv(), ctx)
-        assert equal_to_order(ct, rhs1, min(ct.trunc, rhs1.trunc, 25))
-        # 2phi2 form
-        pref2 = pochhammer_multi([b2, b3], q, INF, ctx) * poch(q, q, ctx).inverse()
-        rhs2 = pref2 * phi_series([a1 * b1.inv(), a2 * b1.inv()], [b2, b3], q, b1, ctx)
-        assert equal_to_order(ct, rhs2, min(ct.trunc, rhs2.trunc, 25))
+    assert_cases_pass("balanced-2phi*")
 
 
 def test_balanced_integral_degeneration_oracle():
-    # beta3 = alpha2/beta1 makes the 2phi1 collapse to a q-binomial
-    # product: the integral equals (q^2; q)_inf exactly
-    ctx = SeriesContext(1, 25)
-    ct = balanced_theta_ct([qpow(2), qpow(3)], [qpow(1), qpow(2), qpow(2)], ctx)
-    oracle = poch(qpow(2), qpow(1), ctx)
-    assert equal_to_order(ct, oracle, min(ct.trunc, oracle.trunc, 25))
-
-
-def test_balance_violated():
-    ctx = SeriesContext(1, 10)
-    with pytest.raises(BalanceViolated):
-        balanced_theta_ct([qpow(1), qpow(1)], [qpow(1), qpow(1), qpow(1)], ctx)
-    with pytest.raises(BalanceViolated):
-        balanced_theta_ct([qpow(1)], [qpow(1), qpow(1), qpow(1)], ctx)
+    # b3 = a2/b1 makes the 2phi1 collapse to a q-binomial product: the
+    # integral equals (q^2; q)_inf exactly
+    assert_cases_pass("balanced-telescopes")
 
 
 def test_split_2phi2_contour():
     # with paired denominators (b, -b) and alpha product -b1 b^2 q, the
     # integral is a single 2phi2 with lowers (bq, -bq)
-    ctx = SeriesContext(1, 25)
-    q = qpow(1)
-    samples = [
-        ((qpow(2), mono(-1, 2)), (qpow(1), qpow(1))),
-        ((qpow(3), mono(-1, 1)), (qpow(1), qpow(1))),
-        ((mono(OMEGA, 2), mono(-OMEGA2, 2)), (qpow(1), qpow(1))),
-    ]
-    for (a1, a2), (b1, b2) in samples:
-        ct = theta_contour_ct([a1, a2], [b1, b2, -b2], ctx)
-        pref = poch(b2 * b2 * qpow(2), qpow(2), ctx) * poch(q, q, ctx).inverse()
-        rhs = pref * phi_series(
-            [a1 * b1.inv(), a2 * b1.inv()], [b2 * q, -(b2 * q)], q, b1, ctx
-        )
-        assert equal_to_order(ct, rhs, min(ct.trunc, rhs.trunc, 25))
+    assert_cases_pass("split-contour")
 
 
 def test_no_negative_supply_raises():

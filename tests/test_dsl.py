@@ -303,6 +303,19 @@ def test_int_power_of_negative_valuation_is_honest():
         assert low.coeffs == [ONE, CycRat(3), CycRat(3), ONE][: low.trunc + 3]
 
 
+def test_genfun_coefficient_with_a_truncated_zero_row_is_honest():
+    # a z-row of the t^4 coefficient is 0 below its trunc only; dropping it
+    # made order 16 claim q^3 with coefficient 3, where it is 5/2
+    text = "cgf(3; 4; q^(-1); q^(-1))"
+    low = elaborate(parse(text), SeriesContext(2, 16))
+    high = elaborate(parse(text), SeriesContext(2, 40))
+    assert high.coefficient(6) == CycRat(Fraction(5, 2))
+    assert low.trunc <= 6
+    assert [low.coefficient(k) for k in range(low.val, low.trunc)] == [
+        high.coefficient(k) for k in range(low.val, low.trunc)
+    ]
+
+
 def test_elaborate_ct_with_shift():
     # CT(z * P(z)) picks the z^(-1) coefficient of P
     ctx = SeriesContext(1, 12)

@@ -1,0 +1,106 @@
+"""Honesty on inputs nobody wrote by hand: a side elaborated at order N
+and at N + 6*D must not lose truncation, and every coefficient below the
+lower truncation must agree. A side whose evaluation SKIPs (a kernel
+error) is not compared."""
+
+import random
+from fractions import Fraction
+
+from qrucible.ctengine import plan_window
+from qrucible.dsl import elaborate, parse
+from qrucible.errors import QrucibleError
+from qrucible.series import SeriesContext
+from test_ctengine import ct_families
+
+D = 2
+STEP = 6 * D
+# integrands whose planned window times working order exceeds this are
+# not evaluated: the cost of a few of them would dominate the test
+CT_BUDGET = 3000
+
+_COEFFS = ["", "-", "w*", "-w2*", "2*", "(1+w)*"]
+_BASES = ["q^(-1)", "-q", "q^(1/2)"]
+
+
+def _family(rng) -> str:
+    base = rng.choice(_BASES)
+    counts = ["1", "2", "3", "4"] + ([] if base == "q^(-1)" else ["inf", "inf"])
+    e = Fraction(rng.randint(-2, 4), 2)
+    d = rng.choice([1, -1, 2, -2, 3, -3])
+    return f"qp({rng.choice(_COEFFS)}q^({e})*z^({d}); {base}; {rng.choice(counts)})"
+
+
+def _integrand(rng) -> str:
+    fams = [_family(rng) for _ in range(rng.randint(1, 3))]
+    num = [f for f in fams if rng.random() < 0.6] or ["1"]
+    den = [f for f in fams if f not in num]
+    return "ct{" + "*".join(num) + "".join("/" + f for f in den) + "}"
+
+
+_PARAMS = ["q^(-1)", "-q^(-1)", "w*q^(-1)", "q^(-1/2)", "q", "-q^(1/2)", "w2*q^2"]
+_ZS = ["q^(-1)", "w", "-q^(1/2)", "q"]
+_POLY_BASES = ["q", "q^(1/2)", "q^2"]
+
+
+def _polynomial(rng) -> str:
+    a, z = rng.choice(_PARAMS), rng.choice(_ZS)
+    kind = rng.choice("rac")
+    if kind == "r":
+        return f"rc({rng.randint(0, 6)}; {a}; {rng.choice(_POLY_BASES)}; {z})"
+    if kind == "a":
+        rest = ", ".join(rng.choice(_PARAMS) for _ in range(3))
+        return f"awp({rng.randint(0, 4)}; {a}, {rest}; {rng.choice(_POLY_BASES)}; {z})"
+    return f"cgf({rng.randint(1, 5)}; {rng.randint(0, 5)}; {a}; {z})"
+
+
+def _over_claims(text: str, order: int):
+    """None if the side SKIPs, else whether order and order + STEP
+    disagree below the lower truncation or the truncation drops."""
+    expr = parse(text)
+    try:
+        lo = elaborate(expr, SeriesContext(D, order))
+        hi = elaborate(expr, SeriesContext(D, order + STEP))
+    except QrucibleError:
+        return None
+    if lo.trunc > hi.trunc:
+        return True
+    return any(lo.coefficient(j) != hi.coefficient(j)
+               for j in range(min(lo.val, hi.val), lo.trunc))
+
+
+def _within_budget(text: str, order: int) -> bool:
+    try:
+        window, margin = plan_window(ct_families(text), SeriesContext(D, order + STEP))
+    except QrucibleError:
+        return True  # SKIPs in elaboration
+    return window * (order + STEP + margin) <= CT_BUDGET
+
+
+def test_random_ct_integrands_never_over_claim():
+    rng = random.Random(20261018)
+    evaluated, bad = 0, []
+    for _ in range(400):
+        text, order = _integrand(rng), rng.randint(4, 12)
+        if not _within_budget(text, order):
+            continue
+        verdict = _over_claims(text, order)
+        evaluated += verdict is not None
+        if verdict:
+            bad.append((order, text))
+    assert not bad
+    assert evaluated > 150
+
+
+def test_polynomials_at_inverse_q_parameters_never_over_claim():
+    rng = random.Random(20261019)
+    # q^3 of the t^4 coefficient of form 3 read 3 at order 16 where it is 5/2
+    cases = [("cgf(3; 4; q^(-1); q^(-1))", 16)]
+    cases += [(_polynomial(rng), rng.randint(6, 14)) for _ in range(50)]
+    evaluated, bad = 0, []
+    for text, order in cases:
+        verdict = _over_claims(text, order)
+        evaluated += verdict is not None
+        if verdict:
+            bad.append((order, text))
+    assert not bad
+    assert evaluated > 40

@@ -4,9 +4,11 @@ from itertools import permutations
 
 import pytest
 
+from conftest import rogers_half_4phi3_text, rogers_half_sum_text
 from qrucible import ortho
 from qrucible.cyclotomic import CycRat, OMEGA, ONE
 from qrucible.ctengine import ZSeries, zmul, zs_one, zsubst
+from qrucible.dsl import elaborate, parse
 from qrucible.errors import ZeroDenominator
 from qrucible.ortho import (
     AWParam,
@@ -15,9 +17,6 @@ from qrucible.ortho import (
     aw_poly,
     genfun_lhs,
     genfun_rhs_coeff,
-    rogers_at_minus_half,
-    rogers_half_4phi3,
-    rogers_half_sum,
     rogers_poly,
 )
 from qrucible.qkernel import poch
@@ -176,37 +175,39 @@ def _zmul_scalar_x(zs, x):
     return zmul(zs, x)
 
 
+def _ev(text, ctx):
+    return elaborate(parse(text), ctx)
+
+
 def test_cube_root_value_sweep():
+    # C_n(-1/2; a | q), that is rc(n; a; q; w), against its cube dissection
     ctx = SeriesContext(2, 70)
-    for a in (qpow(1), qpow(2), mono(OMEGA, 1)):
-        p = RogersParam(a, qpow(1))
+    for a in ("q", "q^2", "w*q"):
         for n in range(13):
-            lhs = rogers_at_minus_half(n, p, ctx)
-            rhs = rogers_half_sum(n, p, ctx)
+            lhs = _ev(f"rc({n}; {a}; q; w)", ctx)
+            rhs = _ev(rogers_half_sum_text(n, a), ctx)
             assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc, 55)), (a, n)
 
 
 def test_cube_root_small_cases():
     ctx = SeriesContext(1, 30)
-    p = RogersParam(qpow(1), qpow(1))
-    one = rogers_at_minus_half(0, p, ctx)
+    one = _ev("rc(0; q; q; w)", ctx)
     assert equal_to_order(one, ctx.one(), one.trunc)
     # n=1: both sides are -(1-a)/(1-q)
-    lhs = rogers_at_minus_half(1, p, ctx)
+    lhs = _ev("rc(1; q; q; w)", ctx)
     ratio = div_binomial(ctx.one() - monomial_to_series(qpow(1), ctx), ONE, 1)
     assert equal_to_order(lhs, -ratio, min(lhs.trunc, 28))
-    # n=6, a=q against the substitution oracle
-    l6 = rogers_at_minus_half(6, p, ctx)
-    r6 = zsubst(rogers_poly(6, p, ctx), mono(OMEGA, 0))
-    assert equal_to_order(l6, r6, min(l6.trunc, r6.trunc))
+    # n=6, a=q against the substitution z = w into the Laurent polynomial
+    l6 = _ev("rc(6; q; q; w)", ctx)
+    r6 = zsubst(rogers_poly(6, RogersParam(qpow(1), qpow(1)), ctx), mono(OMEGA, 0))
+    assert l6 == r6
 
 
 def test_balanced_4phi3_restatement():
     ctx = SeriesContext(1, 70)
-    p = RogersParam(mono(OMEGA, 1), qpow(1))
     for n in range(9):
-        lhs = rogers_at_minus_half(n, p, ctx)
-        rhs = rogers_half_4phi3(n, p, ctx)
+        lhs = _ev(f"rc({n}; w*q; q; w)", ctx)
+        rhs = _ev(rogers_half_4phi3_text(n, "w*q"), ctx)
         assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc, 40)), n
 
 
