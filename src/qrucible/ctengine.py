@@ -11,7 +11,8 @@ The z window is bounded by the whole negative-degree supply: a term at
 degree n or -n reaches degree 0 only if the 1/z factors of all families
 together, inverted ones included, supply degree -n, and a lower bound on
 the q-cost of that passes the truncation beyond a computable W, or the
-supply runs out first; the window adds PAD degrees to that bound.
+supply runs out first; the window adds PAD degrees to that bound, and
+stops at the total z-degree of the positive families where each is finite.
 Factors with negative q-exponents (q^(-1) parameters, and the later
 factors of a finite family whose base shrinks, such as (q z; q^(-1))_4)
 demote coefficients downward, so the pipeline runs at an elevated
@@ -31,7 +32,7 @@ from .cyclotomic import CycRat, ONE
 from .errors import NonPositiveBaseExponent, WindowOverflow
 from .qkernel import poch, poch_rows
 from .series import Monomial, QSeries, SeriesContext, qpow
-from .series import _from_zw, _scaled, _zw_mul, _zw_scale
+from .series import _zw_mul, _zw_scale
 
 MAX_WINDOW = 512
 PAD = 4
@@ -61,7 +62,7 @@ class ZSeries:
     def __init__(self, ctx: SeriesContext, terms: dict):
         self.ctx = ctx
         # a zero row known only below a trunc short of the order stays
-        self.terms = {d: s for d, s in terms.items() if s.coeffs or s.trunc < ctx.order}
+        self.terms = {d: s for d, s in terms.items() if not s.is_zero() or s.trunc < ctx.order}
 
     def coefficient(self, deg: int) -> QSeries:
         return self.terms.get(deg, self.ctx.zero())
@@ -137,7 +138,7 @@ def zproduct(
         for x, count in parts:
             if rows:
                 den, lo, rows = _times_family(den, lo, rows, x, count, fam, ctx, window)
-    return ZSeries(ctx, {m: QSeries(ctx, lo, _from_zw(den, r, o), t)
+    return ZSeries(ctx, {m: QSeries.from_zw(ctx, lo, den, r, o, t)
                          for m, (t, r, o) in rows.items() if degree in (None, m)})
 
 
@@ -173,8 +174,9 @@ def _times_family(den, lo, rows, x: Monomial, count: int, fam: ZPochFamily,
         top -= 1
     frows, fden = {}, 1
     for n, (c, en, g) in enumerate(poch_rows(x, fam.base, count, inv, top, ctx)):
-        if c and g.coeffs:
-            frows[d * n] = (en, *_zw_scale(*_scaled(g.coeffs[: order - lo - en]), c))
+        if c and not g.is_zero():
+            gd, gr, go = g.zw
+            frows[d * n] = (en, *_zw_scale(gd, gr[: order - lo - en], go[: order - lo - en], c))
             fden = math.lcm(fden, frows[d * n][1])
     f0 = min(en for en, *_ in frows.values())
     for k, (en, s, r, o) in frows.items():
@@ -202,7 +204,7 @@ def _times_family(den, lo, rows, x: Monomial, count: int, fam: ZPochFamily,
 # -- planning -----------------------------------------------------------
 
 
-def _neg_supply(families, ctx: SeriesContext):
+def _neg_supply(families, ctx: SeriesContext, cap):
     """The negative-degree supply, relaxed to units of z-degree -1:
     (costs, unlimited) with costs the q-costs of the units a window up to
     MAX_WINDOW can use, cheapest first, and unlimited the cost of units
@@ -212,7 +214,8 @@ def _neg_supply(families, ctx: SeriesContext):
     many as the family has factors; degree -n takes at most n units from
     one family, so its MAX_WINDOW cheapest units are all that count. Each
     power of an inverted family's factor gives d units at e/d without end,
-    so only its cheapest factor counts, and it must cost more than 0.
+    so only its cheapest factor counts, and it must cost more than 0
+    unless the cap bounds the window.
     """
     costs, unlimited = [], None
     for fam in families:
@@ -221,7 +224,7 @@ def _neg_supply(families, ctx: SeriesContext):
         d, e, eb = -fam.zdeg, ctx.scale(fam.qexp), ctx.scale(fam.base.exp)
         if fam.inverted:
             last = e if fam.count is None else e + (fam.count - 1) * eb
-            if min(e, last) <= 0:
+            if min(e, last) <= 0 and cap == math.inf:
                 raise WindowOverflow("inverted 1/z family without positive cost: window unbounded")
             cost = Fraction(min(e, last), d)
             unlimited = cost if unlimited is None else min(unlimited, cost)
@@ -230,14 +233,15 @@ def _neg_supply(families, ctx: SeriesContext):
         top = MAX_WINDOW // d + 1 if fam.count is None else min(fam.count, MAX_WINDOW // d + 1)
         first = 0 if eb >= 0 else fam.count - top
         costs += [Fraction(e + j * eb, d) for j in range(first, first + top) for _ in range(d)]
-    if not costs and unlimited is None:
+    if not costs and unlimited is None and cap == math.inf:
         raise WindowOverflow("no negative z-degree factors: constant term window is unbounded")
     return sorted(c for c in costs if unlimited is None or c < unlimited), unlimited
 
 
-def _return_degree(supply, target: int) -> int:
+def _return_degree(supply, target: int, cap) -> int:
     """The least n >= 1 such that no term of z-degree -n or below is
-    cheaper than q^target (target > 0), or where the supply runs out.
+    cheaper than q^target (target > 0), or where the supply runs out, or
+    past the cap.
 
     Degree -n costs at least its n cheapest units plus every other unit of
     negative cost. A sum of n cheapest units that reaches the positive
@@ -247,6 +251,8 @@ def _return_degree(supply, target: int) -> int:
     costs, unlimited = supply
     cost = 0
     for n in range(1, MAX_WINDOW + 1):
+        if n > cap:
+            return n
         if n <= len(costs):
             cost += costs[n - 1]
         elif unlimited is None:
@@ -287,11 +293,19 @@ def plan_window(families, ctx: SeriesContext):
     per geometric step) and vice versa, so iterate to a fixpoint; where
     the return cost does not outgrow the margin, the window passes its
     maximum and planning ends in WindowOverflow.
+
+    Where every positive-degree family is finite and not inverted, a term
+    that reaches degree 0 takes at most cap = sum(count*zdeg) from them, so
+    it and its partial products lie in [-cap, cap]: the window stops at
+    the cap, and the 1/z supply needs no bound of its own.
     """
-    supply = _neg_supply(families, ctx)
+    pos = [f for f in families if f.zdeg > 0]
+    finite = all(f.count is not None and not f.inverted for f in pos)
+    cap = sum(f.count * f.zdeg for f in pos) if finite else math.inf
+    supply = _neg_supply(families, ctx, cap)
     margin = 0
     while True:
-        window = _return_degree(supply, ctx.order + margin) + PAD
+        window = min(_return_degree(supply, ctx.order + margin, cap) + PAD, cap)
         new_margin = _neg_margin(families, ctx, window)
         if new_margin <= margin:
             return window, margin
@@ -308,7 +322,7 @@ def ct_product(families: Sequence[ZPochFamily], ctx: SeriesContext, degree: int 
     window, margin = plan_window(families, ctx)
     work = SeriesContext(ctx.denom, ctx.order + margin)
     ct = zproduct(families, work, window + abs(degree), degree).coefficient(degree)
-    return QSeries(ctx, ct.val, list(ct.coeffs), min(ct.trunc, ctx.order))
+    return QSeries.from_zw(ctx, ct.val, *ct.zw, min(ct.trunc, ctx.order))
 
 
 # -- the contour form of the triple sum ----------------------------------

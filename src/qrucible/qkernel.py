@@ -293,6 +293,8 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     last variable go into one ZwSum, and each shorter lattice prefix costs
     one QSeries product of its row 1/(d_i; b_i)_k with the sum over its
     completions, instead of one product per row at every lattice point.
+    Rows, products and sums all stay in Z[w] (`QSeries.zw`): no Q(w)
+    list is built until a reader of the result asks for `coeffs`.
     """
     m = len(spec.lin)
     if not m:

@@ -7,15 +7,16 @@ coefficients for scaled exponents strictly below `trunc`, and every
 operation propagates the tightest correct bound, so silent precision loss
 is impossible. The zero-on-window series carries val == trunc.
 
-Every product goes through one kernel, `_polymul`: both operands are
-scaled to Z[w] by the lcm of their denominators, each of the `re` and `om`
-parts is packed into one Python int (Kronecker substitution q -> 2^k),
-and three big-int multiplies give the Z[w] product (Karatsuba with
-w^2 = -1 - w). `QSeries.inverse` is Newton iteration on that kernel,
-doubling the number of known coefficients per step. Binomial factors
-(1 - c*q^e)^(+-1) go through one integer pass on the same Z[w] lists
-(`mul_binomials`), so a product of many factors converts from and to
-Q(w) once, and `ZwSum` adds many scaled, shifted series the same way.
+A series keeps its coefficients in the form that produced them, a Q(w)
+list (scalar paths) or a Z[w] triple (d, re, om) = (re + om*w)/d
+(kernels), and derives the other once, on first use. Every product goes
+through one kernel, `_zw_mul`: each of the `re` and `om` parts is packed
+into one Python int (Kronecker substitution q -> 2^k), and three big-int
+multiplies give the Z[w] product (Karatsuba with w^2 = -1 - w). Binomial
+factors (1 - c*q^e)^(+-1) go through one integer pass on the same lists
+(`mul_binomials`) and `ZwSum` adds scaled, shifted series in integers, so
+a chain of these converts to Q(w) only where a scalar path reads it.
+`QSeries.inverse` is Newton iteration on the kernel (`_polymul`).
 """
 
 from __future__ import annotations
@@ -159,9 +160,13 @@ def monomial_to_series(m: Monomial, ctx: SeriesContext) -> "QSeries":
 
 
 class QSeries:
-    """Dense coefficient window from `val` up, proven below `trunc`."""
+    """Dense coefficient window from `val` up, proven below `trunc`:
+    `coeffs` in Q(w), or `zw` = (d, re, om) with coeffs == (re + om*w)/d
+    and d the lcm of their denominators. A series is built in one form
+    (`from_zw` for the second) and derives the other once, on first use;
+    neither is mutated."""
 
-    __slots__ = ("ctx", "val", "coeffs", "trunc")
+    __slots__ = ("ctx", "val", "trunc", "_q", "_z")
 
     def __init__(self, ctx: SeriesContext, val: int, coeffs: list, trunc: int):
         trunc = min(trunc, ctx.order)
@@ -176,17 +181,46 @@ class QSeries:
             tail -= 1
         if lead == tail:
             self.val = trunc
-            self.coeffs = []
+            self._q = []
         else:
             self.val = val + lead
-            self.coeffs = coeffs[lead:tail]
-        self.ctx = ctx
-        self.trunc = trunc
+            self._q = coeffs[lead:tail]
+        self.ctx, self.trunc, self._z = ctx, trunc, None
+
+    @classmethod
+    def from_zw(cls, ctx: SeriesContext, val: int, d: int, re: list, om: list, trunc: int) -> "QSeries":
+        """q^val * (re + om*w)/d known below trunc, cut to the trunc and
+        reduced to the `zw` form; re and om are not kept."""
+        x = cls.__new__(cls)
+        x.ctx, x.trunc, x._q = ctx, min(trunc, ctx.order), None
+        lead, tail = 0, max(0, min(len(re), x.trunc - val))
+        while lead < tail and not (re[lead] or om[lead]):
+            lead += 1
+        while tail > lead and not (re[tail - 1] or om[tail - 1]):
+            tail -= 1
+        re, om = re[lead:tail], om[lead:tail]
+        g = math.gcd(d, *re, *om)  # d itself for the zero series
+        if g != 1:
+            d, re, om = d // g, [a // g for a in re], [b // g for b in om]
+        x.val, x._z = val + lead if re else x.trunc, (d, re, om)
+        return x
+
+    @property
+    def coeffs(self) -> list:
+        if self._q is None:
+            self._q = _from_zw(*self._z)
+        return self._q
+
+    @property
+    def zw(self) -> tuple:
+        if self._z is None:
+            self._z = _scaled(self._q)
+        return self._z
 
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.val == self.trunc
 
     def coefficient(self, scaled_exp: int) -> CycRat:
         if scaled_exp >= self.trunc:
@@ -252,7 +286,8 @@ class QSeries:
         n = min(t, self.ctx.order) - lo
         if n <= 0:
             return self.ctx.zero(t)
-        return QSeries(self.ctx, lo, _polymul(self.coeffs, other.coeffs, n), t)
+        (da, ar, ao), (db, br, bo) = self.zw, other.zw
+        return QSeries.from_zw(self.ctx, lo, da * db, *_zw_mul(ar, ao, br, bo, n), t)
 
     def scale(self, c: CycRat) -> "QSeries":
         if not c:
@@ -423,10 +458,10 @@ def _zw_scale(d: int, re: list, om: list, k: CycRat):
 
 class ZwSum:
     """A running sum of terms c*q^e*x, x a QSeries, held as one Z[w] list
-    (re + om*w)/d over the scaled exponents lo..order-1: each term is
-    scaled to Z[w] once and added in integers, and the sum converts back
-    to Q(w) once. Terms must start at or above lo; their truncs are not
-    tracked (the caller states the trunc of the sum)."""
+    (re + om*w)/d over the scaled exponents lo..order-1: each term's Z[w]
+    form is added in integers, and the sum is a Z[w] series. Terms must
+    start at or above lo; their truncs are not tracked (the caller states
+    the trunc of the sum)."""
 
     __slots__ = ("ctx", "lo", "d", "re", "om")
 
@@ -437,12 +472,13 @@ class ZwSum:
     def add(self, x: QSeries, c: CycRat = ONE, e: int = 0) -> None:
         """self += c*q^e*x, cut to the order."""
         off = x.val + e - self.lo
-        if off < 0 and x.coeffs:
+        if off < 0 and not x.is_zero():
             raise ValueError(f"term at exponent {x.val + e} is below the sum's {self.lo}")
         n = len(self.re) - off
-        if not c or not x.coeffs or n <= 0:
+        if not c or x.is_zero() or n <= 0:
             return
-        d, re, om = _scaled(x.coeffs[:n])
+        d, re, om = x.zw
+        re, om = re[:n], om[:n]
         if c != ONE:
             d, re, om = _zw_scale(d, re, om, c)
         are, aom = self.re, self.om
@@ -464,7 +500,7 @@ class ZwSum:
     def series(self, trunc: int | None = None) -> QSeries:
         """The sum as a QSeries known below trunc (default: the order)."""
         t = self.ctx.order if trunc is None else trunc
-        return QSeries(self.ctx, self.lo, _from_zw(self.d, self.re, self.om), t)
+        return QSeries.from_zw(self.ctx, self.lo, self.d, self.re, self.om, t)
 
 
 def _ones(n: int, kb: int, bias: int) -> int:
@@ -503,9 +539,9 @@ def div_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:
 def mul_binomials(x: QSeries, factors) -> QSeries:
     """x * prod (1 - c*q^e)^p over (c, e, p) in factors, p = 1 or -1.
 
-    One integer pass: x is scaled to Z[w] once, each factor is applied in
-    turn with the val/trunc rules of a single mul_binomial (p = 1) or
-    div_binomial (p = -1), and the result is converted back once.
+    One integer pass on x's Z[w] form: each factor is applied in turn with
+    the val/trunc rules of a single mul_binomial (p = 1) or div_binomial
+    (p = -1), and the result is a Z[w] series.
 
     The pass carries q^val * (re + om*w)/d; an empty re is the zero
     series, whose val is its trunc. A nonzero series keeps a nonzero
@@ -518,7 +554,8 @@ def mul_binomials(x: QSeries, factors) -> QSeries:
     if not factors:
         return x
     order = x.ctx.order
-    d, re, om = _scaled(x.coeffs)
+    d, re, om = x.zw
+    re, om = list(re), list(om)  # the pass works in place
     val, trunc = x.val, x.trunc
     for c, e, p in factors:
         if e == 0:
@@ -586,11 +623,7 @@ def mul_binomials(x: QSeries, factors) -> QSeries:
             if pr or po:
                 re[k] += (cr * pr - co * po) // s
                 om[k] += ((cr - co) * po + co * pr) // s
-    if d != 1:
-        g = math.gcd(d, *re, *om)
-        if g != 1:
-            d, re, om = d // g, [a // g for a in re], [b // g for b in om]
-    return QSeries(x.ctx, val, _from_zw(d, re, om), trunc)
+    return QSeries.from_zw(x.ctx, val, d, re, om, trunc)
 
 
 def equal_to_order(x: QSeries, y: QSeries, up_to: int) -> bool:

@@ -125,6 +125,11 @@ def _random_family(rng, denom) -> ZPochFamily:
     return ZPochFamily(rng.choice(_COEFFS), qexp, zdeg, base, rng.random() < 0.4, count)
 
 
+# (q z; q)_inf: an infinite z family, so the window is planned from the
+# 1/z supply alone and not capped by the positive-degree families
+UNCAPPED = ZPochFamily(ONE, Fraction(1), 1, qpow(1))
+
+
 def _window(s: QSeries):
     return (s.val, s.trunc, s.coeffs)
 
@@ -307,9 +312,10 @@ def test_infinite_family_needs_a_growing_base():
     fams = [shrinking, ZPochFamily(ONE, Fraction(0), -1, qpow(1))]
     assert _window(ct_product(fams, ctx)) == _window(oracle_ct_product(fams, ctx))
     # as the 1/z supply, three factors reach z^-3 at most: the window ends
-    # there, and the product agrees with the per-factor oracle
+    # there (against an infinite z family, so no cap applies), and the
+    # product agrees with the per-factor oracle
     neg = ZPochFamily(ONE, Fraction(-1), -1, qpow(-1), count=3)
-    window, margin = plan_window([neg], ctx)
+    window, margin = plan_window([neg, UNCAPPED], ctx)
     assert window == 4 + PAD and margin > 0
     fams = [shrinking, neg]
     assert _window(ct_product(fams, ctx)) == _window(oracle_ct_product(fams, ctx))
@@ -320,11 +326,12 @@ def test_window_planning_lists_only_usable_factors():
     # family costs no more to plan than an infinite one
     ctx = SeriesContext(1, 20)
     long = ZPochFamily(ONE, Fraction(0), -1, qpow(1), count=10**7)
-    assert plan_window([long], ctx) == plan_window([ZPochFamily(ONE, Fraction(0), -1, qpow(1))], ctx)
+    inf = ZPochFamily(ONE, Fraction(0), -1, qpow(1))
+    assert plan_window([long, UNCAPPED], ctx) == plan_window([inf, UNCAPPED], ctx)
     # a shrinking base's last factors are its cheapest: q^(-10^6) pays for
     # any degree, so no window is enough
     with pytest.raises(WindowOverflow):
-        plan_window([ZPochFamily(ONE, Fraction(5), -1, qpow(-1), count=10**6)], ctx)
+        plan_window([ZPochFamily(ONE, Fraction(5), -1, qpow(-1), count=10**6), UNCAPPED], ctx)
 
 
 def test_margin_counts_the_factors_of_a_shrinking_base():
@@ -404,3 +411,46 @@ def test_no_negative_supply_raises():
     ctx = SeriesContext(1, 10)
     with pytest.raises(WindowOverflow):
         ct_product([ZPochFamily(ONE, Fraction(1), 1, qpow(1))], ctx)
+
+
+def test_finite_positive_supply_caps_the_window():
+    # (z; q)_3 caps every term at z^3, so the 1/z supply of the
+    # denominator, unlimited at q-cost 0, needs no bound of its own; by
+    # hand from the Gaussian coefficients the constant term is
+    # -q + q^3 + q^4 - q^6
+    text = "ct{qp(z; q; 3)/qp(q/z; q^(-1); 2)}"
+    ctx = SeriesContext(1, 12)
+    families = ct_families(text)
+    assert plan_window(families, ctx) == (3, 0)
+    got = elaborate(parse(text), ctx)
+    assert got == elaborate(parse("-q + q^3 + q^4 - q^6"), ctx) and got.trunc == 12
+    for window in (3, 7, 20):
+        assert zproduct(families, ctx, window).coefficient(0) == got
+        assert oracle_zproduct(families, ctx, window).coefficient(0) == got
+    # with no positive degrees the constant term is the degree-0 part, 1
+    neg = ZPochFamily(ONE, Fraction(-1), -1, qpow(-1), count=3)
+    assert plan_window([neg], ctx)[0] == 0 and ct_product([neg], ctx) == ctx.one()
+
+
+# (window, margin) of every shipped ct{} side at its stated order and at
+# twice it: every one has an infinite z family, so no cap applies
+SHIPPED_WINDOWS = {
+    "bailey-daum-integral-1": [(12, 0), (15, 0)],
+    "bailey-daum-integral-2": [(12, 0), (15, 0)],
+    "bailey-daum-integral-3": [(12, 0), (15, 0)],
+    "compact-theta-integral": [(10, 0), (13, 0)],
+    "ct-2phi2-split-1": [(12, 0), (15, 0)],
+    "ct-2phi2-split-2": [(12, 0), (15, 0)],
+    "ct-2phi2-split-3": [(12, 0), (15, 0)],
+}
+
+
+def test_shipped_ct_windows_are_unchanged():
+    got = {}
+    for case in load_registry():
+        for text in (case.lhs_text, case.rhs_text):
+            if "ct{" in text:
+                families = ct_families(text)
+                got[case.name] = [plan_window(families, SeriesContext(case.denom, k * case.order))
+                                  for k in (1, 2)]
+    assert got == SHIPPED_WINDOWS

@@ -1,7 +1,8 @@
 """Honesty on inputs nobody wrote by hand: a side elaborated at order N
 and at N + 6*D must not lose truncation, and every coefficient below the
 lower truncation must agree. A side whose evaluation SKIPs (a kernel
-error) is not compared."""
+error) is not compared. Every shipped side is held to agreement below
+the lower truncation too, at its stated order and 12*D above it."""
 
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 from qrucible.ctengine import plan_window
 from qrucible.dsl import elaborate, parse
 from qrucible.errors import QrucibleError
+from qrucible.harness import load_registry
 from qrucible.series import SeriesContext
 from test_ctengine import ct_families
 
@@ -62,10 +64,14 @@ def _over_claims(text: str, order: int):
         hi = elaborate(expr, SeriesContext(D, order + STEP))
     except QrucibleError:
         return None
-    if lo.trunc > hi.trunc:
-        return True
+    return lo.trunc > hi.trunc or _disagree(lo, hi, lo.trunc)
+
+
+def _disagree(lo, hi, up_to: int) -> bool:
+    """Whether two series of one side, elaborated at different orders,
+    differ at an exponent below up_to."""
     return any(lo.coefficient(j) != hi.coefficient(j)
-               for j in range(min(lo.val, hi.val), lo.trunc))
+               for j in range(min(lo.val, hi.val), up_to))
 
 
 def _within_budget(text: str, order: int) -> bool:
@@ -104,3 +110,16 @@ def test_polynomials_at_inverse_q_parameters_never_over_claim():
             bad.append((order, text))
     assert not bad
     assert evaluated > 40
+
+
+def test_shipped_sides_agree_across_orders():
+    sides, bad = 0, []
+    for case in load_registry():
+        for text in (case.lhs_text, case.rhs_text):
+            expr = parse(text)
+            lo = elaborate(expr, SeriesContext(case.denom, case.order))
+            hi = elaborate(expr, SeriesContext(case.denom, case.order + 12 * case.denom))
+            sides += 1
+            if _disagree(lo, hi, min(lo.trunc, hi.trunc)):
+                bad.append((case.name, text))
+    assert sides == 198 and not bad

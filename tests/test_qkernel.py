@@ -410,6 +410,19 @@ def test_multisum_matches_leaf_products_on_named_and_triple_sums():
             assert multisum(spec, ctx) == leaf_product_multisum(spec, ctx), (order, u, v, w)
 
 
+def test_triple_sum_builds_no_q_w_lists(monkeypatch):
+    # rows, products and lattice sums chain in Z[w]: the parent of this
+    # design converted each of 149 products back to Q(w) lists
+    from qrucible import series
+
+    calls = []
+    real = series._from_zw
+    monkeypatch.setattr(series, "_from_zw", lambda *a: calls.append(a) or real(*a))
+    x = f_triple(qpow(1), mono(1, 0), qpow(3), SeriesContext(1, 150))
+    assert not calls
+    assert x.coeffs and len(calls) == 1
+
+
 def test_pochhammer_matches_sequential_factors():
     rng = random.Random(9)
     for _ in range(60):

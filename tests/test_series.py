@@ -16,6 +16,7 @@ from qrucible.series import (
     SeriesContext,
     ZwSum,
     _polymul,
+    _scaled,
     chain_trunc,
     div_binomial,
     equal_to_order,
@@ -300,6 +301,83 @@ def test_products_and_inverses_honest_across_truncations():
         for short, long in ((x * y, xk * yk), (x.inverse(), xk.inverse()), (y.inverse(), yk.inverse())):
             assert short.trunc <= long.trunc
             assert equal_to_order(short, long, short.trunc)
+
+
+def parent_mul(x, y):
+    """Oracle: the product on Q(w) lists, each operand scaled to Z[w] and
+    the product converted back by _polymul, as QSeries.__mul__ was."""
+    t = min(x.trunc + y.val, y.trunc + x.val)
+    if x.is_zero() or y.is_zero():
+        return x.ctx.zero(t)
+    lo = x.val + y.val
+    n = min(t, x.ctx.order) - lo
+    if n <= 0:
+        return x.ctx.zero(t)
+    return QSeries(x.ctx, lo, _polymul(x.coeffs, y.coeffs, n), t)
+
+
+def zw_only(x):
+    """x rebuilt from its Z[w] form alone."""
+    return QSeries.from_zw(x.ctx, x.val, *x.zw, x.trunc)
+
+
+def snapshot(xs):
+    return [(d, list(re), list(om)) for d, re, om in (x.zw for x in xs)]
+
+
+def rand_operands(rng, ctx):
+    """Two random series, the first sometimes carrying only its Z[w] form."""
+    x, y = rand_window_series(rng, ctx), rand_window_series(rng, ctx)
+    return (zw_only(x) if rng.random() < 0.5 else x), y
+
+
+def kernel_results(rng, x, y, ctx):
+    """Every kernel on x and y: products, binomial passes, lattice sums,
+    a sum that cancels to zero, and one that is zero on a window short of
+    the order."""
+    factors = [(rand_factor_coeff(rng), rng.randint(-6, 30), rng.choice([1, -1])) for _ in range(3)]
+    factors = [(c, e, 1 if e == 0 and c == ONE else p) for c, e, p in factors]
+    lo = min(x.val, y.val) - 2
+    acc, gone = ZwSum(ctx, lo), ZwSum(ctx, lo)
+    acc.add(x, rand_factor_coeff(rng), 2)
+    acc.add(y)
+    gone.add(x)
+    gone.add(x, -ONE)
+    results = [x * y, y * x, x * x, mul_binomials(x, factors), mul_binomials(y, [(ONE, 0, 1)])]
+    return results + [acc.series(), acc.series(rng.randint(lo, ctx.order)), gone.series(), gone.series(lo + 3)]
+
+
+def test_kernel_results_carry_the_canonical_zw_form():
+    rng = random.Random(81)
+    ctx = SeriesContext(2, 40)
+    zeros = 0
+    for _ in range(150):
+        for r in kernel_results(rng, *rand_operands(rng, ctx), ctx):
+            assert r.zw == _scaled(r.coeffs)
+            zeros += r.is_zero() and r.trunc < ctx.order
+    assert zeros > 100
+
+
+def test_kernels_leave_operand_zw_lists_alone():
+    rng = random.Random(82)
+    ctx = SeriesContext(2, 40)
+    for _ in range(150):
+        x, y = rand_operands(rng, ctx)
+        before = snapshot([x, y])
+        kernel_results(rng, x, y, ctx)
+        assert snapshot([x, y]) == before
+
+
+def test_products_match_the_q_w_list_product():
+    rng = random.Random(83)
+    ctx = SeriesContext(2, 40)
+    for _ in range(300):
+        x, y = rand_window_series(rng, ctx), rand_window_series(rng, ctx)
+        if rng.random() < 0.5:
+            y = zw_only(y)
+        assert x * y == parent_mul(x, y)
+    big = QSeries(ctx, -3, rand_zw_list(rng, 60), ctx.order)
+    assert big * big == parent_mul(big, big)
 
 
 def test_monomial_to_series_grid():
