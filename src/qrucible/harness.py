@@ -296,8 +296,7 @@ def verify(
 
 
 def _verify_worker(payload):
-    case = IdentityCase(*payload[0])
-    return verify(case, payload[1], payload[2])
+    return verify(*payload)
 
 
 def run_suite(
@@ -316,14 +315,7 @@ def run_suite(
     reg = registry if registry is not None else load_registry(files)
     cases = reg.select(pattern)
     if jobs > 1 and len(cases) > 1:
-        payloads = [
-            (
-                (c.name, c.lhs_text, c.rhs_text, c.denom, c.order, c.tags, c.ref, c.source),
-                order,
-                denom,
-            )
-            for c in cases
-        ]
+        payloads = [(c, order, denom) for c in cases]
         # imported here: a serial run does not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 

@@ -7,28 +7,34 @@ x is never a first-class variable: every polynomial lives in z with
 x = (z + 1/z)/2 implicit. The generating-function machinery treats t as
 an outer formal variable truncated at a small order, with z-Laurent
 coefficients.
+
+Every series here is a basic hypergeometric sum (Gasper-Rahman, Basic
+Hypergeometric Series, 2nd ed., 2004, ch. 7), and one term pass,
+`_terms`, builds them all from the term ratio. The polynomials are the
+t^n coefficient of the product of two passes (their generating functions
+are products of two 1phi0 or 2phi1 series); the generating-function left
+sides are products of `_t_phi` sums, Euler's products among them as a
+0phi0 and as a 1phi0 with a zero upper parameter.
+
+A product's truncation depends on its operands' valuations, so the order
+of the products is part of the result: each binomial goes into num on
+its own, and each scalar is applied after the z-products it scales.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
-from .cyclotomic import CycRat, ONE
+from .cyclotomic import ONE
 from .errors import InvalidParameter, ZeroDenominator
-from .series import (
-    Monomial,
-    QSeries,
-    SeriesContext,
-    div_binomial,
-    mono,
-    mul_binomials,
-    qpow,
-)
-from .qkernel import INF, _zero_factor_index, poch, poch_rows
+from .series import Monomial, SeriesContext, mono, mul_binomials, qpow
+from .qkernel import _zero_factor_index, poch
 from .ctengine import ZSeries, zmul, zs_one
 
 _Q = qpow(1)
+_ZERO_M = mono(0, 0)
 
 
 @dataclass(frozen=True)
@@ -46,211 +52,159 @@ class AWParam:
     base: Monomial
 
 
-def _poch_ratio_chain(a: Monomial, base: Monomial, n: int, ctx) -> list:
-    """[ (a;b)_k / (b;b)_k for k = 0..n ] as exact series."""
-    eb = ctx.scale(base.exp)
-    ea = ctx.scale(a.exp)
-    out = [ctx.one()]
-    for k in range(n):
-        bk = base.coeff ** k
-        out.append(mul_binomials(out[-1], [(a.coeff * bk, ea + k * eb, 1),
-                                           (bk * base.coeff, (k + 1) * eb, -1)]))
+# -- t-series: lists of z-Laurent coefficients of t^0..t^t_order ----------
+
+
+def _t_mul(A: list, B: list, t_order: int) -> list:
+    out = [ZSeries(A[0].ctx, {}) for _ in range(t_order + 1)]
+    for i, ai in enumerate(A):
+        for j, bj in enumerate(B[: t_order + 1 - i]):
+            if ai.terms and bj.terms:
+                out[i + j] = out[i + j] + zmul(ai, bj)
     return out
 
 
+def _t_times(num: list, c, e: int, i: int, j: int, p: int, ctx) -> list:
+    """num * (1 - c q^e t^i z^j)^p for a t-series num; p = -1 needs i > 0."""
+    m = ZSeries(ctx, {j: ctx.monomial(-c if p > 0 else c, e)})
+    out = list(num)
+    for r in range(i, len(num)):
+        src = num[r - i] if p > 0 else out[r - i]
+        if src.terms:
+            out[r] = out[r] + zmul(src, m)
+    return out
+
+
+def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesContext):
+    """Yield (num_n, den_n) for n = 0, 1, ... of a basic hypergeometric
+    series in base b:
+
+    - num_n is the t-series of (zparams; b)_n, each entry (m, i, j, p) the
+      parameter m t^i z^j, an upper for p = 1 and a lower (i > 0) for
+      p = -1; an entry with i = 2 is the pair (+-sqrt(m) t z^(j/2); b)_n
+      = (m t^2 z^j; b^2)_n;
+    - den_n is the scalar (uppers; b)_n / (lowers, b; b)_n, one binomial
+      pass per step, uppers before lowers.
+    """
+    eb = ctx.scale(base.exp)
+    num = [zs_one(ctx)] + [ZSeries(ctx, {}) for _ in range(t_order)]
+    den = ctx.one()
+    for n in count():
+        yield num, den
+        bn = base.coeff ** n
+        for m, i, j, p in zparams:
+            w = max(i, 1)
+            c, e = m.coeff * bn ** w, ctx.scale(m.exp) + n * w * eb
+            num = _t_times(num, c, e, i, j, p, ctx)
+        den = mul_binomials(den, [(u.coeff * bn, ctx.scale(u.exp) + n * eb, 1) for u in uppers]
+                            + [(bn * base.coeff, (n + 1) * eb, -1)]
+                            + [(l.coeff * bn, ctx.scale(l.exp) + n * eb, -1) for l in lowers])
+
+
+def _t_phi(zparams, uppers, lowers, base: Monomial, arg: Monomial, arg_t: int, arg_z: int,
+           t_order: int, ctx: SeriesContext) -> list:
+    """sum num_n den_n (arg t^arg_t z^arg_z)^n ((-1)^n b^C(n,2))^(1+s-r) over
+    the terms of `_terms` as a t-series, r and s counting the upper and
+    lower parameters, a scalar upper 0 included; terms stop once t^n
+    passes t_order or the scalar monomial passes the order."""
+    r = len(uppers) + sum(max(i, 1) for _, i, _, p in zparams if p > 0)
+    s = len(lowers) + sum(max(i, 1) for _, i, _, p in zparams if p < 0)
+    power = 1 + s - r
+    eb, ea = ctx.scale(base.exp), ctx.scale(arg.exp)
+
+    def e(n):
+        return n * ea + power * (n * (n - 1) // 2) * eb
+
+    stop = next(n for n in count(1) if n * arg_t > t_order or e(n) >= ctx.order)
+    out = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
+    for n, (num, den) in enumerate(islice(_terms(zparams, uppers, lowers, base, t_order, ctx), stop)):
+        c = arg.coeff ** n * ((-ONE) ** n * base.coeff ** (n * (n - 1) // 2)) ** power
+        coeff = den.mul_monomial(c, e(n))
+        for k, row in enumerate(num[: t_order + 1 - n * arg_t]):
+            if row.terms:
+                out[k + n * arg_t] = out[k + n * arg_t] + row.scale(coeff).shift(n * arg_z)
+    return out
+
+
+def _cauchy(front, back, ctx) -> ZSeries:
+    """The t^n coefficient of the product of two term passes, given their
+    terms 0..n, whose arguments are t/z and t z:
+    sum_k num_k num'_(n-k) z^(n-2k) den_k den'_(n-k), each scalar applied
+    after its z-product."""
+    n = len(front) - 1
+    acc = ZSeries(ctx, {})
+    for k, ((nf, df), (nb, db)) in enumerate(zip(front, reversed(back))):
+        acc = acc + zmul(nf[0], nb[0]).shift(n - 2 * k).scale(df * db)
+    return acc
+
+
 def rogers_poly(n: int, p: RogersParam, ctx: SeriesContext) -> ZSeries:
-    """C_n(x; a | b) = sum_k (a;b)_k (a;b)_(n-k) / ((b;b)_k (b;b)_(n-k)) z^(n-2k)."""
-    r = _poch_ratio_chain(p.a, p.base, n, ctx)
-    terms = {}
-    for k in range(n + 1):
-        d = n - 2 * k
-        c = r[k] * r[n - k]
-        terms[d] = terms[d] + c if d in terms else c
-    return ZSeries(ctx, terms)
-
-
-def _z_binomial(ctx, coeff: CycRat, qe: int, zdeg: int) -> ZSeries:
-    return ZSeries(ctx, {0: ctx.one(), zdeg: ctx.monomial(-coeff, qe)})
+    """C_n(x; a | b) = sum_k (a;b)_k (a;b)_(n-k) / ((b;b)_k (b;b)_(n-k)) z^(n-2k),
+    the t^n coefficient of 1phi0(a; -; b, t z) 1phi0(a; -; b, t/z)."""
+    half = list(islice(_terms([], [p.a], [], p.base, 0, ctx), n + 1))
+    return _cauchy(half, half, ctx)
 
 
 def aw_poly(n: int, p: AWParam, ctx: SeriesContext) -> ZSeries:
-    """Askey-Wilson p_n via its generating function:
+    """Askey-Wilson p_n via its generating function
+    2phi1(az, bz; ab; q, t/z) 2phi1(c/z, d/z; cd; q, t z):
 
         p_n = (q,ab,cd;q)_n sum_k (az,bz;q)_k (c/z,d/z;q)_(n-k)
               / ((q,ab;q)_k (q,cd;q)_(n-k)) z^(n-2k).
     """
     b = p.base
-    eb = ctx.scale(b.exp)
     ab = p.a * p.b
     cd = p.c * p.d
     for m, label in ((ab, "ab"), (cd, "cd")):
         j = _zero_factor_index(m, b)
         if j is not None and j < n:
             raise ZeroDenominator(f"({label}; base)_k vanishes for k <= {n}")
-
-    one = zs_one(ctx)
-    front = [one]
-    back = [one]
-    for k in range(n):
-        step = _z_binomial(ctx, p.a.coeff * b.coeff ** k, ctx.scale(p.a.exp) + k * eb, 1)
-        step = zmul(step, _z_binomial(ctx, p.b.coeff * b.coeff ** k, ctx.scale(p.b.exp) + k * eb, 1))
-        front.append(zmul(front[-1], step))
-        stepb = _z_binomial(ctx, p.c.coeff * b.coeff ** k, ctx.scale(p.c.exp) + k * eb, -1)
-        stepb = zmul(stepb, _z_binomial(ctx, p.d.coeff * b.coeff ** k, ctx.scale(p.d.exp) + k * eb, -1))
-        back.append(zmul(back[-1], stepb))
-
-    # 1/(q, ab; q)_k and 1/(q, cd; q)_k; a zero ab or cd drops out of
-    # the factor list
-    inv_q_ab = [ctx.one()]
-    inv_q_cd = [ctx.one()]
-    for k in range(n):
-        bk = b.coeff ** k
-        qk = (bk * b.coeff, (k + 1) * eb, -1)
-        inv_q_ab.append(mul_binomials(inv_q_ab[-1], [qk, (ab.coeff * bk, ctx.scale(ab.exp) + k * eb, -1)]))
-        inv_q_cd.append(mul_binomials(inv_q_cd[-1], [qk, (cd.coeff * bk, ctx.scale(cd.exp) + k * eb, -1)]))
-
-    acc = ZSeries(ctx, {})
-    for k in range(n + 1):
-        part = zmul(front[k], back[n - k]).shift(n - 2 * k)
-        part = part.scale(inv_q_ab[k] * inv_q_cd[n - k])
-        acc = acc + part
+    front = list(islice(_terms([(p.a, 0, 1, 1), (p.b, 0, 1, 1)], [], [ab], b, 0, ctx), n + 1))
+    back = list(islice(_terms([(p.c, 0, -1, 1), (p.d, 0, -1, 1)], [], [cd], b, 0, ctx), n + 1))
     pref = poch(b, b, ctx, n)
     if not ab.is_zero():
         pref = pref * poch(ab, b, ctx, n)
     if not cd.is_zero():
         pref = pref * poch(cd, b, ctx, n)
-    return acc.scale(pref)
-
-
-# -- generating functions in an outer formal variable t ------------------
-
-
-def _t_zero(ctx) -> ZSeries:
-    return ZSeries(ctx, {})
-
-
-def _t_mul(A: list, B: list, t_order: int) -> list:
-    out = [None] * (t_order + 1)
-    for i, ai in enumerate(A):
-        if ai is None:
-            continue
-        for j, bj in enumerate(B):
-            if bj is None or i + j > t_order:
-                continue
-            p = zmul(ai, bj)
-            out[i + j] = p if out[i + j] is None else out[i + j] + p
-    return [x if x is not None else _t_zero(A[0].ctx if A else B[0].ctx) for x in out]
-
-
-def _t_scale(A: list, s: QSeries) -> list:
-    return [x.scale(s) for x in A]
-
-
-def _t_euler(x: Monomial, zdeg: int, base: Monomial, t_order, ctx, t_step: int = 1,
-             inverted: bool = False, count=INF) -> list:
-    """(x z^zdeg t^t_step; base)_count, or its reciprocal, as a t-series:
-    t^(m t_step) -> the z^(m zdeg) row of qkernel.poch_rows."""
-    out = [_t_zero(ctx) for _ in range(t_order + 1)]
-    for m, (c, e, g) in enumerate(poch_rows(x, base, count, inverted, t_order // t_step, ctx)):
-        out[m * t_step] = ZSeries(ctx, {m * zdeg: g.mul_monomial(c, e)})
-    return out
-
-
-def _t_phi(uppers, lowers, base: Monomial, argmono: Monomial, arg_zdeg: int,
-           t_order: int, ctx, t_step: int = 1) -> list:
-    """phi whose argument carries t^t_step z^arg_zdeg; uppers are
-    (monomial, zdeg) pairs expanded as z-polynomials, lowers are scalar."""
-    eb = ctx.scale(base.exp)
-    out = [_t_zero(ctx) for _ in range(t_order + 1)]
-    num = zs_one(ctx)
-    den = ctx.one()
-    m = 0
-    argpow = mono(1, 0)
-    while m * t_step <= t_order:
-        if m:
-            for u, zd in uppers:
-                num = zmul(num, _z_binomial(ctx, u.coeff * base.coeff ** (m - 1),
-                                            ctx.scale(u.exp) + (m - 1) * eb, zd))
-            bm = base.coeff ** (m - 1)
-            den = mul_binomials(den, [(bm * base.coeff, m * eb, -1)] + [
-                (l.coeff * bm, ctx.scale(l.exp) + (m - 1) * eb, -1) for l in lowers])
-            argpow = argpow * argmono
-        coeff = den.mul_monomial(argpow.coeff, ctx.scale(argpow.exp))
-        out[m * t_step] = num.scale(coeff).shift(m * arg_zdeg)
-        m += 1
-    return out
-
-
-def _t_phi22_sym(a: Monomial, arg: Monomial, t_order: int, ctx) -> list:
-    """2phi2(tz, t/z; at, -at; base q, arg) as a t-series.
-
-    The lower product (at, -at; q)_k collapses to (a^2 t^2; q^2)_k. Term k
-    is (tz, t/z; q)_k / (a^2 t^2; q^2)_k, three finite poch_rows t-series,
-    times (-1)^k q^C(k,2) arg^k / (q; q)_k; terms are summed until that
-    scalar's exponent passes the truncation, which its C(k,2) growth
-    guarantees.
-    """
-    earg = ctx.scale(arg.exp)
-    u = ctx.scale(1)
-    acc = [_t_zero(ctx) for _ in range(t_order + 1)]
-    one = mono(1, 0)
-    inv_qk = ctx.one()
-    k = 0
-    while True:
-        sc_e = (k * (k - 1) // 2) * u + k * earg
-        if k and sc_e >= ctx.order:
-            break
-        num = _t_mul(_t_euler(one, 1, _Q, t_order, ctx, count=k),
-                     _t_euler(one, -1, _Q, t_order, ctx, count=k), t_order)
-        den = _t_euler(a ** 2, 0, qpow(2), t_order, ctx, t_step=2, inverted=True, count=k)
-        term = _t_scale(_t_mul(num, den, t_order),
-                        inv_qk.mul_monomial((-ONE) ** k * arg.coeff ** k, sc_e))
-        acc = [x + y for x, y in zip(acc, term)]
-        inv_qk = div_binomial(inv_qk, ONE, (k + 1) * u)
-        k += 1
-    return acc
+    return _cauchy(front, back, ctx).scale(pref)
 
 
 def genfun_lhs(variant: int, a: Monomial, t_order: int, ctx: SeriesContext) -> list:
     """t-coefficients (each a ZSeries) of the five generating-function
-    left-hand sides for the Rogers polynomials, keyed 1..5:
-
-      1: (tq/z;q^2)/(tz;q^2) * 2phi1(az,-az; -a^2; q, t/z)
-      2: (-t/z;q)/(tz;q)     * 2phi1(az^2,az^2 q; a^2 q; q^2, t^2/z^2)
-      3: 2phi1(az,-az; -a^2; q, t/z) * 2phi1(aq^(1/2)/z,-aq^(1/2)/z; -a^2 q; q, tz)
-      4: (a^2 t^2;q^2) / ((-a^2;q) (tz,t/z;q^2)) * 2phi2(tz,t/z; at,-at; q, -a^2)
-      5: as 4 with -a^2 q^(-1) in place of -a^2
-    """
-    q = _Q
-    q2 = qpow(2)
+    left-hand sides for the Rogers polynomials, keyed 1..5. Each is the
+    product of `_t_phi` factors, listed under its formula as (zparams,
+    uppers, lowers, base, arg, arg t-degree, arg z-degree)."""
+    q, q2, one = _Q, qpow(2), mono(1, 0)
     a2 = a ** 2
+    ah = a * Monomial(ONE, Fraction(1, 2))
+    # 2phi1(az, -az; -a^2; q, t/z)
+    phi_az = ([(a, 0, 1, 1), (-a, 0, 1, 1)], [], [-a2], q, one, 1, -1)
     if variant == 1:
-        A = _t_euler(qpow(1), -1, q2, t_order, ctx)
-        B = _t_euler(mono(1, 0), 1, q2, t_order, ctx, inverted=True)
-        C = _t_phi([(a, 1), (-a, 1)], [-a2], q, mono(1, 0), -1, t_order, ctx)
-        return _t_mul(_t_mul(A, B, t_order), C, t_order)
-    if variant == 2:
-        A = _t_euler(mono(-1, 0), -1, q, t_order, ctx)
-        B = _t_euler(mono(1, 0), 1, q, t_order, ctx, inverted=True)
-        C = _t_phi([(a, 2), (a * q, 2)], [a2 * q], q2, mono(1, 0), -2,
-                   t_order, ctx, t_step=2)
-        return _t_mul(_t_mul(A, B, t_order), C, t_order)
-    if variant == 3:
-        ah = a * Monomial(ONE, Fraction(1, 2))
-        A = _t_phi([(a, 1), (-a, 1)], [-a2], q, mono(1, 0), -1, t_order, ctx)
-        B = _t_phi([(ah, -1), (-ah, -1)], [-a2 * q], q, mono(1, 0), 1, t_order, ctx)
-        return _t_mul(A, B, t_order)
+        # (tq/z; q^2) / (tz; q^2) * 2phi1(az, -az; -a^2; q, t/z)
+        factors = [([], [], [], q2, q, 1, -1), ([], [_ZERO_M], [], q2, one, 1, 1), phi_az]
+    elif variant == 2:
+        # (-t/z; q) / (tz; q) * 2phi1(az^2, az^2 q; a^2 q; q^2, t^2/z^2)
+        factors = [([], [], [], q, -one, 1, -1), ([], [_ZERO_M], [], q, one, 1, 1),
+                   ([(a, 0, 2, 1), (a * q, 0, 2, 1)], [], [a2 * q], q2, one, 2, -2)]
+    elif variant == 3:
+        # 2phi1(az, -az; -a^2; q, t/z) * 2phi1(aq^(1/2)/z, -aq^(1/2)/z; -a^2 q; q, tz)
+        factors = [phi_az, ([(ah, 0, -1, 1), (-ah, 0, -1, 1)], [], [-a2 * q], q, one, 1, 1)]
+    elif variant in (4, 5):
+        # 4: (a^2 t^2; q^2) / ((-a^2; q) (tz, t/z; q^2)) * 2phi2(tz, t/z; at, -at; q, -a^2)
+        # 5: as 4 with -a^2 q^(-1) in place of -a^2
+        arg = -(a2 * (one if variant == 4 else qpow(-1)))
+        factors = [([], [], [], q2, a2, 2, 0), ([], [_ZERO_M], [], q2, one, 1, 1),
+                   ([], [_ZERO_M], [], q2, one, 1, -1),
+                   ([(one, 1, 1, 1), (one, 1, -1, 1), (a2, 2, 0, -1)], [], [], q, arg, 0, 0)]
+    else:
+        raise InvalidParameter(f"unknown generating-function variant {variant}")
+    out = _t_phi(*factors[0], t_order, ctx)
+    for f in factors[1:]:
+        out = _t_mul(out, _t_phi(*f, t_order, ctx), t_order)
     if variant in (4, 5):
-        shift = mono(1, 0) if variant == 4 else qpow(-1)
-        arg = -(a2 * shift)
-        A = _t_euler(a2, 0, q2, t_order, ctx, t_step=2)
-        B = _t_euler(mono(1, 0), 1, q2, t_order, ctx, inverted=True)
-        C = _t_euler(mono(1, 0), -1, q2, t_order, ctx, inverted=True)
-        D = _t_phi22_sym(a, arg, t_order, ctx)
         pref = poch(arg, q, ctx).inverse()
-        out = _t_mul(_t_mul(_t_mul(A, B, t_order), C, t_order), D, t_order)
-        return _t_scale(out, pref)
-    raise InvalidParameter(f"unknown generating-function variant {variant}")
+        out = [x.scale(pref) for x in out]
+    return out
 
 
 def genfun_rhs_coeff(variant: int, n: int, a: Monomial, ctx: SeriesContext) -> ZSeries:

@@ -13,13 +13,12 @@ from qrucible.errors import ZeroDenominator
 from qrucible.ortho import (
     AWParam,
     RogersParam,
-    _z_binomial,
     aw_poly,
     genfun_lhs,
     genfun_rhs_coeff,
     rogers_poly,
 )
-from qrucible.qkernel import poch
+from qrucible.qkernel import INF, _zero_factor_index, poch, poch_rows
 from qrucible.series import (
     Monomial,
     SeriesContext,
@@ -28,6 +27,7 @@ from qrucible.series import (
     mono,
     monomial_to_series,
     mul_binomial,
+    mul_binomials,
     qpow,
 )
 
@@ -298,7 +298,178 @@ def test_transform_sextic_quarter_grid_matches_single_sum():
     assert equal_to_order(lhs, direct, min(lhs.trunc, direct.trunc))
 
 
-# -- the per-factor chains: references for the binomial-pass helpers -----
+# -- the parent's chains: whole-function references for the term pass ----
+#
+# rogers_poly, aw_poly and genfun_lhs as they stood before ortho built
+# every series from one term pass, with their helpers. The new functions
+# must equal these in val, trunc and coefficients, not just in value: the
+# truncations depend on the order of the products.
+
+
+def parent_z_binomial(ctx, coeff, qe, zdeg):
+    assert zdeg != 0
+    return ZSeries(ctx, {0: ctx.one(), zdeg: ctx.monomial(-coeff, qe)})
+
+
+def parent_poch_ratio_chain(a, base, n, ctx):
+    """[ (a;b)_k / (b;b)_k for k = 0..n ] as exact series."""
+    eb = ctx.scale(base.exp)
+    ea = ctx.scale(a.exp)
+    out = [ctx.one()]
+    for k in range(n):
+        bk = base.coeff ** k
+        out.append(mul_binomials(out[-1], [(a.coeff * bk, ea + k * eb, 1),
+                                           (bk * base.coeff, (k + 1) * eb, -1)]))
+    return out
+
+
+def parent_rogers_poly(n, p, ctx):
+    r = parent_poch_ratio_chain(p.a, p.base, n, ctx)
+    terms = {}
+    for k in range(n + 1):
+        d = n - 2 * k
+        c = r[k] * r[n - k]
+        terms[d] = terms[d] + c if d in terms else c
+    return ZSeries(ctx, terms)
+
+
+def parent_aw_poly(n, p, ctx):
+    b = p.base
+    eb = ctx.scale(b.exp)
+    ab = p.a * p.b
+    cd = p.c * p.d
+    for m, label in ((ab, "ab"), (cd, "cd")):
+        j = _zero_factor_index(m, b)
+        if j is not None and j < n:
+            raise ZeroDenominator(f"({label}; base)_k vanishes for k <= {n}")
+    one = zs_one(ctx)
+    front = [one]
+    back = [one]
+    for k in range(n):
+        step = parent_z_binomial(ctx, p.a.coeff * b.coeff ** k, ctx.scale(p.a.exp) + k * eb, 1)
+        step = zmul(step, parent_z_binomial(ctx, p.b.coeff * b.coeff ** k, ctx.scale(p.b.exp) + k * eb, 1))
+        front.append(zmul(front[-1], step))
+        stepb = parent_z_binomial(ctx, p.c.coeff * b.coeff ** k, ctx.scale(p.c.exp) + k * eb, -1)
+        stepb = zmul(stepb, parent_z_binomial(ctx, p.d.coeff * b.coeff ** k, ctx.scale(p.d.exp) + k * eb, -1))
+        back.append(zmul(back[-1], stepb))
+    inv_q_ab = [ctx.one()]
+    inv_q_cd = [ctx.one()]
+    for k in range(n):
+        bk = b.coeff ** k
+        qk = (bk * b.coeff, (k + 1) * eb, -1)
+        inv_q_ab.append(mul_binomials(inv_q_ab[-1], [qk, (ab.coeff * bk, ctx.scale(ab.exp) + k * eb, -1)]))
+        inv_q_cd.append(mul_binomials(inv_q_cd[-1], [qk, (cd.coeff * bk, ctx.scale(cd.exp) + k * eb, -1)]))
+    acc = ZSeries(ctx, {})
+    for k in range(n + 1):
+        part = zmul(front[k], back[n - k]).shift(n - 2 * k)
+        part = part.scale(inv_q_ab[k] * inv_q_cd[n - k])
+        acc = acc + part
+    pref = poch(b, b, ctx, n)
+    if not ab.is_zero():
+        pref = pref * poch(ab, b, ctx, n)
+    if not cd.is_zero():
+        pref = pref * poch(cd, b, ctx, n)
+    return acc.scale(pref)
+
+
+def parent_t_mul(A, B, t_order):
+    out = [None] * (t_order + 1)
+    for i, ai in enumerate(A):
+        if ai is None:
+            continue
+        for j, bj in enumerate(B):
+            if bj is None or i + j > t_order:
+                continue
+            p = zmul(ai, bj)
+            out[i + j] = p if out[i + j] is None else out[i + j] + p
+    return [x if x is not None else ZSeries(A[0].ctx, {}) for x in out]
+
+
+def parent_t_euler(x, zdeg, base, t_order, ctx, t_step=1, inverted=False, count=INF):
+    """(x z^zdeg t^t_step; base)_count, or its reciprocal, as a t-series."""
+    out = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
+    for m, (c, e, g) in enumerate(poch_rows(x, base, count, inverted, t_order // t_step, ctx)):
+        out[m * t_step] = ZSeries(ctx, {m * zdeg: g.mul_monomial(c, e)})
+    return out
+
+
+def parent_t_phi(uppers, lowers, base, argmono, arg_zdeg, t_order, ctx, t_step=1):
+    eb = ctx.scale(base.exp)
+    out = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
+    num = zs_one(ctx)
+    den = ctx.one()
+    m = 0
+    argpow = mono(1, 0)
+    while m * t_step <= t_order:
+        if m:
+            for u, zd in uppers:
+                num = zmul(num, parent_z_binomial(ctx, u.coeff * base.coeff ** (m - 1),
+                                                  ctx.scale(u.exp) + (m - 1) * eb, zd))
+            bm = base.coeff ** (m - 1)
+            den = mul_binomials(den, [(bm * base.coeff, m * eb, -1)] + [
+                (l.coeff * bm, ctx.scale(l.exp) + (m - 1) * eb, -1) for l in lowers])
+            argpow = argpow * argmono
+        coeff = den.mul_monomial(argpow.coeff, ctx.scale(argpow.exp))
+        out[m * t_step] = num.scale(coeff).shift(m * arg_zdeg)
+        m += 1
+    return out
+
+
+def parent_t_phi22_sym(a, arg, t_order, ctx):
+    """2phi2(tz, t/z; at, -at; q, arg), each term's (tz, t/z; q)_k and
+    1/(a^2 t^2; q^2)_k rebuilt from poch_rows t-series."""
+    earg = ctx.scale(arg.exp)
+    u = ctx.scale(1)
+    acc = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
+    one = mono(1, 0)
+    inv_qk = ctx.one()
+    k = 0
+    while True:
+        sc_e = (k * (k - 1) // 2) * u + k * earg
+        if k and sc_e >= ctx.order:
+            break
+        num = parent_t_mul(parent_t_euler(one, 1, qpow(1), t_order, ctx, count=k),
+                           parent_t_euler(one, -1, qpow(1), t_order, ctx, count=k), t_order)
+        den = parent_t_euler(a ** 2, 0, qpow(2), t_order, ctx, t_step=2, inverted=True, count=k)
+        s = inv_qk.mul_monomial((-ONE) ** k * arg.coeff ** k, sc_e)
+        term = [x.scale(s) for x in parent_t_mul(num, den, t_order)]
+        acc = [x + y for x, y in zip(acc, term)]
+        inv_qk = div_binomial(inv_qk, ONE, (k + 1) * u)
+        k += 1
+    return acc
+
+
+def parent_genfun_lhs(variant, a, t_order, ctx):
+    q = qpow(1)
+    q2 = qpow(2)
+    a2 = a ** 2
+    if variant == 1:
+        A = parent_t_euler(qpow(1), -1, q2, t_order, ctx)
+        B = parent_t_euler(mono(1, 0), 1, q2, t_order, ctx, inverted=True)
+        C = parent_t_phi([(a, 1), (-a, 1)], [-a2], q, mono(1, 0), -1, t_order, ctx)
+        return parent_t_mul(parent_t_mul(A, B, t_order), C, t_order)
+    if variant == 2:
+        A = parent_t_euler(mono(-1, 0), -1, q, t_order, ctx)
+        B = parent_t_euler(mono(1, 0), 1, q, t_order, ctx, inverted=True)
+        C = parent_t_phi([(a, 2), (a * q, 2)], [a2 * q], q2, mono(1, 0), -2, t_order, ctx, t_step=2)
+        return parent_t_mul(parent_t_mul(A, B, t_order), C, t_order)
+    if variant == 3:
+        ah = a * Monomial(ONE, HALF)
+        A = parent_t_phi([(a, 1), (-a, 1)], [-a2], q, mono(1, 0), -1, t_order, ctx)
+        B = parent_t_phi([(ah, -1), (-ah, -1)], [-a2 * q], q, mono(1, 0), 1, t_order, ctx)
+        return parent_t_mul(A, B, t_order)
+    shift = mono(1, 0) if variant == 4 else qpow(-1)
+    arg = -(a2 * shift)
+    A = parent_t_euler(a2, 0, q2, t_order, ctx, t_step=2)
+    B = parent_t_euler(mono(1, 0), 1, q2, t_order, ctx, inverted=True)
+    C = parent_t_euler(mono(1, 0), -1, q2, t_order, ctx, inverted=True)
+    D = parent_t_phi22_sym(a, arg, t_order, ctx)
+    pref = poch(arg, q, ctx).inverse()
+    out = parent_t_mul(parent_t_mul(parent_t_mul(A, B, t_order), C, t_order), D, t_order)
+    return [x.scale(pref) for x in out]
+
+
+# -- the per-factor chains: references for the parent's binomial passes ---
 
 
 def oracle_poch_ratio_chain(a, base, n, ctx):
@@ -329,11 +500,11 @@ def oracle_aw_poly(n, p, ctx):
     front = [one]
     back = [one]
     for k in range(n):
-        step = _z_binomial(ctx, p.a.coeff * b.coeff ** k, ctx.scale(p.a.exp) + k * eb, 1)
-        step = zmul(step, _z_binomial(ctx, p.b.coeff * b.coeff ** k, ctx.scale(p.b.exp) + k * eb, 1))
+        step = parent_z_binomial(ctx, p.a.coeff * b.coeff ** k, ctx.scale(p.a.exp) + k * eb, 1)
+        step = zmul(step, parent_z_binomial(ctx, p.b.coeff * b.coeff ** k, ctx.scale(p.b.exp) + k * eb, 1))
         front.append(zmul(front[-1], step))
-        stepb = _z_binomial(ctx, p.c.coeff * b.coeff ** k, ctx.scale(p.c.exp) + k * eb, -1)
-        stepb = zmul(stepb, _z_binomial(ctx, p.d.coeff * b.coeff ** k, ctx.scale(p.d.exp) + k * eb, -1))
+        stepb = parent_z_binomial(ctx, p.c.coeff * b.coeff ** k, ctx.scale(p.c.exp) + k * eb, -1)
+        stepb = zmul(stepb, parent_z_binomial(ctx, p.d.coeff * b.coeff ** k, ctx.scale(p.d.exp) + k * eb, -1))
         back.append(zmul(back[-1], stepb))
     inv_q_ab = [ctx.one()]
     inv_q_cd = [ctx.one()]
@@ -359,7 +530,7 @@ def oracle_aw_poly(n, p, ctx):
 
 
 def oracle_t_phi(uppers, lowers, base, argmono, arg_zdeg, t_order, ctx, t_step=1):
-    """ortho._t_phi with its scalar denominator one factor at a time."""
+    """parent_t_phi with its scalar denominator one factor at a time."""
     eb = ctx.scale(base.exp)
     out = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
     num = zs_one(ctx)
@@ -369,7 +540,7 @@ def oracle_t_phi(uppers, lowers, base, argmono, arg_zdeg, t_order, ctx, t_step=1
     while m * t_step <= t_order:
         if m:
             for u, zd in uppers:
-                num = zmul(num, _z_binomial(ctx, u.coeff * base.coeff ** (m - 1),
+                num = zmul(num, parent_z_binomial(ctx, u.coeff * base.coeff ** (m - 1),
                                             ctx.scale(u.exp) + (m - 1) * eb, zd))
             den = div_binomial(den, base.coeff ** m, m * eb)
             for l in lowers:
@@ -445,22 +616,29 @@ def _zs_agree_below(short, long):
         assert all(s.coefficient(e) == l.coefficient(e) for e in range(min(s.val, l.val), s.trunc)), d
 
 
-_GENFUN_AS = [qpow(1), qpow(2), mono(OMEGA, 1), mono(-1, 1), mono(1, 0)]
+# 2*q^(-1/2) lies on the D = 2 grid only
+_GENFUN_AS = [qpow(1), qpow(2), mono(OMEGA, 1), mono(-1, 1), mono(1, 0), qpow(-1), mono(2, -HALF)]
 
 
 def test_genfun_lhs_matches_per_factor_oracle(monkeypatch):
-    new = {}
+    new, parent = {}, {}
     for variant in (1, 2, 3, 4, 5):
         for a in _GENFUN_AS:
             for D in (1, 2) if variant != 3 else (2,):  # 3 has q^(1/2) parameters
+                if (a.exp * D).denominator != 1:
+                    continue
                 for t_order in (0, 1, 4):
                     ctx = SeriesContext(D, 14 * D)
-                    new[variant, a, D, t_order] = genfun_lhs(variant, a, t_order, ctx)
-    monkeypatch.setattr(ortho, "_t_phi", oracle_t_phi)
-    monkeypatch.setattr(ortho, "_t_phi22_sym", oracle_t_phi22_sym)
+                    new[variant, a, D, t_order] = [_zs_window(x) for x in genfun_lhs(variant, a, t_order, ctx)]
+                    parent[variant, a, D, t_order] = [
+                        _zs_window(x) for x in parent_genfun_lhs(variant, a, t_order, ctx)]
+    assert new == parent
+    monkeypatch.setitem(globals(), "parent_t_phi", oracle_t_phi)
+    monkeypatch.setitem(globals(), "parent_t_phi22_sym", oracle_t_phi22_sym)
     for (variant, a, D, t_order), got in new.items():
-        want = genfun_lhs(variant, a, t_order, SeriesContext(D, 14 * D))
-        assert [_zs_window(x) for x in got] == [_zs_window(x) for x in want], (variant, a, D, t_order)
+        want = parent_genfun_lhs(variant, a, t_order, SeriesContext(D, 14 * D))
+        assert got == [_zs_window(x) for x in want], (variant, a, D, t_order)
+    assert len(new) == (4 * (6 + 7) + 7) * 3  # D = 1 skips 2*q^(-1/2) and variant 3
 
 
 def _random_aw(rng, D):
@@ -479,17 +657,19 @@ def test_rogers_and_aw_match_per_factor_oracles(monkeypatch):
         n = rng.randint(0, 6)
         p = _random_aw(rng, D)
         try:
-            want = oracle_aw_poly(n, p, ctx)
+            want = _zs_window(parent_aw_poly(n, p, ctx))
         except ZeroDenominator:
-            with pytest.raises(ZeroDenominator):
-                aw_poly(n, p, ctx)
+            for f in (aw_poly, oracle_aw_poly):
+                with pytest.raises(ZeroDenominator):
+                    f(n, p, ctx)
             continue
-        assert _zs_window(aw_poly(n, p, ctx)) == _zs_window(want), (n, p)
+        assert _zs_window(aw_poly(n, p, ctx)) == want, (n, p)
+        assert _zs_window(oracle_aw_poly(n, p, ctx)) == want, (n, p)
         cases.append((n, RogersParam(p.a, p.base), ctx))
-    new = [rogers_poly(n, p, ctx) for n, p, ctx in cases]
-    monkeypatch.setattr(ortho, "_poch_ratio_chain", oracle_poch_ratio_chain)
-    for (n, p, ctx), got in zip(cases, new):
-        assert _zs_window(got) == _zs_window(rogers_poly(n, p, ctx)), (n, p)
+    new = [_zs_window(rogers_poly(n, p, ctx)) for n, p, ctx in cases]
+    assert new == [_zs_window(parent_rogers_poly(n, p, ctx)) for n, p, ctx in cases]
+    monkeypatch.setitem(globals(), "parent_poch_ratio_chain", oracle_poch_ratio_chain)
+    assert new == [_zs_window(parent_rogers_poly(n, p, ctx)) for n, p, ctx in cases]
     assert len(cases) > 25
 
 
