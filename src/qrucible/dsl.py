@@ -544,9 +544,10 @@ def _const_fold(e) -> dict:
         base = _const_fold(e.base)
         if e.exp < 0:
             base = _fold_inverse(base, e.base)
-        out = {_KEY0: ONE}
-        for _ in range(abs(e.exp)):
-            out = _fold_mul(out, base)
+        out = {_KEY0: ONE}  # square-and-multiply over the bits of |exp|
+        for bit in bin(abs(e.exp))[2:]:
+            out = _fold_mul(out, out)
+            out = _fold_mul(out, base) if bit == "1" else out
         return out
     raise MonomialExpected(f"not a constant expression: {unparse(e)}")
 
@@ -649,9 +650,13 @@ def _elaborate(e, ctx, path) -> QSeries:
         if k < 0:
             base = _wrap_err(base.inverse, path)
             k = -k
-        out = base if k else ctx.one()
-        for _ in range(k - 1):
-            out = out * base
+        if not k:
+            return ctx.one()
+        # square-and-multiply over the bits of k below its top one: the
+        # val, trunc and coefficients of k - 1 products left to right
+        out = base
+        for bit in bin(k)[3:]:
+            out = out * out * base if bit == "1" else out * out
         return out
     if isinstance(e, Poch):
         base = as_monomial(e.base)

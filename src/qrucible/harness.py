@@ -90,10 +90,6 @@ class VerifyReport:
     ref: str
     skip_reason: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "PASS"
-
 
 class Registry:
     """Ordered identity list; selection is by glob on name or tags."""

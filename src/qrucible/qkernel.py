@@ -79,7 +79,8 @@ def _zero_factor_index(arg: Monomial, base: Monomial) -> Optional[int]:
 def pochhammer(spec: PochSpec, ctx: SeriesContext) -> QSeries:
     """(a; b)_n as an exact truncated series.
 
-    For n infinite, factors (1 - a*b^j) are included until the factor
+    Factors (1 - a*b^j) are included until the count is reached or, with
+    a base exponent >= 0 (always so for n infinite), until the factor
     exponent plus the accumulated valuation reaches the truncation, which
     suffices because later factors only touch higher orders. Each factor
     lowers valuation and truncation alike by min(e, 0) and never cancels
@@ -98,7 +99,7 @@ def pochhammer(spec: PochSpec, ctx: SeriesContext) -> QSeries:
             f"infinite product needs base exponent > 0, got {b.exp}"
         )
     factors = []
-    while (e < ctx.order) if spec.count is INF else (len(factors) < spec.count):
+    while (e < ctx.order or eb < 0) and (spec.count is INF or len(factors) < spec.count):
         if e == 0 and c == ONE:
             return ctx.zero()
         factors.append((c, e, 1))
@@ -223,8 +224,8 @@ def phi_series(uppers, lowers, base, arg, ctx) -> QSeries:
     return phi(PhiSpec(tuple(uppers), tuple(lowers), base, arg), ctx)
 
 
-def theta_sum(z: Monomial, ctx: SeriesContext, base: Monomial | None = None) -> QSeries:
-    """Two-sided theta sum over n of (-1)^n base^C(n,2) z^n.
+def theta_sum(z: Monomial, ctx: SeriesContext) -> QSeries:
+    """Two-sided theta sum over n of (-1)^n q^C(n,2) z^n.
 
     The quadratic exponent growth makes both tails finite below any
     truncation; enumeration walks outward until past the vertex and
@@ -232,12 +233,7 @@ def theta_sum(z: Monomial, ctx: SeriesContext, base: Monomial | None = None) -> 
     """
     if z.is_zero():
         raise InvalidParameter("theta sum needs a nonzero monomial")
-    b = base if base is not None else _Q
-    eb = ctx.scale(b.exp)
-    if eb <= 0:
-        raise NonPositiveBaseExponent("theta base exponent must be > 0")
-    ez = ctx.scale(z.exp)
-    cb, cz = b.coeff, z.coeff
+    eb, ez, cz = ctx.denom, ctx.scale(z.exp), z.coeff
 
     pairs = []
 
@@ -245,7 +241,7 @@ def theta_sum(z: Monomial, ctx: SeriesContext, base: Monomial | None = None) -> 
         binom = n * (n - 1) // 2
         e = eb * binom + ez * n
         if e < ctx.order:
-            c = cb ** binom * cz ** n
+            c = cz ** n
             if n % 2:
                 c = -c
             pairs.append((e, c))

@@ -16,7 +16,8 @@ multiplies give the Z[w] product (Karatsuba with w^2 = -1 - w). Binomial
 factors (1 - c*q^e)^(+-1) go through one integer pass on the same lists
 (`mul_binomials`) and `ZwSum` adds scaled, shifted series in integers, so
 a chain of these converts to Q(w) only where a scalar path reads it.
-`QSeries.inverse` is Newton iteration on the kernel (`_polymul`).
+`QSeries.inverse` is Newton iteration on the kernel, and reads use the Z[w]
+form, canonical in that d is the smallest positive denominator.
 """
 
 from __future__ import annotations
@@ -198,11 +199,8 @@ class QSeries:
             lead += 1
         while tail > lead and not (re[tail - 1] or om[tail - 1]):
             tail -= 1
-        re, om = re[lead:tail], om[lead:tail]
-        g = math.gcd(d, *re, *om)  # d itself for the zero series
-        if g != 1:
-            d, re, om = d // g, [a // g for a in re], [b // g for b in om]
-        x.val, x._z = val + lead if re else x.trunc, (d, re, om)
+        x.val = val + lead if lead < tail else x.trunc
+        x._z = _reduced(d, re[lead:tail], om[lead:tail])
         return x
 
     @property
@@ -227,10 +225,7 @@ class QSeries:
             raise InsufficientTruncation(
                 f"coefficient at {scaled_exp} requested, proven below {self.trunc}"
             )
-        i = scaled_exp - self.val
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return ZERO
+        return _entry(self.zw, scaled_exp - self.val)
 
     def __eq__(self, other) -> bool:
         # Exact equality of windows; use equal_to_order for identity checks.
@@ -239,11 +234,12 @@ class QSeries:
             and self.ctx == other.ctx
             and self.val == other.val
             and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
+            and self.zw == other.zw
         )
 
     def __hash__(self):
-        return hash((self.val, self.trunc, tuple(self.coeffs)))
+        d, re, om = self.zw
+        return hash((self.val, self.trunc, d, tuple(re), tuple(om)))
 
     # -- ring operations ---------------------------------------------------
 
@@ -280,12 +276,8 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
         t = min(self.trunc + other.val, other.trunc + self.val)
-        if self.is_zero() or other.is_zero():
-            return self.ctx.zero(t)
         lo = self.val + other.val
         n = min(t, self.ctx.order) - lo
-        if n <= 0:
-            return self.ctx.zero(t)
         (da, ar, ao), (db, br, bo) = self.zw, other.zw
         return QSeries.from_zw(self.ctx, lo, da * db, *_zw_mul(ar, ao, br, bo, n), t)
 
@@ -304,21 +296,26 @@ class QSeries:
         return QSeries(self.ctx, self.val + e, [c * a for a in self.coeffs], self.trunc + e)
 
     def inverse(self) -> "QSeries":
-        """1/self; valuation negates, relative precision is preserved."""
+        """1/self; valuation negates, relative precision is preserved.
+        Newton iteration on Z[w] lists (von zur Gathen and Gerhard, Modern
+        Computer Algebra, 9.1), y = Y/dy seeded by 1/(leading coefficient)."""
         if self.is_zero():
             raise NotInvertible("series is zero on its window")
-        a = self.coeffs
         n = self.trunc - self.val
-        out = [a[0].inv()]
-        while len(out) < n:
-            # Newton step y <- y*(2 - a*y): a*y = 1 + O(q^h), so y keeps its
-            # h known coefficients and gains -y*(a*y)[h:m] above them.
-            h = len(out)
+        da, ar, ao = self.zw
+        dy, yr, yo = _scaled([_entry(self.zw, 0).inv()])
+        while len(yr) < n:
+            # P = A*Y gives a*y = P/(da*dy) = 1 + O(q^h): y keeps its h known
+            # coefficients and gains -y*(a*y)[h:m] = -Y*P[h:m]/(da*dy^2).
+            h = len(yr)
             m = min(2 * h, n)
-            corr = _polymul(out, _polymul(a, out, m)[h:], m - h)
-            out += [-c if c else ZERO for c in corr]
-            out += [ZERO] * (m - len(out))
-        return QSeries(self.ctx, -self.val, out, self.trunc - 2 * self.val)
+            pr, po = _zw_mul(ar, ao, yr, yo, m)
+            cr, co = _zw_mul(yr, yo, pr[h:], po[h:], m - h)
+            k, pad = da * dy, [0] * (m - h - len(cr))
+            yr = [k * r for r in yr] + [-c for c in cr] + pad
+            yo = [k * o for o in yo] + [-c for c in co] + pad
+            dy, yr, yo = _reduced(dy * k, yr, yo)
+        return QSeries.from_zw(self.ctx, -self.val, dy, yr, yo, self.trunc - 2 * self.val)
 
     def truncate(self, new_trunc: int) -> "QSeries":
         if new_trunc > self.trunc:
@@ -375,23 +372,11 @@ def chain_trunc(order: int, vals) -> int:
     return t
 
 
-def _polymul(a: list, b: list, n: int) -> list:
-    """The first n coefficients of a*b for Q(w) coefficient lists a, b.
-
-    The result has min(n, len(a) + len(b) - 1) entries, so a short
-    operand never builds a long zero tail.
-    """
-    if not a or not b or n <= 0:
-        return []
-    da, ar, ao = _scaled(a[:n])
-    db, br, bo = _scaled(b[:n])
-    return _from_zw(da * db, *_zw_mul(ar, ao, br, bo, n))
-
-
 def _zw_mul(ar: list, ao: list, br: list, bo: list, n: int):
     """The first min(n, len(a) + len(b) - 1) coefficients of a*b for the
-    Z[w] lists a = ar + ao*w and b = br + bo*w, as (re, om) int lists."""
-    n = min(n, len(ar) + len(br) - 1)
+    Z[w] lists a = ar + ao*w and b = br + bo*w, as (re, om) int lists;
+    none if a or b is empty."""
+    n = min(n, len(ar) + len(br) - 1) if ar and br else 0
     if n <= 0:
         return [], []
     ar, ao, br, bo = ar[:n], ao[:n], br[:n], bo[:n]
@@ -442,6 +427,21 @@ def _from_zw(d: int, re: list, om: list) -> list:
         (CycRat(Fraction(r, d), Fraction(o, d)) if r or o else ZERO)
         for r, o in zip(re, om)
     ]
+
+
+def _reduced(d: int, re: list, om: list) -> tuple:
+    """(d, re, om) over the gcd of its entries: the canonical form, d the
+    smallest positive denominator (1 for the zero series)."""
+    g = math.gcd(d, *re, *om)
+    if g == 1:
+        return d, re, om
+    return d // g, [a // g for a in re], [b // g for b in om]
+
+
+def _entry(zw: tuple, i: int) -> CycRat:
+    """Entry i of the Z[w] form zw as a Q(w) coefficient, ZERO outside it."""
+    d, re, om = zw
+    return _from_zw(d, re[i : i + 1], om[i : i + 1])[0] if 0 <= i < len(re) else ZERO
 
 
 def _zw_scale(d: int, re: list, om: list, k: CycRat):
@@ -642,12 +642,12 @@ def first_mismatch(x, y, up_to):
         raise InsufficientTruncation(
             f"comparison to {up_to} but proven to {min(x.trunc, y.trunc)}"
         )
-    lo = min(x.val, y.val)
-    if lo >= up_to:
-        return None
-    for e in range(lo, up_to):
-        cx = x.coeffs[e - x.val] if 0 <= e - x.val < len(x.coeffs) else ZERO
-        cy = y.coeffs[e - y.val] if 0 <= e - y.val < len(y.coeffs) else ZERO
-        if cx != cy:
-            return (e, cx, cy)
+    # entries (re, om)/d compare by cross-multiplying the denominators
+    (dx, xr, xo), (dy, yr, yo) = x.zw, y.zw
+    for e in range(min(x.val, y.val), up_to):
+        i, j = e - x.val, e - y.val
+        a = (xr[i] * dy, xo[i] * dy) if 0 <= i < len(xr) else (0, 0)
+        b = (yr[j] * dx, yo[j] * dx) if 0 <= j < len(yr) else (0, 0)
+        if a != b:
+            return (e, _entry(x.zw, i), _entry(y.zw, j))
     return None

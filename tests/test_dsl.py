@@ -29,7 +29,7 @@ from qrucible.dsl import (
     parse,
     unparse,
 )
-from qrucible.errors import EvalError, MonomialExpected, ParseError, UnknownSymbol
+from qrucible.errors import EvalError, MonomialExpected, ParseError, QrucibleError, UnknownSymbol
 from qrucible.series import SeriesContext, equal_to_order
 
 
@@ -268,7 +268,7 @@ def test_elaborate_matches_direct_kernel_calls():
         assert equal_to_order(got, want, min(got.trunc, want.trunc))
 
 
-def test_int_power_multiplies_k_minus_one_times(monkeypatch):
+def test_int_power_takes_square_and_multiply_products(monkeypatch):
     from qrucible.series import QSeries
 
     calls = []
@@ -280,15 +280,96 @@ def test_int_power_multiplies_k_minus_one_times(monkeypatch):
 
     monkeypatch.setattr(QSeries, "__mul__", counted)
     ctx = SeriesContext(1, 12)
-    for text, products in (("(1-q)^2", 1), ("(1-q)^(-1)", 0), ("(1-q)^3", 2), ("(1-q)^1", 0)):
+    for k in (2, -1, 3, 1, 4, 7, 8, 13, 10**9):
         calls.clear()
-        elaborate(parse(text), ctx)
-        assert len(calls) == products, text
+        elaborate(parse(f"(1-q)^({k})"), ctx)
+        # one squaring per bit below the top one, one product per set bit
+        assert len(calls) == len(bin(abs(k))) - 3 + bin(abs(k)).count("1") - 1, k
     monkeypatch.undo()
     assert elaborate(parse("(1-q)^2"), ctx).coeffs == [ONE, CycRat(-2), ONE]
     inv = elaborate(parse("(1-q)^(-1)"), ctx)
     assert inv.coeffs == [ONE] * 12 and inv.trunc == 12
     assert elaborate(parse("(1-q)^0"), ctx) == ctx.one()
+
+
+def _rand_base_text(rng):
+    """DSL text of a series with w parts, a negative val, a window short of
+    the order, or none at all."""
+    coeffs = ["1", "-2", "1/3", "w", "w2", "(2*w-1)", "(-3/2*w)"]
+    terms = [
+        f"{rng.choice(coeffs)}*q^({rng.randint(-4, 8)}/2)" for _ in range(rng.randint(1, 4))
+    ]
+    text = "(" + " + ".join(terms) + ")"
+    kind = rng.randrange(4)
+    if kind == 1:
+        text = f"{text}/(q^({rng.randint(1, 3)}/2) + q^2)"
+    if kind == 2:
+        text = f"q^(-{rng.randint(1, 4)}/2)*(q - q)"
+    return text
+
+
+def test_int_power_matches_left_to_right_chain():
+    """val, trunc and coefficients of x^k equal those of k - 1 products
+    left to right (of 1/x for k < 0), for k up to 12."""
+    rng = random.Random(6060)
+    seen = {"negative val": 0, "zero": 0, "short": 0}
+    for _ in range(500):
+        ctx = SeriesContext(2, rng.randint(4, 24))
+        text, k = _rand_base_text(rng), rng.choice([-1, 1]) * rng.randint(0, 12)
+        x = elaborate(parse(text), ctx)
+        if k < 0 and x.is_zero():
+            continue
+        base = x.inverse() if k < 0 else x
+        chain = ctx.one() if k == 0 else base
+        for _ in range(abs(k) - 1):
+            chain = chain * base
+        got = elaborate(parse(f"({text})^({k})"), ctx)
+        assert got == chain, (text, k)
+        seen["negative val"] += base.val < 0
+        seen["zero"] += base.is_zero()
+        seen["short"] += base.trunc < ctx.order
+    assert min(seen.values()) > 40, seen
+
+
+def test_const_fold_powers_match_repeated_products():
+    from qrucible.dsl import _KEY0, _const_fold, _fold_inverse, _fold_mul
+
+    rng = random.Random(6061)
+    atoms = ["0", "2", "-1/3", "w", "w2", "q", "q^(-3/2)", "z", "z^(-2)", "(1+z)", "(q - w*z^2)"]
+    for _ in range(400):
+        text = "*".join(rng.choice(atoms) for _ in range(rng.randint(1, 3)))
+        k = rng.randint(-6, 12)
+        base = _const_fold(parse(text))
+        try:
+            base = _fold_inverse(base, parse(text)) if k < 0 else base
+        except QrucibleError as exc:
+            with pytest.raises(type(exc)):
+                _const_fold(parse(f"({text})^({k})"))
+            continue
+        want = {_KEY0: ONE}
+        for _ in range(abs(k)):
+            want = _fold_mul(want, base)
+        assert _const_fold(parse(f"({text})^({k})")) == want, (text, k)
+
+
+def test_huge_powers_and_counts_elaborate_at_once():
+    import time
+
+    ctx = SeriesContext(1, 30)
+    for text, same_as in (
+        ("(1+q)^1000000000", None),
+        ("w^1000000000", "w"),
+        ("qp(w^1000000000; q; inf)", "qp(w; q; inf)"),
+        ("qp(q; q; 1000000000)", "qp(q; q; inf)"),
+    ):
+        t0 = time.perf_counter()
+        got = elaborate(parse(text), ctx)
+        assert time.perf_counter() - t0 < 1.0, text
+        if same_as:
+            assert got == elaborate(parse(same_as), ctx), text
+    big = elaborate(parse("(1+q)^1000000000"), ctx)
+    n = 10**9
+    assert [big.coefficient(j).re for j in range(4)] == [1, n, n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6]
 
 
 def test_int_power_of_negative_valuation_is_honest():

@@ -434,6 +434,27 @@ def test_pochhammer_matches_sequential_factors():
         assert pochhammer(spec, ctx) == sequential_pochhammer(spec, ctx), spec
 
 
+def test_finite_pochhammer_stops_at_the_order():
+    """A finite count with a base exponent >= 0 stops at the first factor
+    exponent at or past the order; the result is that of every factor one
+    at a time (the full loop), for counts around the order and past it."""
+    rng = random.Random(10)
+    stopped = 0
+    for _ in range(600):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 24))
+        D = ctx.denom
+        arg = mono(rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(1, 2)), CycRat(3, 1)]), Fraction(rng.randint(-3 * D, 10 * D), D))
+        base = mono(rng.choice([ONE, -ONE, OMEGA2, CycRat(2)]), Fraction(rng.randint(-D, 3 * D), D))
+        count = max(0, ctx.order // max(1, ctx.scale(base.exp)) + rng.randint(-3, 3))
+        spec = PochSpec(arg, base, count)
+        assert pochhammer(spec, ctx) == sequential_pochhammer(spec, ctx), spec
+        eb, e = ctx.scale(base.exp), ctx.scale(arg.exp)
+        stopped += eb >= 0 and e + count * eb > ctx.order
+    assert stopped > 150
+    ctx = SeriesContext(1, 30)
+    assert poch(qpow(1), qpow(1), ctx, 10**9) == poch(qpow(1), qpow(1), ctx)
+
+
 def _agree_below(short, long):
     """short and long, the same value elaborated to two orders, agree
     below the truncation short claims, which long matches or passes."""

@@ -15,8 +15,9 @@ from qrucible.series import (
     QSeries,
     SeriesContext,
     ZwSum,
-    _polymul,
+    _from_zw,
     _scaled,
+    _zw_mul,
     chain_trunc,
     div_binomial,
     equal_to_order,
@@ -128,6 +129,32 @@ def rand_zw_list(rng, length, num=10**30, den=10**20):
     return out[:length]
 
 
+def _polymul(a: list, b: list, n: int) -> list:
+    """Oracle: the first min(n, len(a) + len(b) - 1) coefficients of a*b for
+    Q(w) lists a, b, each scaled to Z[w] and the product converted back,
+    as the Q(w) product path before it left the series module."""
+    if not a or not b or n <= 0:
+        return []
+    da, ar, ao = _scaled(a[:n])
+    db, br, bo = _scaled(b[:n])
+    return _from_zw(da * db, *_zw_mul(ar, ao, br, bo, n))
+
+
+def parent_inverse(x):
+    """Oracle: 1/x by Newton iteration on Q(w) lists through _polymul, as
+    QSeries.inverse was before it ran on the Z[w] form."""
+    a = x.coeffs
+    n = x.trunc - x.val
+    out = [a[0].inv()]
+    while len(out) < n:
+        h = len(out)
+        m = min(2 * h, n)
+        corr = _polymul(out, _polymul(a, out, m)[h:], m - h)
+        out += [-c if c else ZERO for c in corr]
+        out += [ZERO] * (m - len(out))
+    return QSeries(x.ctx, -x.val, out, x.trunc - 2 * x.val)
+
+
 def test_polymul_matches_schoolbook():
     rng = random.Random(20261018)
     for _ in range(120):
@@ -151,16 +178,35 @@ def test_polymul_matches_schoolbook():
 
 
 def test_newton_inverse_matches_recurrence():
+    """The Z[w] Newton inverse equals the Newton iteration on Q(w) lists,
+    and on the first draws (large entries) the term-by-term recurrence, in
+    val, trunc, coefficients and the canonical Z[w] form, whichever form
+    the input was built in."""
     rng = random.Random(41)
-    ctx = SeriesContext(2, 80)
-    for _ in range(25):
-        a = rand_zw_list(rng, rng.randint(1, 40), num=10**6, den=10**3)
-        a[0] = a[0] or ONE
+    seen = {"w lead": 0, "fractional lead": 0, "negative val": 0}
+    for k in range(330):
+        ctx = SeriesContext(1 + k % 3, 80)
+        big = k < 25
+        a = rand_zw_list(rng, rng.randint(1, 40), *((10**6, 10**3) if big else (50, 12)))
+        a[0] = rng.choice([a[0], rand_factor_coeff(rng), ONE, -ONE]) or ONE
+        if rng.random() < 0.3:
+            a = [CycRat(c.re) for c in a]
+            a[0] = a[0] or CycRat(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         val = rng.randint(-5, 5)
         x = QSeries(ctx, val, a, rng.randint(val + 1, ctx.order))
-        n = x.trunc - x.val
-        expect = QSeries(ctx, -val, recurrence_inverse(x.coeffs, n), x.trunc - 2 * val)
-        assert x.inverse() == expect
+        if k % 2:
+            x = zw_only(x)
+        got = x.inverse()
+        assert got == parent_inverse(zw_only(x))
+        assert got.zw == _scaled(got.coeffs)
+        if big:
+            n = x.trunc - x.val
+            expect = QSeries(ctx, -val, recurrence_inverse(x.coeffs, n), x.trunc - 2 * val)
+            assert got == expect
+        seen["w lead"] += bool(a[0].om)
+        seen["fractional lead"] += a[0].re.denominator > 1
+        seen["negative val"] += val < 0
+    assert min(seen.values()) > 30, seen
 
 
 def rand_factor_coeff(rng):
@@ -378,6 +424,70 @@ def test_products_match_the_q_w_list_product():
         assert x * y == parent_mul(x, y)
     big = QSeries(ctx, -3, rand_zw_list(rng, 60), ctx.order)
     assert big * big == parent_mul(big, big)
+
+
+def parent_first_mismatch(x, y, up_to):
+    """Oracle: first_mismatch's scan over the Q(w) lists, as it read them
+    before it compared Z[w] entries."""
+    for e in range(min(x.val, y.val), up_to):
+        cx = x.coeffs[e - x.val] if 0 <= e - x.val < len(x.coeffs) else ZERO
+        cy = y.coeffs[e - y.val] if 0 <= e - y.val < len(y.coeffs) else ZERO
+        if cx != cy:
+            return (e, cx, cy)
+    return None
+
+
+def test_first_mismatch_matches_the_q_w_scan():
+    """Pairs that differ in one entry, only in its rational part or only in
+    its w part, by an amount with its own denominator; the entry lies below,
+    inside or above x's window, and up_to below or above it."""
+    rng = random.Random(84)
+    ctx = SeriesContext(2, 40)
+    outcomes = {None: 0, "mismatch": 0}
+    for k in range(400):
+        val = rng.randint(-6, 6)
+        a = rand_zw_list(rng, rng.randint(1, 20), num=20, den=6)
+        at = rng.randint(-4, len(a) + 4)
+        lo, b = min(at, 0), list(a) + [ZERO] * (at + 1 - len(a))
+        b = [ZERO] * -lo + b
+        part = Fraction(rng.choice([1, -1]) * rng.randint(1, 9), rng.randint(1, 9))
+        b[at - lo] = b[at - lo] + (CycRat(part) if k % 2 else CycRat(0, part))
+        x, y = QSeries(ctx, val, a, ctx.order), QSeries(ctx, val + lo, b, ctx.order)
+        if rng.random() < 0.5:
+            x = zw_only(x)
+        if rng.random() < 0.5:
+            y = zw_only(y)
+        up_to = min(ctx.order, val + at + rng.randint(-3, 4))
+        for u, v in ((x, y), (y, x)):
+            got = first_mismatch(u, v, up_to)
+            assert got == parent_first_mismatch(u, v, up_to)
+        outcomes["mismatch" if got else None] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_q_w_series_equal_and_hash_as_their_zw_twins():
+    """A series built from a Q(w) list is == to the series built by from_zw
+    from any Z[w] triple of the same window, hashes the same, and is !=
+    to one that differs in the w parts or in d."""
+    rng = random.Random(85)
+    for k in range(200):
+        ctx = SeriesContext(1 + k % 3, 30)
+        x = rand_window_series(rng, ctx)
+        d, re, om = _scaled(x.coeffs)
+        s, pad = rng.randint(1, 12), rng.randint(0, 3)
+        twin = QSeries.from_zw(
+            ctx, x.val - pad, d * s,
+            [0] * pad + [s * r for r in re] + [0] * pad,
+            [0] * pad + [s * o for o in om] + [0] * pad,
+            x.trunc,
+        )
+        fresh = QSeries(ctx, x.val, list(x.coeffs), x.trunc)
+        assert hash(fresh) == hash(twin)
+        assert fresh == twin and twin == fresh
+        assert {fresh: k}[twin] == k
+        if re:  # a change in the w parts alone, or in d alone, is seen
+            assert fresh != QSeries.from_zw(ctx, x.val, d, re, [o + 1 for o in om], x.trunc)
+            assert fresh != QSeries.from_zw(ctx, x.val, 2 * d, re, om, x.trunc)
 
 
 def test_monomial_to_series_grid():
