@@ -1,11 +1,11 @@
-"""Bivariate z-Laurent series over QSeries and constant-term extraction.
+"""Bivariate z-Laurent series over Q(w) and constant-term extraction.
 
 Contour integrals "separating 0 from all poles" are modeled purely
 formally: each Pochhammer family (c q^e z^d; b)_K^(+-1) of the integrand
 expands whole in powers of z^d (Euler's identities and the Cauchy
-q-binomial theorem, `qkernel.poch_rows`), the families multiply as Z[w]
-lists packed through z = q^L, and the integral is the z-degree-0
-coefficient of the resulting Laurent expansion.
+q-binomial theorem, `qkernel.poch_rows`), the families multiply in by
+`zmul`, and the integral is the z-degree-0 coefficient of the resulting
+Laurent expansion.
 
 The z window is bounded by the whole negative-degree supply: a term at
 degree n or -n reaches degree 0 only if the 1/z factors of all families
@@ -23,15 +23,17 @@ window-enlargement stability is a tested invariant, not an assumption.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 from typing import Optional, Sequence
 
 from .cyclotomic import CycRat, ONE
 from .errors import NonPositiveBaseExponent, WindowOverflow
 from .qkernel import poch, poch_rows
-from .series import Monomial, QSeries, SeriesContext, qpow
+from .series import Monomial, QSeries, SeriesContext, ZwSum, qpow
 from .series import _zw_mul, _zw_scale
 
 MAX_WINDOW = 512
@@ -55,76 +57,131 @@ class ZPochFamily:
 
 
 class ZSeries:
-    """Laurent polynomial in z with QSeries coefficients (one context)."""
+    """Laurent polynomial in z as Z[w] rows: `rows` maps z-degree m to
+    (trunc, re, om), the q-series q^lo (re + om*w)/d known below trunc; one
+    d and one lo serve all rows, d reduced by the gcd of their entries."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "rows", "d", "lo")
 
-    def __init__(self, ctx: SeriesContext, terms: dict):
-        self.ctx = ctx
-        # a zero row known only below a trunc short of the order stays
-        self.terms = {d: s for d, s in terms.items() if not s.is_zero() or s.trunc < ctx.order}
+    def __init__(self, ctx: SeriesContext, rows: dict, d: int = 1, lo: int = 0):
+        kept = {}
+        for m, (t, r, o) in rows.items():
+            r, o = r[: max(0, t - lo)], o[: max(0, t - lo)]
+            if t < ctx.order or any(r) or any(o):  # a zero row short of the order stays
+                kept[m] = (t, r, o)
+        g = math.gcd(d, *(v for _, r, o in kept.values() for v in r + o)) if d > 1 else 1
+        self.ctx, self.d, self.lo = ctx, d // g, lo
+        self.rows = kept if g == 1 else {
+            m: (t, [v // g for v in r], [v // g for v in o]) for m, (t, r, o) in kept.items()}
+
+    @property
+    def terms(self) -> dict:
+        return {m: self.coefficient(m) for m in self.rows}
 
     def coefficient(self, deg: int) -> QSeries:
-        return self.terms.get(deg, self.ctx.zero())
+        t, r, o = self.rows.get(deg, (self.ctx.order, [], []))
+        return QSeries.from_zw(self.ctx, self.lo, self.d, r, o, t)
 
     def shift(self, deg: int) -> "ZSeries":
-        return ZSeries(self.ctx, {d + deg: s for d, s in self.terms.items()})
+        return ZSeries(self.ctx, {m + deg: row for m, row in self.rows.items()}, self.d, self.lo)
 
     def scale(self, s: QSeries) -> "ZSeries":
-        return ZSeries(self.ctx, {d: c * s for d, c in self.terms.items()})
+        """Every row times s, with the truncs of QSeries.__mul__."""
+        y = ZSeries(self.ctx, {}, 1, s.val)
+        # s is kept even where it is zero: it still cuts the rows of negative val
+        y.d, re, om = s.zw
+        y.rows = {0: (s.trunc, re, om)}
+        return zmul(self, y)
 
     def __add__(self, other: "ZSeries") -> "ZSeries":
-        out = dict(self.terms)
-        for d, s in other.terms.items():
-            out[d] = out[d] + s if d in out else s
-        return ZSeries(self.ctx, out)
-
-    def __mul__(self, other: "ZSeries") -> "ZSeries":
-        return zmul(self, other)
+        return zsum(self.ctx, [self, other])
 
 
 def zs_one(ctx: SeriesContext) -> ZSeries:
-    return ZSeries(ctx, {0: ctx.one()})
+    return ZSeries(ctx, {0: (ctx.order, [1], [0])})
 
 
-def zmul(x: ZSeries, y: ZSeries) -> ZSeries:
-    """Full Laurent convolution; truncations propagate per coefficient."""
+def zsum(ctx: SeriesContext, parts) -> ZSeries:
+    """The sum of row sets over their lcm denominator and least lo; each row
+    is known below the least trunc of its terms."""
+    parts = [p for p in parts if p.rows]
+    d, lo = math.lcm(*(p.d for p in parts)), min((p.lo for p in parts), default=0)
     out: dict = {}
-    for dx, sx in x.terms.items():
-        for dy, sy in y.terms.items():
-            p = sx * sy
-            d = dx + dy
-            out[d] = out[d] + p if d in out else p
-    return ZSeries(x.ctx, out)
+    for p in parts:
+        k, pre = d // p.d, [0] * (p.lo - lo)
+        for m, (t, r, o) in p.rows.items():
+            s, a, b = out.get(m, (t, [], []))
+            r, o = pre + [k * v for v in r], pre + [k * v for v in o]
+            out[m] = (min(s, t), _plus(a, r), _plus(b, o))
+    return ZSeries(ctx, out, d, lo)
+
+
+def _plus(a: list, b: list) -> list:
+    return [u + v for u, v in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def _val(lo: int, t: int, r: list, o: list) -> int:
+    """The exponent of a row's first nonzero entry, its trunc if none."""
+    i = next(itertools.compress(itertools.count(), map(or_, r, o)), None)
+    return t if i is None else lo + i
+
+
+def zmul(x: ZSeries, y: ZSeries, top: int | None = None) -> ZSeries:
+    """x*y without the rows of degree beyond +-top, by one _zw_mul on the
+    rows packed through z = q^L. Row m is known below the least QSeries
+    trunc min(t_a + v_b, t_b + v_a) of the row pairs meeting at m."""
+    order, lo = x.ctx.order, x.lo + y.lo
+    yv = [(k, t, _val(y.lo, t, r, o)) for k, (t, r, o) in y.rows.items()]
+    truncs: dict = {}
+    for j, (ta, r, o) in x.rows.items():
+        va = _val(x.lo, ta, r, o)
+        for k, tb, vb in yv:
+            if top is None or abs(j + k) <= top:
+                truncs[j + k] = min(truncs.get(j + k, order), ta + vb, tb + va)
+    if not truncs:
+        return ZSeries(x.ctx, {})
+    # the product is kept below q^order, so each operand below q^(order - lo)
+    n = max(0, order - lo)
+    span = sum(min(n, max(len(r) for _, r, _ in s.rows.values())) for s in (x, y))
+    at0 = min(x.rows) + min(y.rows)
+    size = (max(truncs) - at0 + 1) * span
+    pr, po = _zw_mul(*_flat(x.rows, span, n), *_flat(y.rows, span, n), size)
+    out = {}
+    for m, t in truncs.items():
+        at = (m - at0) * span
+        out[m] = (t, pr[at : at + span], po[at : at + span])
+    return ZSeries(x.ctx, out, x.d * y.d, lo)
+
+
+def _flat(rows: dict, span: int, n: int):
+    """The rows from the lowest degree up, cut to n, at stride span."""
+    zero = [0] * span
+    re, om = [], []
+    for j in range(min(rows), max(rows) + 1):
+        _, r, o = rows.get(j, (0, [], []))
+        re += (r[:n] + zero)[:span]
+        om += (o[:n] + zero)[:span]
+    return re, om
 
 
 def zsubst(x: ZSeries, z: Monomial) -> QSeries:
-    """Substitute a monomial (or root of unity) for z."""
-    acc = x.ctx.zero()
-    for d, s in x.terms.items():
-        zm = z ** d
-        acc = acc + s.mul_monomial(zm.coeff, x.ctx.scale(zm.exp))
-    return acc
+    """Substitute a monomial (or root of unity) for z: the rows s_m times
+    z^m = c_m q^(e_m) summed in one ZwSum, known below the least trunc."""
+    ctx = x.ctx
+    terms = [(x.coefficient(m), (z**m).coeff, ctx.scale((z**m).exp)) for m in x.rows]
+    acc = ZwSum(ctx, min((s.val + e for s, _, e in terms), default=ctx.order))
+    for s, c, e in terms:
+        acc.add(s, c, e)
+    return acc.series(min((s.trunc + e for s, _, e in terms), default=ctx.order))
 
 
-def zproduct(
-    families: Sequence[ZPochFamily],
-    ctx: SeriesContext,
-    window: int,
-    degree: int | None = None,
-) -> ZSeries:
+def zproduct(families: Sequence[ZPochFamily], ctx: SeriesContext, window: int) -> ZSeries:
     """Product of the families on [-window, window], starting from 1: every
     factor of a finite family, the factors (1 - c q^e z^d) below the order
-    of an infinite one. With a degree given, only that row is returned.
-
-    The product maps each z-degree to (trunc, re, om): Z[w] lists over one
-    denominator from the exponent lo up, cut at the trunc. Each family is
-    multiplied in whole, by one _zw_mul on operands packed through z = q^L.
-    """
+    of an infinite one. Each family is multiplied in whole, by one zmul."""
     if window > MAX_WINDOW:
         raise WindowOverflow(f"window {window} exceeds the configured maximum")
-    order = ctx.order
-    den, lo, rows = 1, 0, {0: (order, [1], [0])}
+    z = zs_one(ctx)
     for fam in families:
         if fam.zdeg == 0:
             raise WindowOverflow("z-degree-0 factor is not an integrand factor")
@@ -132,73 +189,34 @@ def zproduct(
         # an infinite family stops below the order; a finite one whose base
         # exponent is not positive splits into its factors
         if k is None:
-            parts = [(x, max(0, -((ctx.scale(fam.qexp) - order) // eb)))]
+            parts = [(x, max(0, -((ctx.scale(fam.qexp) - ctx.order) // eb)))]
         else:
             parts = [(x, k)] if eb > 0 else [(x * fam.base**j, 1) for j in range(k)]
         for x, count in parts:
-            if rows:
-                den, lo, rows = _times_family(den, lo, rows, x, count, fam, ctx, window)
-    return ZSeries(ctx, {m: QSeries.from_zw(ctx, lo, den, r, o, t)
-                         for m, (t, r, o) in rows.items() if degree in (None, m)})
+            if z.rows:
+                z = _times_family(z, x, count, fam, ctx, window)
+    return z
 
 
-def _flat(rows: dict, span: int):
-    """The rows (z-degree -> (_, re, om)) from the lowest degree up, at
-    stride span, as one (re, om) pair."""
-    zero = [0] * span
-    re, om = [], []
-    for j in range(min(rows), max(rows) + 1):
-        _, r, o = rows.get(j, (0, zero, zero))
-        re += r + zero[len(r) :]
-        om += o + zero[len(o) :]
-    return re, om
-
-
-def _times_family(den, lo, rows, x: Monomial, count: int, fam: ZPochFamily,
-                  ctx: SeriesContext, window: int):
-    """(den, lo, rows) times (x z^d; base)_count^(+-1) on [-window, window].
-
-    Row m's trunc is the minimum over the nonzero row pairs (a, b) with
-    deg a + deg b = m of QSeries.__mul__'s min(t_a + v_b, t_b + v_a),
-    capped at the order. A family row is known to relative precision
-    order (t_b = v_b + order), and every row of the product has
-    t_a <= order + v_a, so that minimum is t_a + v_b.
-    """
+def _times_family(z: ZSeries, x: Monomial, count: int, fam: ZPochFamily,
+                  ctx: SeriesContext, window: int) -> ZSeries:
+    """z times (x z^d; base)_count^(+-1) on [-window, window]. Family row
+    n, c_n q^(e_n) g_n, is known to relative precision order, so its trunc
+    is e_n + order; the rows at or past q^(order - z.lo) are left out."""
     order, d, inv = ctx.order, fam.zdeg, fam.inverted
     e, eb = ctx.scale(x.exp), ctx.scale(fam.base.exp)
-    top = (window - min(rows)) // d if d > 0 else (max(rows) + window) // -d
+    top = (window - min(z.rows)) // d if d > 0 else (max(z.rows) + window) // -d
     top = top if inv else min(top, count)
     # row n sits at q^(ne) or q^(ne + eb*C(n,2)), convex in n from 0, so the
-    # rows below order - lo are a prefix
-    while top > 0 and top * e + (0 if inv else eb * top * (top - 1) // 2) >= order - lo:
+    # rows below order - z.lo are a prefix
+    while top > 0 and top * e + (0 if inv else eb * top * (top - 1) // 2) >= order - z.lo:
         top -= 1
-    frows, fden = {}, 1
+    rows = []
     for n, (c, en, g) in enumerate(poch_rows(x, fam.base, count, inv, top, ctx)):
         if c and not g.is_zero():
-            gd, gr, go = g.zw
-            frows[d * n] = (en, *_zw_scale(gd, gr[: order - lo - en], go[: order - lo - en], c))
-            fden = math.lcm(fden, frows[d * n][1])
-    f0 = min(en for en, *_ in frows.values())
-    for k, (en, s, r, o) in frows.items():
-        pre, s = [0] * (en - f0), fden // s
-        frows[k] = (en, pre + [s * v for v in r], pre + [s * v for v in o])
-    span = order - lo + max(len(r) for _, r, _ in frows.values()) - 1
-    at0 = min(rows) + min(frows)
-    pr, po = _zw_mul(*_flat(rows, span), *_flat(frows, span), (window - at0 + 1) * span)
-    truncs: dict = {}
-    for j, (t, _, _) in rows.items():
-        for k, (en, _, _) in frows.items():
-            if abs(j + k) <= window:
-                truncs[j + k] = min(truncs.get(j + k, order), t + en)
-    lo, out = lo + f0, {}
-    for m, t in truncs.items():
-        at, n = (m - at0) * span, max(0, t - lo)
-        r, o = pr[at : at + n], po[at : at + n]
-        if any(r) or any(o):
-            out[m] = (t, r, o)
-    g = math.gcd(den * fden, *(v for _, r, o in out.values() for v in r + o))
-    return den * fden // g, lo, {m: (t, [v // g for v in r], [v // g for v in o])
-                                 for m, (t, r, o) in out.items()}
+            gd, r, o = _zw_scale(*g.zw, c)
+            rows.append(ZSeries(ctx, {d * n: (en + order, r, o)}, gd, en))
+    return zmul(z, zsum(ctx, rows), window)
 
 
 # -- planning -----------------------------------------------------------
@@ -321,7 +339,7 @@ def ct_product(families: Sequence[ZPochFamily], ctx: SeriesContext, degree: int 
     """
     window, margin = plan_window(families, ctx)
     work = SeriesContext(ctx.denom, ctx.order + margin)
-    ct = zproduct(families, work, window + abs(degree), degree).coefficient(degree)
+    ct = zproduct(families, work, window + abs(degree)).coefficient(degree)
     return QSeries.from_zw(ctx, ct.val, *ct.zw, min(ct.trunc, ctx.order))
 
 

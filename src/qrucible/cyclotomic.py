@@ -8,6 +8,7 @@ is exact.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DivisionByZero
@@ -145,18 +146,24 @@ def render(x: CycRat) -> str:
     """
     a, b = x.re, x.om
     if not b:
-        return str(a)
+        return _text(a)
     if b == 1:
         wpart = "w"
     elif b == -1:
         wpart = "-w"
     else:
-        wpart = f"{b}*w"
+        wpart = f"{_text(b)}*w"
     if not a:
         return wpart
     sign = "-" if b < 0 else "+"
     mag = wpart.lstrip("-")
-    return f"{a} {sign} {mag}"
+    return f"{_text(a)} {sign} {mag}"
+
+
+def _text(x: Fraction) -> str:
+    """str(x), also past the int-to-str digit limit, which Decimal lacks."""
+    n, d = Decimal(x.numerator), Decimal(x.denominator)
+    return f"{n}" if d == 1 else f"{n}/{d}"
 
 
 ZERO = CycRat(0)

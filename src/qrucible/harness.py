@@ -35,15 +35,6 @@ from .cyclotomic import render
 from .errors import BoundExceeded, ParseError, QrucibleError, SuiteError
 from .series import SeriesContext, first_mismatch
 
-GROUPS = (
-    "preliminaries",
-    "kanade-russell",
-    "section5",
-    "contour",
-    "ortho",
-    "transforms",
-)
-
 _MAX_ESCALATIONS = 6
 
 

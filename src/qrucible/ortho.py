@@ -29,9 +29,9 @@ from itertools import count, islice
 
 from .cyclotomic import ONE
 from .errors import InvalidParameter, ZeroDenominator
-from .series import Monomial, SeriesContext, mono, mul_binomials, qpow
+from .series import Monomial, SeriesContext, _scaled, mono, mul_binomials, qpow
 from .qkernel import _zero_factor_index, poch
-from .ctengine import ZSeries, zmul, zs_one
+from .ctengine import ZSeries, zmul, zs_one, zsum
 
 _Q = qpow(1)
 _ZERO_M = mono(0, 0)
@@ -56,22 +56,18 @@ class AWParam:
 
 
 def _t_mul(A: list, B: list, t_order: int) -> list:
-    out = [ZSeries(A[0].ctx, {}) for _ in range(t_order + 1)]
-    for i, ai in enumerate(A):
-        for j, bj in enumerate(B[: t_order + 1 - i]):
-            if ai.terms and bj.terms:
-                out[i + j] = out[i + j] + zmul(ai, bj)
-    return out
+    """The t-series A*B, its t^n coefficient the sum of A_i B_(n-i)."""
+    return [zsum(A[0].ctx, [zmul(A[i], B[n - i]) for i in range(n + 1)])
+            for n in range(t_order + 1)]
 
 
 def _t_times(num: list, c, e: int, i: int, j: int, p: int, ctx) -> list:
     """num * (1 - c q^e t^i z^j)^p for a t-series num; p = -1 needs i > 0."""
-    m = ZSeries(ctx, {j: ctx.monomial(-c if p > 0 else c, e)})
+    k, kr, ko = _scaled([-c if p > 0 else c])
+    m = ZSeries(ctx, {j: (ctx.order, kr, ko)}, k, e)
     out = list(num)
     for r in range(i, len(num)):
-        src = num[r - i] if p > 0 else out[r - i]
-        if src.terms:
-            out[r] = out[r] + zmul(src, m)
+        out[r] = out[r] + zmul(num[r - i] if p > 0 else out[r - i], m)
     return out
 
 
@@ -116,14 +112,13 @@ def _t_phi(zparams, uppers, lowers, base: Monomial, arg: Monomial, arg_t: int, a
         return n * ea + power * (n * (n - 1) // 2) * eb
 
     stop = next(n for n in count(1) if n * arg_t > t_order or e(n) >= ctx.order)
-    out = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
+    out = [[] for _ in range(t_order + 1)]
     for n, (num, den) in enumerate(islice(_terms(zparams, uppers, lowers, base, t_order, ctx), stop)):
         c = arg.coeff ** n * ((-ONE) ** n * base.coeff ** (n * (n - 1) // 2)) ** power
         coeff = den.mul_monomial(c, e(n))
         for k, row in enumerate(num[: t_order + 1 - n * arg_t]):
-            if row.terms:
-                out[k + n * arg_t] = out[k + n * arg_t] + row.scale(coeff).shift(n * arg_z)
-    return out
+            out[k + n * arg_t].append(row.scale(coeff).shift(n * arg_z))
+    return [zsum(ctx, parts) for parts in out]
 
 
 def _cauchy(front, back, ctx) -> ZSeries:
@@ -132,10 +127,8 @@ def _cauchy(front, back, ctx) -> ZSeries:
     sum_k num_k num'_(n-k) z^(n-2k) den_k den'_(n-k), each scalar applied
     after its z-product."""
     n = len(front) - 1
-    acc = ZSeries(ctx, {})
-    for k, ((nf, df), (nb, db)) in enumerate(zip(front, reversed(back))):
-        acc = acc + zmul(nf[0], nb[0]).shift(n - 2 * k).scale(df * db)
-    return acc
+    return zsum(ctx, [zmul(nf[0], nb[0]).shift(n - 2 * k).scale(df * db)
+                      for k, ((nf, df), (nb, db)) in enumerate(zip(front, reversed(back)))])
 
 
 def rogers_poly(n: int, p: RogersParam, ctx: SeriesContext) -> ZSeries:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qrucible.ctengine import ZSeries, zsum
 from qrucible.cyclotomic import CycRat
 from qrucible.series import QSeries, SeriesContext
 
@@ -19,6 +20,12 @@ def rand_series(rng: random.Random, ctx: SeriesContext, max_val: int = 3) -> QSe
     n = rng.randint(0, min(8, ctx.order - val))
     coeffs = [rand_cycrat(rng, 4) for _ in range(n)]
     return QSeries(ctx, val, coeffs, ctx.order)
+
+
+def zseries(ctx: SeriesContext, terms: dict) -> ZSeries:
+    """The row set of {z-degree: QSeries}."""
+    return zsum(ctx, [ZSeries(ctx, {m: (s.trunc, *s.zw[1:])}, s.zw[0], s.val)
+                      for m, s in terms.items()])
 
 
 @pytest.fixture

@@ -192,7 +192,8 @@ def test_criterion_9_orthogonal_polynomial_suite():
                 assert _zs_equal(ref, got, 30), (n, perm)
 
         from qrucible.series import Monomial
-        from qrucible.ctengine import ZSeries, zmul
+        from conftest import zseries
+        from qrucible.ctengine import zmul
 
         ctx2 = SeriesContext(2, 70)
         q = qpow(1)
@@ -218,16 +219,16 @@ def test_criterion_9_orthogonal_polynomial_suite():
         for n in range(7):
             lhs = rogers_poly(2 * n, RogersParam(a, q), ctx1)
             pn = aw_poly(n, AWParam(a, a * q, mono(-1, 0), mono(-1, 1), qpow(2)), ctx1)
-            sq = ZSeries(ctx1, {2 * d: s for d, s in pn.terms.items()})
+            sq = zseries(ctx1, {2 * d: s for d, s in pn.terms.items()})
             pref = poch(a2, qpow(2), ctx1, n) * (
                 poch(q, q, ctx1, 2 * n) * poch(-a, q, ctx1, 2 * n)
             ).inverse()
             assert _zs_equal(lhs, sq.scale(pref), 40), ("embed3", n)
             lhs = rogers_poly(2 * n + 1, RogersParam(a, q), ctx1)
             pn = aw_poly(n, AWParam(a, a * q, mono(-1, 1), mono(-1, 2), qpow(2)), ctx1)
-            sq = ZSeries(ctx1, {2 * d: s for d, s in pn.terms.items()})
+            sq = zseries(ctx1, {2 * d: s for d, s in pn.terms.items()})
             hx = CycRat(Fraction(1, 2))
-            xfac = ZSeries(ctx1, {1: ctx1.monomial(hx, 0), -1: ctx1.monomial(hx, 0)})
+            xfac = zseries(ctx1, {1: ctx1.monomial(hx, 0), -1: ctx1.monomial(hx, 0)})
             pref = (poch(a2, qpow(2), ctx1, n + 1) * (
                 poch(q, q, ctx1, 2 * n + 1) * poch(-a, q, ctx1, 2 * n + 1)
             ).inverse()).scale(CycRat(2))

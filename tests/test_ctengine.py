@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -5,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE
+from conftest import rand_cycrat, zseries
+from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE, ZERO
 from qrucible.ctengine import (
+    MAX_WINDOW,
     PAD,
     ZPochFamily,
-    ZSeries,
     ct_product,
     plan_window,
     triple_sum_ct,
@@ -19,13 +21,131 @@ from qrucible.ctengine import (
     zsubst,
 )
 from qrucible.dsl import _collect_ct, elaborate, parse
-from qrucible.errors import EvalError, NonPositiveBaseExponent, WindowOverflow
+from qrucible.errors import EvalError, NonPositiveBaseExponent, QrucibleError, WindowOverflow
 from qrucible.harness import load_registry, verify
-from qrucible.qkernel import f_triple, poch
+from qrucible.qkernel import f_triple, poch, poch_rows
 from qrucible.series import Monomial, QSeries, SeriesContext, equal_to_order, mono, qpow
+from qrucible.series import _zw_mul, _zw_scale
 
 # the contour integrals with their hypergeometric forms, as suite cases
 CONTOUR_FORMS = Path(__file__).parent / "data" / "contour_forms.qid"
+
+
+# -- the dict-of-QSeries row set: the reference for ZSeries ---------------
+#
+# ZSeries, zmul, zsubst and zproduct as they stood before one Z[w] row set
+# held every z-Laurent series: each row a QSeries, each product a loop over
+# row pairs, each sum a Q(w) QSeries sum.
+
+
+class OracleZSeries:
+    """Laurent polynomial in z with QSeries coefficients (one context)."""
+
+    def __init__(self, ctx: SeriesContext, terms: dict):
+        self.ctx = ctx
+        # a zero row known only below a trunc short of the order stays
+        self.terms = {d: s for d, s in terms.items() if not s.is_zero() or s.trunc < ctx.order}
+
+    def coefficient(self, deg: int) -> QSeries:
+        return self.terms.get(deg, self.ctx.zero())
+
+    def shift(self, deg: int) -> "OracleZSeries":
+        return OracleZSeries(self.ctx, {d + deg: s for d, s in self.terms.items()})
+
+    def scale(self, s: QSeries) -> "OracleZSeries":
+        return OracleZSeries(self.ctx, {d: c * s for d, c in self.terms.items()})
+
+    def __add__(self, other: "OracleZSeries") -> "OracleZSeries":
+        out = dict(self.terms)
+        for d, s in other.terms.items():
+            out[d] = out[d] + s if d in out else s
+        return OracleZSeries(self.ctx, out)
+
+
+def oracle_zmul(x: OracleZSeries, y: OracleZSeries) -> OracleZSeries:
+    """Full Laurent convolution; truncations propagate per coefficient."""
+    out: dict = {}
+    for dx, sx in x.terms.items():
+        for dy, sy in y.terms.items():
+            p = sx * sy
+            d = dx + dy
+            out[d] = out[d] + p if d in out else p
+    return OracleZSeries(x.ctx, out)
+
+
+def oracle_zsubst(x: OracleZSeries, z: Monomial) -> QSeries:
+    acc = x.ctx.zero()
+    for d, s in x.terms.items():
+        zm = z ** d
+        acc = acc + s.mul_monomial(zm.coeff, x.ctx.scale(zm.exp))
+    return acc
+
+
+def parent_zproduct(families, ctx: SeriesContext, window: int) -> OracleZSeries:
+    """zproduct with its own (den, lo, rows) Z[w] row set and its own
+    packed product per family."""
+    if window > MAX_WINDOW:
+        raise WindowOverflow(f"window {window} exceeds the configured maximum")
+    order = ctx.order
+    den, lo, rows = 1, 0, {0: (order, [1], [0])}
+    for fam in families:
+        if fam.zdeg == 0:
+            raise WindowOverflow("z-degree-0 factor is not an integrand factor")
+        x, k, eb = Monomial(fam.coeff, fam.qexp), fam.count, ctx.scale(fam.base.exp)
+        if k is None:
+            parts = [(x, max(0, -((ctx.scale(fam.qexp) - order) // eb)))]
+        else:
+            parts = [(x, k)] if eb > 0 else [(x * fam.base**j, 1) for j in range(k)]
+        for x, count in parts:
+            if rows:
+                den, lo, rows = _parent_times_family(den, lo, rows, x, count, fam, ctx, window)
+    return OracleZSeries(ctx, {m: QSeries.from_zw(ctx, lo, den, r, o, t) for m, (t, r, o) in rows.items()})
+
+
+def _parent_flat(rows: dict, span: int):
+    zero = [0] * span
+    re, om = [], []
+    for j in range(min(rows), max(rows) + 1):
+        _, r, o = rows.get(j, (0, zero, zero))
+        re += r + zero[len(r) :]
+        om += o + zero[len(o) :]
+    return re, om
+
+
+def _parent_times_family(den, lo, rows, x, count, fam, ctx, window):
+    order, d, inv = ctx.order, fam.zdeg, fam.inverted
+    e, eb = ctx.scale(x.exp), ctx.scale(fam.base.exp)
+    top = (window - min(rows)) // d if d > 0 else (max(rows) + window) // -d
+    top = top if inv else min(top, count)
+    while top > 0 and top * e + (0 if inv else eb * top * (top - 1) // 2) >= order - lo:
+        top -= 1
+    frows, fden = {}, 1
+    for n, (c, en, g) in enumerate(poch_rows(x, fam.base, count, inv, top, ctx)):
+        if c and not g.is_zero():
+            gd, gr, go = g.zw
+            frows[d * n] = (en, *_zw_scale(gd, gr[: order - lo - en], go[: order - lo - en], c))
+            fden = math.lcm(fden, frows[d * n][1])
+    f0 = min(en for en, *_ in frows.values())
+    for k, (en, s, r, o) in frows.items():
+        pre, s = [0] * (en - f0), fden // s
+        frows[k] = (en, pre + [s * v for v in r], pre + [s * v for v in o])
+    span = order - lo + max(len(r) for _, r, _ in frows.values()) - 1
+    at0 = min(rows) + min(frows)
+    pr, po = _zw_mul(*_parent_flat(rows, span), *_parent_flat(frows, span), (window - at0 + 1) * span)
+    truncs: dict = {}
+    for j, (t, _, _) in rows.items():
+        for k, (en, _, _) in frows.items():
+            if abs(j + k) <= window:
+                truncs[j + k] = min(truncs.get(j + k, order), t + en)
+    lo, out = lo + f0, {}
+    for m, t in truncs.items():
+        at, n = (m - at0) * span, max(0, t - lo)
+        r, o = pr[at : at + n], po[at : at + n]
+        if any(r) or any(o):
+            out[m] = (t, r, o)
+    g = math.gcd(den * fden, *(v for _, r, o in out.values() for v in r + o))
+    return den * fden // g, lo, {m: (t, [v // g for v in r], [v // g for v in o])
+                                 for m, (t, r, o) in out.items()}
 
 
 # -- the per-factor product: the reference for zproduct -------------------
@@ -40,7 +160,7 @@ class ZFactor:
     zdeg: int
 
 
-def _apply_factor(x: ZSeries, f: ZFactor, lo: int, hi: int, cancelled: list) -> ZSeries:
+def _apply_factor(x: OracleZSeries, f: ZFactor, lo: int, hi: int, cancelled: list) -> OracleZSeries:
     out = dict(x.terms)
     for d, s in x.terms.items():
         t = d + f.zdeg
@@ -49,10 +169,11 @@ def _apply_factor(x: ZSeries, f: ZFactor, lo: int, hi: int, cancelled: list) -> 
             out[t] = out[t] + shifted if t in out else shifted
             if out[t].is_zero() and not shifted.is_zero():
                 cancelled.append(t)
-    return ZSeries(x.ctx, out)
+    return OracleZSeries(x.ctx, out)
 
 
-def _apply_inverse_factor(x: ZSeries, f: ZFactor, lo: int, hi: int, cancelled: list) -> ZSeries:
+def _apply_inverse_factor(x: OracleZSeries, f: ZFactor, lo: int, hi: int,
+                          cancelled: list) -> OracleZSeries:
     # y = x / (1 - c q^e z^d): y[m] = x[m] + c q^e y[m - d], swept in the
     # direction of increasing m*sign(d) so the recurrence is causal.
     out: dict = {}
@@ -67,15 +188,15 @@ def _apply_inverse_factor(x: ZSeries, f: ZFactor, lo: int, hi: int, cancelled: l
             s = inc if s is None else s + inc
         if s is not None:
             out[m] = s
-    return ZSeries(x.ctx, out)
+    return OracleZSeries(x.ctx, out)
 
 
-def factor_product(factors, ctx: SeriesContext, window: int, cancelled=None) -> ZSeries:
+def factor_product(factors, ctx: SeriesContext, window: int, cancelled=None) -> OracleZSeries:
     """Product of (1 - c q^e z^d)^(+-1), one factor at a time, starting from
     1 on [-window, window]; the degrees where a factor cancelled a row to
     zero are appended to `cancelled`."""
     cancelled = [] if cancelled is None else cancelled
-    acc = zs_one(ctx)
+    acc = OracleZSeries(ctx, {0: ctx.one()})
     for f, inverted in factors:
         step = _apply_inverse_factor if inverted else _apply_factor
         acc = step(acc, f, -window, window, cancelled)
@@ -97,7 +218,7 @@ def family_members(fam: ZPochFamily, ctx: SeriesContext):
             break
 
 
-def oracle_zproduct(families, ctx, window, cancelled=None) -> ZSeries:
+def oracle_zproduct(families, ctx, window, cancelled=None) -> OracleZSeries:
     factors = [(f, fam.inverted) for fam in families for f in family_members(fam, ctx)]
     return factor_product(factors, ctx, window, cancelled)
 
@@ -152,7 +273,7 @@ def widened_ct(families, ctx: SeriesContext, extra: int) -> QSeries:
     degrees, narrowed back to ctx as ct_product narrows it."""
     window, margin = plan_window(families, ctx)
     work = SeriesContext(ctx.denom, ctx.order + margin)
-    ct = zproduct(families, work, window + extra, 0).coefficient(0)
+    ct = zproduct(families, work, window + extra).coefficient(0)
     return QSeries(ctx, ct.val, list(ct.coeffs), min(ct.trunc, ctx.order))
 
 
@@ -170,35 +291,114 @@ def ctx():
 
 
 def test_constant_term_picks_degree_zero(ctx):
-    x = ZSeries(ctx, {1: ctx.monomial(ONE, 2), 0: ctx.monomial(CycRat(3), 0),
+    x = zseries(ctx, {1: ctx.monomial(ONE, 2), 0: ctx.monomial(CycRat(3), 0),
                       -1: ctx.monomial(ONE, 1)})
     ct = x.coefficient(0)
     assert ct.coefficient(0) == CycRat(3)
-    pure = ZSeries(ctx, {4: ctx.one()})
+    pure = zseries(ctx, {4: ctx.one()})
     assert pure.coefficient(0).is_zero() and pure.coefficient(0).trunc == ctx.order
 
 
 def test_zero_row_below_the_order_is_kept(ctx):
     # a row known to be 0 only below q^5 keeps that trunc, so neither the
     # row nor a substitution claims coefficients up to the order
-    x = ZSeries(ctx, {0: ctx.zero(5), 1: ctx.one()})
+    x = zseries(ctx, {0: ctx.zero(5), 1: ctx.one()})
     assert x.coefficient(0).trunc == 5
     assert zsubst(x, qpow(1)).trunc == 5
     assert zmul(x, zs_one(ctx)).coefficient(0).trunc == 5
     # a row that is 0 to the order carries nothing and is dropped
-    assert 0 not in ZSeries(ctx, {0: ctx.zero()}).terms
+    assert 0 not in zseries(ctx, {0: ctx.zero()}).terms
 
 
 def test_zmul_laurent_identity(ctx):
-    x = ZSeries(ctx, {1: ctx.one(), 0: ctx.one(), -1: ctx.one()})
+    x = zseries(ctx, {1: ctx.one(), 0: ctx.one(), -1: ctx.one()})
     y = zs_one(ctx)
     p = zmul(x, y)
     assert set(p.terms) == {-1, 0, 1}
-    b1 = ZSeries(ctx, {0: ctx.one(), 1: ctx.monomial(-ONE, 1)})   # 1 - qz
-    b2 = ZSeries(ctx, {0: ctx.one(), 1: ctx.monomial(ONE, 1)})    # 1 + qz
+    b1 = zseries(ctx, {0: ctx.one(), 1: ctx.monomial(-ONE, 1)})   # 1 - qz
+    b2 = zseries(ctx, {0: ctx.one(), 1: ctx.monomial(ONE, 1)})    # 1 + qz
     p2 = zmul(b1, b2)
     assert set(p2.terms) == {0, 2}
     assert p2.coefficient(2).coefficient(2) == -ONE
+
+
+# -- the row set against the dict-of-QSeries oracle -----------------------
+
+
+def _rows_of(zs) -> dict:
+    return {d: _window(s) for d, s in zs.terms.items()}
+
+
+def _random_series(rng, ctx: SeriesContext) -> QSeries:
+    """A series of val -3..4 (below the order) with fractional and w-part coefficients, zero
+    runs, and a trunc at or below the order; one in five is zero, known
+    below a trunc short of the order or to the order."""
+    if rng.random() < 0.2:
+        return ctx.zero(rng.choice([ctx.order, rng.randint(-2, ctx.order - 1)]))
+    val = rng.randint(-3, min(4, ctx.order - 1))
+    coeffs = [rand_cycrat(rng, 5) if rng.random() < 0.7 else ZERO for _ in range(rng.randint(1, 7))]
+    return QSeries(ctx, val, coeffs, ctx.order if rng.random() < 0.6 else rng.randint(val, ctx.order))
+
+
+def _z_values(ctx: SeriesContext) -> list:
+    zs = [qpow(1), qpow(-1), mono(OMEGA, 0), Monomial(CycRat(Fraction(-1, 2)), 2)]
+    return zs + ([mono(OMEGA2, Fraction(-1, 2))] if ctx.denom == 2 else [])
+
+
+def test_row_set_matches_dict_of_qseries_oracle():
+    # zmul (windowed too), +, shift, scale and zsubst, and a chain of
+    # them, in val, trunc and coefficients per row; the draws hold empty
+    # sets, gaps between degrees, negative vals, zero rows short of the
+    # order and zero scalars
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(["empty", "gap", "negative val", "zero row", "w part",
+                          "zero scalar cuts", "window cuts"], 0)
+    for _ in range(400):
+        ctx = SeriesContext(rng.choice([1, 2]), rng.randint(3, 12))
+        a, b = ({m: _random_series(rng, ctx) for m in rng.sample(range(-5, 6), rng.randint(0, 4))}
+                for _ in range(2))
+        x, y, ox, oy = zseries(ctx, a), zseries(ctx, b), OracleZSeries(ctx, a), OracleZSeries(ctx, b)
+        s, k, top = _random_series(rng, ctx), rng.randint(-3, 3), rng.randint(0, 4)
+        p, op = zmul(x, y), oracle_zmul(ox, oy)
+        windowed = {d: w for d, w in _rows_of(op).items() if abs(d) <= top}
+        assert _rows_of(x) == _rows_of(ox) and _rows_of(zmul(x, y, top)) == windowed
+        for got, want in [(p, op), (x + y, ox + oy), (x.shift(k), ox.shift(k)),
+                          (x.scale(s), ox.scale(s)), (p.scale(s) + y.shift(k), op.scale(s) + oy.shift(k))]:
+            assert _rows_of(got) == _rows_of(want), (a, b, s, k)
+        for z in _z_values(ctx):
+            assert _window(zsubst(x, z)) == _window(oracle_zsubst(ox, z)), (a, z)
+        rows = list(ox.terms.values())
+        seen["empty"] += not rows
+        seen["gap"] += any(d + 1 not in ox.terms for d in ox.terms) and len(rows) > 1
+        seen["negative val"] += any(r.val < 0 for r in rows)
+        seen["zero row"] += any(r.is_zero() for r in rows)
+        seen["w part"] += any(c.om for r in rows for c in r.coeffs)
+        seen["zero scalar cuts"] += s.is_zero() and s.trunc == ctx.order and bool(ox.scale(s).terms)
+        seen["window cuts"] += len(windowed) < len(op.terms)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_zproduct_matches_the_parent_on_random_integrands():
+    # the ct{} integrands of the honesty generator, at their planned
+    # windows and working orders
+    from test_honesty import CT_BUDGET, D, _integrand
+
+    rng = random.Random(20261020)
+    compared = 0
+    for _ in range(300):
+        text, order = _integrand(rng), rng.randint(4, 14)
+        families = ct_families(text)
+        try:
+            window, margin = plan_window(families, SeriesContext(D, order))
+        except QrucibleError:
+            continue
+        work = SeriesContext(D, order + margin)
+        if window * work.order > CT_BUDGET:
+            continue
+        assert _rows_of(zproduct(families, work, window)) == _rows_of(
+            parent_zproduct(families, work, window)), (order, text)
+        compared += 1
+    assert compared > 150
 
 
 def test_zproduct_single_factor(ctx):

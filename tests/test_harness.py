@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SUITE_DIR = SRC_DIR / "qrucible" / "suites"
 SHIPPED_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-report.json"
 CT_ORDER50_REPORT = Path(__file__).resolve().parent / "data" / "ct-order50-report.json"
+BIG_COEFFICIENT = Path(__file__).resolve().parent / "data" / "big-coefficient.qid"
 
 
 @pytest.fixture(scope="module")
@@ -503,3 +506,33 @@ def test_cli_kernel_domain_errors_end_without_traceback(tmp_path):
     assert lines[2].startswith("SKIP cgf-seven  (at GenfunCoeff: unknown generating-function variant 7")
     assert lines[3].startswith("PASS awp-base-zero")
     assert lines[4] == "4 cases: 1 pass, 0 fail, 3 skip"
+
+
+def _big_rational(text: str) -> Fraction:
+    # Decimal reads and converts digit strings past the int-to-str limit
+    n, _, d = text.partition("/")
+    return Fraction(int(Decimal(n)), int(Decimal(d or "1")))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_big_coefficient_mismatch_is_a_fail_without_traceback(tmp_path, jobs):
+    # coefficients past 4300 digits, where str(int) raises: the mismatch
+    # is a FAIL with exit code 1 carrying the exact digits, in the pool too
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrucible.cli", "verify", "--suite", str(BIG_COEFFICIENT),
+         "--jobs", jobs, "--json", str(report)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout.startswith("FAIL big-coefficient  (first mismatch at q^(29): 2817")
+    mm = {r["name"]: r["firstMismatch"] for r in json.loads(report.read_text())}
+    assert mm["big-coefficient"]["exponent"] == "29" and mm["big-coefficient"]["rhs"] == "0"
+    assert _big_rational(mm["big-coefficient"]["lhs"]) == 2**15000
+    w = mm["big-coefficient-w"]
+    re, om = w["lhs"].removesuffix("*w").split(" - ")
+    assert (w["exponent"], _big_rational(w["rhs"])) == ("2", Fraction(1, 3**10000))
+    assert (_big_rational(re), _big_rational(om)) == (Fraction(1, 3**10000), Fraction(2**15000, 3**10000))

@@ -112,6 +112,17 @@ def test_polynomials_at_inverse_q_parameters_never_over_claim():
     assert evaluated > 40
 
 
+def test_cgf5_at_inverse_q_keeps_the_truncs_of_a_zero_scalar():
+    # form 5 at a = w*q^(-1) scales rows of negative val by a series that
+    # is zero to the order; each such row stays, known below that series'
+    # trunc plus its val. A product that dropped them read this side as
+    # zero below q^4, where its q^2 coefficient is 2 - w
+    text = "cgf(5; 2; w*q^(-1); q^(-1))"
+    side = elaborate(parse(text), SeriesContext(D, 8))
+    assert (side.val, side.trunc) == (0, 0)
+    assert _over_claims(text, 8) is False
+
+
 def test_shipped_sides_agree_across_orders():
     sides, bad = 0, []
     for case in load_registry():

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import rogers_half_4phi3_text, rogers_half_sum_text
+from conftest import rogers_half_4phi3_text, rogers_half_sum_text, zseries
 from qrucible import ortho
 from qrucible.cyclotomic import CycRat, OMEGA, ONE
 from qrucible.ctengine import ZSeries, zmul, zs_one, zsubst
@@ -156,17 +156,13 @@ def test_rogers_aw_embeddings_swept():
 
 
 def _subst_square(zs, ctx):
-    from qrucible.ctengine import ZSeries
-
-    return ZSeries(ctx, {2 * d: s for d, s in zs.terms.items()})
+    return zseries(ctx, {2 * d: s for d, s in zs.terms.items()})
 
 
 def _half_x(ctx):
     # x = (z + 1/z)/2 as a ZSeries
-    from qrucible.ctengine import ZSeries
-
     h = CycRat(Fraction(1, 2))
-    return ZSeries(ctx, {1: ctx.monomial(h, 0), -1: ctx.monomial(h, 0)})
+    return zseries(ctx, {1: ctx.monomial(h, 0), -1: ctx.monomial(h, 0)})
 
 
 def _zmul_scalar_x(zs, x):
@@ -308,7 +304,7 @@ def test_transform_sextic_quarter_grid_matches_single_sum():
 
 def parent_z_binomial(ctx, coeff, qe, zdeg):
     assert zdeg != 0
-    return ZSeries(ctx, {0: ctx.one(), zdeg: ctx.monomial(-coeff, qe)})
+    return zseries(ctx, {0: ctx.one(), zdeg: ctx.monomial(-coeff, qe)})
 
 
 def parent_poch_ratio_chain(a, base, n, ctx):
@@ -330,7 +326,7 @@ def parent_rogers_poly(n, p, ctx):
         d = n - 2 * k
         c = r[k] * r[n - k]
         terms[d] = terms[d] + c if d in terms else c
-    return ZSeries(ctx, terms)
+    return zseries(ctx, terms)
 
 
 def parent_aw_poly(n, p, ctx):
@@ -389,7 +385,7 @@ def parent_t_euler(x, zdeg, base, t_order, ctx, t_step=1, inverted=False, count=
     """(x z^zdeg t^t_step; base)_count, or its reciprocal, as a t-series."""
     out = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
     for m, (c, e, g) in enumerate(poch_rows(x, base, count, inverted, t_order // t_step, ctx)):
-        out[m * t_step] = ZSeries(ctx, {m * zdeg: g.mul_monomial(c, e)})
+        out[m * t_step] = zseries(ctx, {m * zdeg: g.mul_monomial(c, e)})
     return out
 
 
@@ -591,11 +587,11 @@ def oracle_t_phi22_sym(a, arg, t_order, ctx):
                 continue
             nxt[m] = nxt[m] + zs
             if m + 1 <= t_order:
-                f = zmul(zs, ZSeries(ctx, {1: ctx.monomial(-ONE, k * u),
+                f = zmul(zs, zseries(ctx, {1: ctx.monomial(-ONE, k * u),
                                            -1: ctx.monomial(-ONE, k * u)}))
                 nxt[m + 1] = nxt[m + 1] + f
                 if m + 2 <= t_order:
-                    nxt[m + 2] = nxt[m + 2] + zmul(zs, ZSeries(ctx, {0: ctx.monomial(ONE, 2 * k * u)}))
+                    nxt[m + 2] = nxt[m + 2] + zmul(zs, zseries(ctx, {0: ctx.monomial(ONE, 2 * k * u)}))
         num = nxt
         den_ops.append((a.coeff ** 2, 2 * ea + 2 * k * u))
         inv_qk = div_binomial(inv_qk, ONE, (k + 1) * u)
