@@ -27,7 +27,6 @@ from .series import (
     SeriesContext,
     ZwSum,
     chain_trunc,
-    div_binomial,
     mono,
     mul_binomial,  # noqa: F401 -- perfbench wraps qkernel.mul_binomial by name
     mul_binomials,
@@ -285,12 +284,15 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     truncation; per-variable bounds come from the diagonal of the
     quadratic form, then every term is exponent-filtered exactly.
 
-    The sum runs innermost variable first (Horner form): the terms of the
-    last variable go into one ZwSum, and each shorter lattice prefix costs
-    one QSeries product of its row 1/(d_i; b_i)_k with the sum over its
-    completions, instead of one product per row at every lattice point.
-    Rows, products and sums all stay in Z[w] (`QSeries.zw`): no Q(w)
-    list is built until a reader of the result asks for `coeffs`.
+    Row k of variable i, 1/(d_i; b_i)_k, is row k-1 divided by
+    (1 - d_i*b_i^(k-1)), so each variable's sum sum_k row_k*T_k is
+    evaluated by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4) as
+    T_0 + (T_1 + (T_2 + ...)/(1 - d*b))/(1 - d): k runs down from the
+    bound, one ZwSum is divided in place by that step's binomial, and T_k
+    is added, the inner variable's sum or +-c*q^e at a lattice point. No
+    row and no product of series is built; every coefficient below the
+    order is exact, and the trunc is that of each lattice point's term
+    c*q^e times its rows, whose vals are counted as integers.
     """
     m = len(spec.lin)
     if not m:
@@ -331,56 +333,59 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             k += 1
         bounds.append(k)
 
-    # rows[i][k] = 1/(d_i; b_i)_k, known to the order
-    rows = []
+    # per variable i and k <= bounds[i]: the binomial (c, e) that takes
+    # row k to row k+1, the weight power coeffs_i^k, and the val of row k
+    # (a factor with e < 0 raises it by -e, up to the order)
+    order = ctx.order
+    steps, powers, row_vals = [], [], []
     for i in range(m):
         d, b = spec.denom_args[i], spec.denom_bases[i]
-        eb = ctx.scale(b.exp)
-        c, e = d.coeff, ctx.scale(d.exp)
-        row = [ctx.one()]
+        c, e, eb = d.coeff, ctx.scale(d.exp), ctx.scale(b.exp)
+        step, power, row_val = [], [ONE], [0]
         for _ in range(bounds[i]):
             if e == 0 and c == ONE:
                 raise ZeroDenominator("multisum denominator has an exact zero factor")
-            row.append(div_binomial(row[-1], c, e))
+            step.append((c, e))
+            power.append(power[-1] * spec.coeffs[i].coeff)
+            row_val.append(min(order, row_val[-1] - (min(e, 0) if c else 0)))
             c = c * b.coeff
             e += eb
-        rows.append(row)
+        steps.append(step)
+        powers.append(power)
+        row_vals.append(row_val)
 
     # rest[i]: the least exponent variables i.. can add to a prefix; cross
     # terms are nonnegative, so a prefix whose exponent plus rest reaches
     # the order has no term below it.
-    order = ctx.order
     rest = [sum(mins[i:]) for i in range(m + 1)]
     ks = [0] * m
     trunc = order
 
-    def rec(i: int, exp_acc: int, coeff_acc: CycRat, sign_acc: int) -> ZwSum:
+    def horner(i: int, exp_acc: int, coeff_acc: CycRat, sign_acc: int) -> ZwSum:
         """The terms over all completions of ks[:i], times the rows of
         variables i.., summed from exponent exp_acc + rest[i] up."""
         nonlocal trunc
         acc = ZwSum(ctx, exp_acc + rest[i])
-        for k in range(bounds[i] + 1):
+        lin = eff[i] + sum(2 * A[i][j] * ks[j] for j in range(i))
+        for k in range(bounds[i], -1, -1):
+            if k < bounds[i]:
+                acc.div_binomial(*steps[i][k])
             ks[i] = k
-            cross = 0
-            for j in range(i):
-                cross += 2 * A[i][j] * ks[j] * k
-            e = exp_acc + A[i][i] * k * k + eff[i] * k + cross
+            e = exp_acc + (A[i][i] * k + lin) * k
             if e + rest[i + 1] >= order:
                 continue
-            c = coeff_acc * spec.coeffs[i].coeff ** k if k else coeff_acc
+            c = coeff_acc * powers[i][k]
             sign = sign_acc + spec.signs[i] * k
             if i < m - 1:
-                # the product is exact below its own trunc, which is never
-                # below the trunc its lattice points give the whole sum
-                acc.add(rows[i][k] * rec(i + 1, e, c, sign).series())
+                acc.add(horner(i + 1, e, c, sign))
                 continue
             # a lattice point: its trunc is that of c*q^e times its rows
-            vals = [e if c else order] + [rows[j][ks[j]].val for j in range(m)]
+            vals = [e if c else order] + [row_vals[j][ks[j]] for j in range(m)]
             trunc = min(trunc, chain_trunc(order, vals))
-            acc.add(rows[i][k], -c if sign % 2 else c, e)
+            acc.add_monomial(-c if sign % 2 else c, e)
         return acc
 
-    return rec(0, 0, ONE, 0).series(trunc)
+    return horner(0, 0, ONE, 0).series(trunc)
 
 
 # -- named multi-sums ---------------------------------------------------

@@ -14,8 +14,9 @@ through one kernel, `_zw_mul`: each of the `re` and `om` parts is packed
 into one Python int (Kronecker substitution q -> 2^k), and three big-int
 multiplies give the Z[w] product (Karatsuba with w^2 = -1 - w). Binomial
 factors (1 - c*q^e)^(+-1) go through one integer pass on the same lists
-(`mul_binomials`) and `ZwSum` adds scaled, shifted series in integers, so
-a chain of these converts to Q(w) only where a scalar path reads it.
+(`mul_binomials`), and `ZwSum` adds scaled, shifted series in integers
+and divides itself in place by binomials through that pass, so a chain
+of these converts to Q(w) only where a scalar path reads it.
 `QSeries.inverse` is Newton iteration on the kernel, and reads use the Z[w]
 form, canonical in that d is the smallest positive denominator.
 """
@@ -457,50 +458,76 @@ def _zw_scale(d: int, re: list, om: list, k: CycRat):
 
 
 class ZwSum:
-    """A running sum of terms c*q^e*x, x a QSeries, held as one Z[w] list
-    (re + om*w)/d over the scaled exponents lo..order-1: each term's Z[w]
-    form is added in integers, and the sum is a Z[w] series. Terms must
-    start at or above lo; their truncs are not tracked (the caller states
-    the trunc of the sum)."""
+    """A running sum q^val * (re + om*w)/d known below the order, held as
+    one Z[w] window over the scaled exponents val..order-1 (empty, val the
+    order, for the zero sum). Terms c*q^e*x, x a QSeries or a ZwSum, are
+    added in integers, the window growing down to the least term;
+    `div_binomial` divides the whole sum in place by the pass of
+    mul_binomials. Terms must start at or above lo; their truncs are not
+    tracked (the caller states the trunc of the sum)."""
 
-    __slots__ = ("ctx", "lo", "d", "re", "om")
+    __slots__ = ("ctx", "lo", "val", "d", "re", "om")
 
     def __init__(self, ctx: SeriesContext, lo: int):
-        n = max(0, ctx.order - lo)
-        self.ctx, self.lo, self.d, self.re, self.om = ctx, lo, 1, [0] * n, [0] * n
+        self.ctx, self.lo, self.val, self.d, self.re, self.om = ctx, lo, ctx.order, 1, [], []
 
-    def add(self, x: QSeries, c: CycRat = ONE, e: int = 0) -> None:
-        """self += c*q^e*x, cut to the order."""
-        off = x.val + e - self.lo
-        if off < 0 and not x.is_zero():
-            raise ValueError(f"term at exponent {x.val + e} is below the sum's {self.lo}")
-        n = len(self.re) - off
-        if not c or x.is_zero() or n <= 0:
+    @property
+    def zw(self) -> tuple:
+        return self.d, self.re, self.om
+
+    def add(self, x, c: CycRat = ONE, e: int = 0) -> None:
+        """self += c*q^e*x for a QSeries or a ZwSum x, cut to the order."""
+        if c:
+            self._add(x.val + e, *x.zw, c)
+
+    def add_monomial(self, c: CycRat, e: int) -> None:
+        """self += c*q^e."""
+        if c:
+            self._add(e, *_scaled([c]), ONE)
+
+    def _add(self, v: int, d: int, re: list, om: list, c: CycRat) -> None:
+        """self += c*q^v*(re + om*w)/d, cut to the order."""
+        if not re:
             return
-        d, re, om = x.zw
+        if v < self.lo:
+            raise ValueError(f"term at exponent {v} is below the sum's {self.lo}")
+        n = self.ctx.order - v
+        if n <= 0:
+            return
         re, om = re[:n], om[:n]
         if c != ONE:
             d, re, om = _zw_scale(d, re, om, c)
-        are, aom = self.re, self.om
         if d != self.d:
             big = math.lcm(self.d, d)
             if big != self.d:
                 k = big // self.d
-                are[:] = [a * k for a in are]
-                aom[:] = [a * k for a in aom]
+                self.re[:] = [a * k for a in self.re]
+                self.om[:] = [a * k for a in self.om]
                 self.d = big
             if big != d:
                 k = big // d
                 re, om = [a * k for a in re], [a * k for a in om]
-        n = len(re)
+        are, aom = self.re, self.om
+        if v < self.val:
+            # the window always runs to the order: len(re) == order - val
+            are[:0] = aom[:0] = [0] * (self.val - v)
+            self.val = v
+        off, n = v - self.val, len(re)
         are[off : off + n] = [a + b for a, b in zip(are[off : off + n], re)]
         if any(om):
             aom[off : off + n] = [a + b for a, b in zip(aom[off : off + n], om)]
 
+    def div_binomial(self, c: CycRat, e: int) -> None:
+        """self /= (1 - c*q^e), in place; e == 0 requires c != 1."""
+        order = self.ctx.order
+        self.d, self.re, self.om, self.val, _ = _binomials(
+            order, self.d, self.re, self.om, self.val, order, [(c, e, -1)]
+        )
+
     def series(self, trunc: int | None = None) -> QSeries:
         """The sum as a QSeries known below trunc (default: the order)."""
         t = self.ctx.order if trunc is None else trunc
-        return QSeries.from_zw(self.ctx, self.lo, self.d, self.re, self.om, t)
+        return QSeries.from_zw(self.ctx, self.val, self.d, self.re, self.om, t)
 
 
 def _ones(n: int, kb: int, bias: int) -> int:
@@ -537,27 +564,32 @@ def div_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:
 
 
 def mul_binomials(x: QSeries, factors) -> QSeries:
-    """x * prod (1 - c*q^e)^p over (c, e, p) in factors, p = 1 or -1.
-
-    One integer pass on x's Z[w] form: each factor is applied in turn with
-    the val/trunc rules of a single mul_binomial (p = 1) or div_binomial
-    (p = -1), and the result is a Z[w] series.
-
-    The pass carries q^val * (re + om*w)/d; an empty re is the zero
-    series, whose val is its trunc. A nonzero series keeps a nonzero
-    leading entry: no factor with e != 0 cancels it, and e == 0 scales by
-    the constant 1 - c. Where c = (cr + co*w)/s is not in Z[w], d takes
-    the factor s (product) or s^((n-1)//e) (quotient over a window of n),
-    so every step stays in Z[w].
-    """
-    factors = [f for f in factors if f[0]]
-    if not factors:
+    """x * prod (1 - c*q^e)^p over (c, e, p) in factors, p = 1 or -1: one
+    integer pass (`_binomials`) on a copy of x's Z[w] form, each factor
+    applied in turn with the val/trunc rules of a single mul_binomial
+    (p = 1) or div_binomial (p = -1); x itself where every c is 0."""
+    if not any(c for c, _, _ in factors):
         return x
-    order = x.ctx.order
     d, re, om = x.zw
-    re, om = list(re), list(om)  # the pass works in place
-    val, trunc = x.val, x.trunc
+    d, re, om, val, trunc = _binomials(x.ctx.order, d, list(re), list(om), x.val, x.trunc, factors)
+    return QSeries.from_zw(x.ctx, val, d, re, om, trunc)
+
+
+def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, factors):
+    """The pass of mul_binomials on q^val * (re + om*w)/d known below trunc:
+    returns (d, re, om, val, trunc) times the factors, re and om changed in
+    place where the step allows. A factor with c = 0 is 1.
+
+    An empty re is the zero series, whose val is its trunc. A nonzero
+    series keeps a nonzero leading entry: no factor with e != 0 cancels it,
+    and e == 0 scales by the constant 1 - c. Where c = (cr + co*w)/s is not
+    in Z[w], d takes the factor s (product) or s^((n-1)//e) (quotient over
+    a window of n), so every step stays in Z[w]. A quotient keeps
+    len(re) == trunc - val when it holds on entry (`ZwSum` relies on it).
+    """
     for c, e, p in factors:
+        if not c:
+            continue
         if e == 0:
             if c == ONE:
                 if p < 0:
@@ -623,7 +655,7 @@ def mul_binomials(x: QSeries, factors) -> QSeries:
             if pr or po:
                 re[k] += (cr * pr - co * po) // s
                 om[k] += ((cr - co) * po + co * pr) // s
-    return QSeries.from_zw(x.ctx, val, d, re, om, trunc)
+    return d, re, om, val, trunc
 
 
 def equal_to_order(x: QSeries, y: QSeries, up_to: int) -> bool:

@@ -26,6 +26,7 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SUITE_DIR = SRC_DIR / "qrucible" / "suites"
 SHIPPED_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-report.json"
 CT_ORDER50_REPORT = Path(__file__).resolve().parent / "data" / "ct-order50-report.json"
+KR_NINE_ORDER150_REPORT = Path(__file__).resolve().parent / "data" / "kr-nine-order150-report.json"
 BIG_COEFFICIENT = Path(__file__).resolve().parent / "data" / "big-coefficient.qid"
 
 
@@ -414,6 +415,18 @@ def test_contour_cases_at_order_50_match_the_pinned_report(tmp_path, capsys):
     for item in items:
         del item["elapsedMs"]
     assert json.dumps(items, indent=2) + "\n" == CT_ORDER50_REPORT.read_text(encoding="utf-8")
+
+
+def test_kr_nine_at_order_150_matches_the_pinned_report(registry):
+    # the lattice sums at three times the stated orders, pinned as
+    # `verify --filter 'kr-nine*' --order 150 --json` wrote it before the
+    # sums were evaluated by Horner's rule, times removed
+    code, reports = run_suite(pattern="kr-nine", order=150, registry=registry)
+    assert code == 0
+    items = json.loads(reports_to_json(reports))
+    for item in items:
+        del item["elapsedMs"]
+    assert json.dumps(items, indent=2) + "\n" == KR_NINE_ORDER150_REPORT.read_text(encoding="utf-8")
 
 
 def test_cross_evaluator_coherence():

@@ -33,6 +33,8 @@ from qrucible.qkernel import (
 )
 from qrucible.series import (
     SeriesContext,
+    ZwSum,
+    chain_trunc,
     div_binomial,
     equal_to_order,
     mono,
@@ -410,16 +412,175 @@ def test_multisum_matches_leaf_products_on_named_and_triple_sums():
             assert multisum(spec, ctx) == leaf_product_multisum(spec, ctx), (order, u, v, w)
 
 
+def parent_multisum(spec, ctx):
+    """Oracle: multisum by prefix products, innermost variable first. The
+    rows 1/(d_i; b_i)_k are built up front, the last variable's terms
+    +-c*q^e*row go into one ZwSum, and each shorter lattice prefix costs
+    one QSeries product of its row with the sum over its completions."""
+    m = len(spec.lin)
+    if not m:
+        return ctx.one()
+    A = spec.quad
+    for i in range(m):
+        if A[i][i] <= 0:
+            raise DivergentSpec("quadratic form must have positive diagonal")
+        for j in range(m):
+            if A[i][j] < 0 or A[i][j] != A[j][i]:
+                raise DivergentSpec("quadratic form must be symmetric nonnegative")
+    eff = [spec.lin[i] + ctx.scale(spec.coeffs[i].exp) for i in range(m)]
+
+    def var_min(i):
+        best, k = 0, 1
+        while True:
+            v = A[i][i] * k * k + eff[i] * k
+            if v < best:
+                best = v
+            elif 2 * A[i][i] * k + eff[i] > 0:
+                break
+            k += 1
+        return best
+
+    mins = [var_min(i) for i in range(m)]
+    bounds = []
+    for i in range(m):
+        rest, k, last = sum(mins) - mins[i], 0, 0
+        while True:
+            v = A[i][i] * k * k + eff[i] * k + rest
+            if v >= ctx.order and v >= last and 2 * A[i][i] * k + eff[i] > 0:
+                break
+            last, k = v, k + 1
+        bounds.append(k)
+    rows = []
+    for i in range(m):
+        d, b = spec.denom_args[i], spec.denom_bases[i]
+        eb, c, e = ctx.scale(b.exp), d.coeff, ctx.scale(d.exp)
+        row = [ctx.one()]
+        for _ in range(bounds[i]):
+            if e == 0 and c == ONE:
+                raise ZeroDenominator("multisum denominator has an exact zero factor")
+            row.append(div_binomial(row[-1], c, e))
+            c, e = c * b.coeff, e + eb
+        rows.append(row)
+    order = ctx.order
+    rest = [sum(mins[i:]) for i in range(m + 1)]
+    ks = [0] * m
+    trunc = order
+
+    def rec(i, exp_acc, coeff_acc, sign_acc):
+        nonlocal trunc
+        acc = ZwSum(ctx, exp_acc + rest[i])
+        for k in range(bounds[i] + 1):
+            ks[i] = k
+            cross = sum(2 * A[i][j] * ks[j] * k for j in range(i))
+            e = exp_acc + A[i][i] * k * k + eff[i] * k + cross
+            if e + rest[i + 1] >= order:
+                continue
+            c = coeff_acc * spec.coeffs[i].coeff ** k if k else coeff_acc
+            sign = sign_acc + spec.signs[i] * k
+            if i < m - 1:
+                acc.add(rows[i][k] * rec(i + 1, e, c, sign).series())
+                continue
+            vals = [e if c else order] + [rows[j][ks[j]].val for j in range(m)]
+            trunc = min(trunc, chain_trunc(order, vals))
+            acc.add(rows[i][k], -c if sign % 2 else c, e)
+        return acc
+
+    return rec(0, 0, ONE, 0).series(trunc)
+
+
+def _matches_the_parent(spec, ctx):
+    """multisum and parent_multisum give the same val, trunc and Z[w] form,
+    or both raise ZeroDenominator; returns the oracle's result or None."""
+    try:
+        expect = parent_multisum(spec, ctx)
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            multisum(spec, ctx)
+        return None
+    got = multisum(spec, ctx)
+    assert (got.val, got.trunc, got.zw) == (expect.val, expect.trunc, expect.zw), (ctx, spec)
+    return expect
+
+
+def test_multisum_matches_the_parent_on_random_specs():
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(["negative denominator argument", "w part", "zero factor", "short trunc"], 0)
+    for _ in range(1000):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 30))
+        spec = rand_multisum_spec(rng, ctx)
+        expect = _matches_the_parent(spec, ctx)
+        seen["negative denominator argument"] += any(d.exp < 0 for d in spec.denom_args)
+        seen["zero factor"] += expect is None
+        seen["w part"] += expect is not None and any(expect.zw[2])
+        seen["short trunc"] += expect is not None and expect.trunc < ctx.order
+    assert min(seen.values()) >= 50, seen
+
+
+def test_multisum_matches_the_parent_on_named_sums():
+    for name, make in NAMED_SUMS.items():
+        for order in (1, 2, 7, 30, 61, 120):
+            ctx = SeriesContext(2, order)
+            assert _matches_the_parent(make(ctx), ctx) is not None, (name, order)
+
+
+def rand_negative_rows_spec(rng, ctx):
+    """2 or 3 variables without cross terms, negative lin entries and
+    denominator arguments below q^0, so the least lattice exponents sit at
+    points where two or more rows 1/(d_i; b_i)_k carry a positive val."""
+    m, D = rng.choice([2, 3]), ctx.denom
+    pool = [ONE, -ONE, OMEGA, CycRat(Fraction(1, 2)), CycRat(2, -1)]
+    return MultiSumSpec(
+        quad=tuple(tuple(D * rng.randint(1, 2) if i == j else 0 for j in range(m)) for i in range(m)),
+        lin=tuple(rng.randint(-3 * D, -D) for _ in range(m)),
+        signs=tuple(rng.randint(0, 1) for _ in range(m)),
+        denom_args=tuple(mono(rng.choice(pool), Fraction(rng.randint(-D, -1), D)) for _ in range(m)),
+        denom_bases=tuple(mono(rng.choice(pool), Fraction(rng.randint(1, D), D)) for _ in range(m)),
+        coeffs=tuple(mono(rng.choice(pool), 0) for _ in range(m)),
+    )
+
+
+def test_row_vals_raise_the_lattice_trunc():
+    # a lattice point's term c*q^e is known below order + e, and the vals
+    # of its rows after the first raise that (chain_trunc); the random
+    # specs above almost never have two rows of positive val at the least
+    # exponent, these do
+    rng = random.Random(20261020)
+    raised = 0
+    for _ in range(300):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 24))
+        spec = rand_negative_rows_spec(rng, ctx)
+        expect = _matches_the_parent(spec, ctx)
+        m = len(spec.lin)
+        least = min(
+            sum(spec.quad[i][i] * k[i] * k[i] + spec.lin[i] * k[i] for i in range(m))
+            for k in itertools.product(range(5), repeat=m)
+        )
+        raised += expect is not None and expect.trunc > ctx.order + min(0, least)
+    assert raised >= 50, raised
+
+
+KR_NINE = [(1, 0, 3), (2, 4, 9), (4, 6, 15), (1, 6, 9), (2, 2, 9), (3, 5, 12), (1, 3, 6), (1, 1, 6), (2, -1, 6)]
+
+
+@pytest.mark.parametrize("order", [150, 300])
+def test_kr_nine_triples_match_the_parent(order):
+    ctx = SeriesContext(1, order)
+    for u, v, w in KR_NINE:
+        spec = f_triple_spec(qpow(u), qpow(v), qpow(w), ctx)
+        assert _matches_the_parent(spec, ctx) is not None, (u, v, w)
+
+
 def test_triple_sum_builds_no_q_w_lists(monkeypatch):
-    # rows, products and lattice sums chain in Z[w]: the parent of this
-    # design converted each of 149 products back to Q(w) lists
+    # multisum divides one Z[w] window in place, so f_triple makes no
+    # _zw_mul call and builds no Q(w) list until coeffs is read
     from qrucible import series
 
-    calls = []
-    real = series._from_zw
+    calls, products = [], []
+    real, real_mul = series._from_zw, series._zw_mul
     monkeypatch.setattr(series, "_from_zw", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(series, "_zw_mul", lambda *a: products.append(a) or real_mul(*a))
     x = f_triple(qpow(1), mono(1, 0), qpow(3), SeriesContext(1, 150))
-    assert not calls
+    assert not calls and not products
     assert x.coeffs and len(calls) == 1
 
 
@@ -474,6 +635,12 @@ def test_pochhammer_and_multisum_honest_across_truncations():
         D, n, k = rng.choice([1, 2]), rng.randint(3, 14), rng.randint(1, 8)
         spec = rand_multisum_spec(rng, SeriesContext(D, n))
         _agree_below(multisum(spec, SeriesContext(D, n)), multisum(spec, SeriesContext(D, n + k)))
+
+
+def test_kr_nine_triples_honest_at_depth():
+    for u, v, w in KR_NINE:
+        short, long = (f_triple(qpow(u), qpow(v), qpow(w), SeriesContext(1, n)) for n in (150, 174))
+        _agree_below(short, long)
 
 
 def per_factor_phi(spec, ctx):
