@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Optional
 
 from .cyclotomic import CycRat, ONE, omega_power
 from .errors import EvalError, MonomialExpected, ParseError, QrucibleError, UnknownSymbol
-from .series import Monomial, QSeries, SeriesContext, monomial_to_series
+from .series import Monomial, QSeries, SeriesContext, monomial_to_series, mul_binomials
 from . import qkernel
 from . import ctengine
 from . import ortho
@@ -638,12 +640,7 @@ def _elaborate(e, ctx, path) -> QSeries:
             acc = acc - sub(x, i) if negated else acc + sub(x, i)
         return acc
     if isinstance(e, Product):
-        (_, first), *rest = e.factors
-        acc = sub(first, 0)
-        for i, (inverted, x) in enumerate(rest, 1):
-            f = sub(x, i)
-            acc = acc * (_wrap_err(f.inverse, f"{path}.{i}") if inverted else f)
-        return acc
+        return _product(_flat_factors(e, path, False), ctx)
     if isinstance(e, IntPower):
         base = sub(e.base, "base")
         k = e.exp
@@ -659,9 +656,7 @@ def _elaborate(e, ctx, path) -> QSeries:
             out = out * out * base if bit == "1" else out * out
         return out
     if isinstance(e, Poch):
-        base = as_monomial(e.base)
-        args = [as_monomial(a) for a in e.args]
-        return qkernel.pochhammer_multi(args, base, e.count, ctx)
+        return _product([(path, False, e)], ctx)
     if isinstance(e, Phi):
         return qkernel.phi_series(
             [as_monomial(a) for a in e.uppers],
@@ -696,9 +691,53 @@ def _elaborate(e, ctx, path) -> QSeries:
     raise MonomialExpected(f"cannot elaborate node {type(e).__name__}")
 
 
-def _wrap_err(fn, path):
+def _flat_factors(e: Product, path: str, inverted: bool):
+    """(path, inverted, node) for each factor of e, left to right, the
+    factors of nested products in their place."""
+    for i, (inv, x) in enumerate(e.factors):
+        if isinstance(x, Product):
+            yield from _flat_factors(x, f"{path}.{i}", inverted != inv)
+        else:
+            yield f"{path}.{i}", inverted != inv, x
+
+
+def _product(factors, ctx, rest=()) -> QSeries:
+    """The product of the series in rest and of each factor (path,
+    inverted, node) to the power -1 if inverted. The factors that are not
+    Pochhammers are elaborated left to right. Every Pochhammer factor,
+    inverted or not, is applied in one binomial pass, numerators first,
+    to the product of those of val <= 0, and those of val > 0 multiply in
+    last. In that order the vals of the partial products first fall, then
+    rise, so capping each partial trunc at the order costs no more than
+    capping the whole product's. An exactly zero Pochhammer makes the
+    product exactly zero, known to the order; where it is inverted it
+    raises at its path, so 0/0 never cancels."""
+    pochs, rest = [], list(rest)
+    for path, inverted, x in factors:
+        if isinstance(x, Poch):
+            pochs.append((path, -1 if inverted else 1, x))
+            continue
+        f = elaborate(x, ctx, path)
+        rest.append(_wrap_err(f.inverse, path) if inverted else f)
+    acc = reduce(mul, [f for f in rest if f.val <= 0] or [ctx.one()])
+    num, den, zero = [], [], False
+    for path, p, x in pochs:
+        fs = _wrap_err(_poch_binomials, path, x, p, acc.trunc - acc.val, ctx)
+        zero = zero or fs is None
+        (num if p > 0 else den).extend(fs or ())
+    if zero:
+        return ctx.zero()
+    return reduce(mul, [f for f in rest if f.val > 0], mul_binomials(acc, num + den))
+
+
+def _poch_binomials(x: Poch, p: int, n: int, ctx) -> Optional[list]:
+    base = as_monomial(x.base)
+    return qkernel.poch_binomials([as_monomial(a) for a in x.args], base, x.count, p, n, ctx)
+
+
+def _wrap_err(fn, path, *args):
     try:
-        return fn()
+        return fn(*args)
     except EvalError:
         raise
     except QrucibleError as exc:
@@ -724,7 +763,4 @@ def _elaborate_ct(e: CT, ctx, path) -> QSeries:
     else:
         ct = ctx.one() if degree == 0 else ctx.zero()
     out = ct.mul_monomial(shift_mono.coeff, ctx.scale(shift_mono.exp))
-    for node, inverted in scalars:
-        s = elaborate(node, ctx, f"{path}.scalar")
-        out = out * (_wrap_err(s.inverse, path) if inverted else s)
-    return out
+    return _product([(f"{path}.scalar", inv, x) for x, inv in scalars], ctx, [out])

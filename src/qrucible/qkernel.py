@@ -9,6 +9,7 @@ passes the truncation order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -75,36 +76,44 @@ def _zero_factor_index(arg: Monomial, base: Monomial) -> Optional[int]:
     return None
 
 
-def pochhammer(spec: PochSpec, ctx: SeriesContext) -> QSeries:
-    """(a; b)_n as an exact truncated series.
+def poch_binomials(args: Sequence[Monomial], base: Monomial, count, p: int, n: int,
+                   ctx: SeriesContext):
+    """The factors (c, e, p), e scaled, with (a_1, ..., a_m; base)_count^p
+    = prod (1 - c*q^e)^p on a window of n, p = 1 or -1, for one
+    `mul_binomials` pass; None where a factor (1 - 1) makes the product
+    exactly zero, which raises ZeroDenominator for p = -1.
 
-    Factors (1 - a*b^j) are included until the count is reached or, with
-    a base exponent >= 0 (always so for n infinite), until the factor
-    exponent plus the accumulated valuation reaches the truncation, which
-    suffices because later factors only touch higher orders. Each factor
-    lowers valuation and truncation alike by min(e, 0) and never cancels
-    the leading coefficient, so that rule is `e < order`, and the whole
-    factor list goes through one binomial pass.
+    Factors (1 - a*b^j) are listed until the count is reached or, with a
+    base exponent >= 0 (always so for count infinite), until the factor
+    exponent reaches n: the pass keeps a window at its length or shortens
+    it, so the later factors never reach it. The listing runs at least to
+    exponent 1, past which no factor is exactly zero.
     """
-    a, b = spec.arg, spec.base
-    if a.is_zero():
-        return ctx.one()
-    eb = ctx.scale(b.exp)
-    e = ctx.scale(a.exp)
-    c = a.coeff
-    cb = b.coeff
-    if spec.count is INF and eb <= 0:
-        raise NonPositiveBaseExponent(
-            f"infinite product needs base exponent > 0, got {b.exp}"
-        )
-    factors = []
-    while (e < ctx.order or eb < 0) and (spec.count is INF or len(factors) < spec.count):
-        if e == 0 and c == ONE:
-            return ctx.zero()
-        factors.append((c, e, 1))
-        c = c * cb
-        e += eb
-    return mul_binomials(ctx.one(), factors)
+    out = []
+    for a in args:
+        if a.is_zero():
+            continue
+        eb, e, c = ctx.scale(base.exp), ctx.scale(a.exp), a.coeff
+        if count is INF and eb <= 0:
+            raise NonPositiveBaseExponent(
+                f"infinite product needs base exponent > 0, got {base.exp}"
+            )
+        for _ in itertools.count() if count is INF else range(count):
+            if e >= max(n, 1) and eb >= 0:
+                break
+            if e == 0 and c == ONE:
+                if p < 0:
+                    raise ZeroDenominator("Pochhammer denominator has an exact zero factor")
+                return None
+            out.append((c, e, p))
+            c = c * base.coeff
+            e += eb
+    return out
+
+
+def pochhammer(spec: PochSpec, ctx: SeriesContext) -> QSeries:
+    """(a; b)_n as an exact truncated series."""
+    return pochhammer_multi([spec.arg], spec.base, spec.count, ctx)
 
 
 def poch(arg: Monomial, base: Monomial, ctx: SeriesContext, count=INF) -> QSeries:
@@ -114,11 +123,11 @@ def poch(arg: Monomial, base: Monomial, ctx: SeriesContext, count=INF) -> QSerie
 def pochhammer_multi(
     args: Sequence[Monomial], base: Monomial, count, ctx: SeriesContext
 ) -> QSeries:
-    """(a_1, ..., a_m; base)_count: the product over all arguments."""
-    acc = ctx.one()
-    for a in args:
-        acc = acc * pochhammer(PochSpec(a, base, count), ctx)
-    return acc
+    """(a_1, ..., a_m; base)_count: every argument's factors in one
+    binomial pass on 1; the zero series, known below the order, where one
+    factor is exactly zero."""
+    factors = poch_binomials(args, base, count, 1, ctx.order, ctx)
+    return ctx.zero() if factors is None else mul_binomials(ctx.one(), factors)
 
 
 def poch_rows(x: Monomial, base: Monomial, count, inverted: bool, nmax: int,

@@ -14,7 +14,9 @@ through one kernel, `_zw_mul`: each of the `re` and `om` parts is packed
 into one Python int (Kronecker substitution q -> 2^k), and three big-int
 multiplies give the Z[w] product (Karatsuba with w^2 = -1 - w). Binomial
 factors (1 - c*q^e)^(+-1) go through one integer pass on the same lists
-(`mul_binomials`), and `ZwSum` adds scaled, shifted series in integers
+(`mul_binomials`; a division on a window of n runs its recurrence e
+entries at a time where e^2 >= n, n/e slice steps, and in e strided
+runs otherwise), and `ZwSum` adds scaled, shifted series in integers
 and divides itself in place by binomials through that pass, so a chain
 of these converts to Q(w) only where a scalar path reads it.
 `QSeries.inverse` is Newton iteration on the kernel, and reads use the Z[w]
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 
 from .cyclotomic import CycRat, ONE, ZERO
 from .errors import (
@@ -445,9 +448,18 @@ def _entry(zw: tuple, i: int) -> CycRat:
     return _from_zw(d, re[i : i + 1], om[i : i + 1])[0] if 0 <= i < len(re) else ZERO
 
 
+def _zw_scalar(c: CycRat) -> tuple:
+    """(s, cr, co) with c == (cr + co*w)/s and s the smallest positive
+    denominator; an integer c is read directly."""
+    if not c.om and c.re.denominator == 1:
+        return 1, c.re.numerator, 0
+    s, (cr,), (co,) = _scaled([c])
+    return s, cr, co
+
+
 def _zw_scale(d: int, re: list, om: list, k: CycRat):
     """(d, re, om) times the nonzero scalar k, as a new (d, re, om)."""
-    s, (kr,), (ko,) = _scaled([k])
+    s, kr, ko = _zw_scalar(k)
     if not ko:
         return d * s, [kr * a for a in re], [kr * b for b in om]
     return (
@@ -483,7 +495,8 @@ class ZwSum:
     def add_monomial(self, c: CycRat, e: int) -> None:
         """self += c*q^e."""
         if c:
-            self._add(e, *_scaled([c]), ONE)
+            s, cr, co = _zw_scalar(c)
+            self._add(e, s, [cr], [co], ONE)
 
     def _add(self, v: int, d: int, re: list, om: list, c: CycRat) -> None:
         """self += c*q^v*(re + om*w)/d, cut to the order."""
@@ -613,7 +626,7 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
                 trunc = val = trunc + min(e, 0)
             continue
         n = trunc - val
-        s, (cr,), (co,) = _scaled([c])
+        s, cr, co = _zw_scalar(c)
         if p > 0:
             val, trunc = val + min(e, 0), trunc + min(e, 0)
             f = abs(e)
@@ -637,19 +650,33 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
             continue  # the recurrence never reaches back into the window
         re += [0] * (n - len(re))
         om += [0] * (n - len(om))
+        # out[k] = x[k] + c*out[k-e]: e strided runs, or for e*e >= n the
+        # n/e blocks out[k:k+e], each x there plus c times the block before
+        blocks = e * e >= n
         if s == 1 and not co:
-            step = None if cr == 1 else (lambda acc, a: a + cr * acc)
-            for r in range(e):
-                re[r::e] = accumulate(re[r::e], step)
-            if any(om):
-                for r in range(e):
-                    om[r::e] = accumulate(om[r::e], step)
+            for xs in (re, om) if any(om) else (re,):
+                if blocks:
+                    for k in range(e, n, e):
+                        xs[k : k + e] = (
+                            map(add, xs[k : k + e], xs[k - e : k]) if cr == 1
+                            else [a + cr * b for a, b in zip(xs[k : k + e], xs[k - e : k])]
+                        )
+                else:
+                    step = None if cr == 1 else (lambda acc, a: a + cr * acc)
+                    for r in range(e):
+                        xs[r::e] = accumulate(xs[r::e], step)
             continue
-        # out[k] = x[k] + c*out[k-e] carried at denominator d*D: out[k-e]
-        # has denominator s^((k-e)//e), so D*out[k-e] is divisible by s.
+        # carried at denominator d*D: out[k-e] has denominator s^((k-e)//e),
+        # so D*out[k-e] is divisible by s
         big = s ** ((n - 1) // e)
         d *= big
         re, om = [big * a for a in re], [big * b for b in om]
+        if blocks:
+            for k in range(e, n, e):
+                pr, po = re[k - e : k], om[k - e : k]
+                re[k : k + e] = [a + (cr * x - co * y) // s for a, x, y in zip(re[k : k + e], pr, po)]
+                om[k : k + e] = [b + ((cr - co) * y + co * x) // s for b, x, y in zip(om[k : k + e], pr, po)]
+            continue
         for k in range(e, n):
             pr, po = re[k - e], om[k - e]
             if pr or po:

@@ -75,6 +75,28 @@ def test_verify_skip_on_evaluator_error():
     assert rep.status == "SKIP" and "exponent" in rep.skip_reason
 
 
+@pytest.mark.parametrize("side, path", [
+    ("1/qp(1; q; 3)", "Product.1"),
+    ("qp(1; q; 3)/qp(1; q; 3)", "Product.1"),  # 0/0 never cancels to 1
+    ("1/qp(q^(-2); q; inf)", "Product.1"),
+    ("1/qp(2; 1/2; 4)", "Product.1"),
+    ("2/(qp(q; q; inf)*qp(1; q; 3))", "Product.1.1"),
+    ("ct{qp(z; q; inf)*qp(q/z; q; inf)/qp(1; q; 2)}", "CT.scalar"),
+])
+def test_zero_pochhammer_denominators_skip_at_the_factor(side, path):
+    case = parse_suite(f'identity "zero-den" {{ lhs = {side}; rhs = 1; D = 1; order = 10; }}')[0]
+    rep = verify(case)
+    assert rep.status == "SKIP"
+    assert rep.skip_reason == f"at {path}: Pochhammer denominator has an exact zero factor"
+
+
+def test_zero_pochhammer_numerators_make_the_side_zero():
+    case = parse_suite('identity "zero-num" { lhs = q^(-1)*qp(1; q; 3)*qp(q^(-2); q; 2); rhs = 0;'
+                       ' D = 1; order = 10; }')[0]
+    rep = verify(case)
+    assert rep.status == "PASS" and rep.proven_order == 10
+
+
 def test_filter_section5_selects_exactly_the_lattice_sums(registry):
     names = sorted(c.name for c in registry.select("section5"))
     assert names == [

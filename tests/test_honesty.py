@@ -8,11 +8,13 @@ import random
 from fractions import Fraction
 
 from qrucible.ctengine import plan_window
-from qrucible.dsl import elaborate, parse
+from qrucible.dsl import Poch, Product, as_monomial, elaborate, parse
 from qrucible.errors import QrucibleError
 from qrucible.harness import load_registry
+from qrucible.qkernel import PochSpec
 from qrucible.series import SeriesContext
 from test_ctengine import ct_families
+from test_qkernel import sequential_pochhammer
 
 D = 2
 STEP = 6 * D
@@ -121,6 +123,88 @@ def test_cgf5_at_inverse_q_keeps_the_truncs_of_a_zero_scalar():
     side = elaborate(parse(text), SeriesContext(D, 8))
     assert (side.val, side.trunc) == (0, 0)
     assert _over_claims(text, 8) is False
+
+
+_POCH_COEFFS = ["", "-", "w*", "-w2*", "2*", "1/2*", "(1+w)*", "-1/3*"]
+_INF_BASES = ["q", "-q", "w*q", "q^2", "2*q"]
+_FINITE_BASES = ["1/2", "-1", "q^(-1)", "w2*q^(-1)", "q", "-q^2"]
+_CO_FACTORS = ["q^(-1)", "(1 + q)", "2*q", "(1 - w*q^2)", "(q - q)"]
+
+
+def _poch_text(rng, denom: int) -> str:
+    """qp(...) with 1 to 3 arguments, negative exponents among them, an
+    infinite count or a finite one whose base exponent may be <= 0."""
+    args = ", ".join(
+        f"{rng.choice(_POCH_COEFFS)}q^({Fraction(rng.randint(-3 * denom, 4 * denom), denom)})"
+        for _ in range(rng.randint(1, 3))
+    )
+    if rng.random() < 0.5:
+        return f"qp({args}; {rng.choice(_INF_BASES)}; inf)"
+    return f"qp({args}; {rng.choice(_FINITE_BASES)}; {rng.randint(0, 6)})"
+
+
+def _quotient_text(rng, denom: int) -> str:
+    """A product or quotient of Pochhammers with the odd co-factor, the
+    denominators sometimes grouped in parentheses."""
+    def factor():
+        return rng.choice(_CO_FACTORS) if rng.random() < 0.2 else _poch_text(rng, denom)
+
+    num = [factor() for _ in range(rng.randint(0, 3))] or ["1"]
+    den = [factor() for _ in range(rng.randint(0, 3))]
+    if len(den) > 1 and rng.random() < 0.5:
+        return "*".join(num) + "/(" + "*".join(den) + ")"
+    return "*".join(num) + "".join("/" + f for f in den)
+
+
+def chain_elaborate(e, ctx):
+    """The parent's elaboration of a product side: one series per
+    Pochhammer argument (`sequential_pochhammer`), the product of those,
+    and the factors multiplied left to right, an inverted one through
+    inverse()."""
+    if isinstance(e, Product):
+        (_, first), *rest = e.factors
+        acc = chain_elaborate(first, ctx)
+        for inverted, x in rest:
+            f = chain_elaborate(x, ctx)
+            acc = acc * (f.inverse() if inverted else f)
+        return acc
+    if isinstance(e, Poch):
+        base, acc = as_monomial(e.base), ctx.one()
+        for a in e.args:
+            acc = acc * sequential_pochhammer(PochSpec(as_monomial(a), base, e.count), ctx)
+        return acc
+    return elaborate(e, ctx)
+
+
+def test_pochhammer_quotients_match_the_chain_and_never_over_claim():
+    """One binomial pass per product side against the chain it replaces:
+    the same val and coefficients below the smaller trunc, a trunc never
+    below the chain's, the same SKIPs, and agreement at N and N + 6*D
+    below the claimed trunc."""
+    rng = random.Random(20261019)
+    compared = gained = 0
+    for _ in range(2400):
+        denom = rng.choice([1, 2, 3])
+        text, order = _quotient_text(rng, denom), rng.randint(2, 12) * denom
+        expr = parse(text)
+        try:
+            ref = chain_elaborate(expr, SeriesContext(denom, order))
+        except QrucibleError:
+            ref = None
+        try:
+            lo = elaborate(expr, SeriesContext(denom, order))
+            hi = elaborate(expr, SeriesContext(denom, order + 6 * denom))
+        except QrucibleError:
+            assert ref is None, text
+            continue
+        assert ref is not None, text
+        assert lo.trunc >= ref.trunc, text
+        assert ref.is_zero() or lo.val == ref.val, text
+        assert not _disagree(lo, ref, ref.trunc), text
+        assert lo.trunc <= hi.trunc and not _disagree(lo, hi, lo.trunc), text
+        compared += 1
+        gained += lo.trunc > ref.trunc
+    assert compared > 2000 and gained > 100, (compared, gained)
 
 
 def test_shipped_sides_agree_across_orders():

@@ -26,6 +26,7 @@ from qrucible.qkernel import (
     phi,
     phi_series,
     poch,
+    poch_binomials,
     pochhammer,
     pochhammer_multi,
     theta_sum,
@@ -78,6 +79,18 @@ def test_poch_multi_empty_and_zero_factor(ctx):
     assert pochhammer_multi([], qpow(1), INF, ctx).coefficient(0) == ONE
     z = pochhammer_multi([qpow(1), mono(1, 0), qpow(-1)], qpow(1), INF, ctx)
     assert z.is_zero()  # the z=1 factor (1 - 1) kills the product
+
+
+def test_poch_binomials_see_every_exact_zero_factor(ctx):
+    """An exactly zero factor is found on any window, an empty one too:
+    None for a numerator, ZeroDenominator for a denominator."""
+    zeros = [([mono(1, 0)], qpow(1), 3), ([qpow(-2)], qpow(1), INF), ([mono(2, 0)], mono(Fraction(1, 2), 0), 4)]
+    for args, base, count in zeros:
+        for n in (0, 1, 40):
+            assert poch_binomials(args, base, count, 1, n, ctx) is None
+            with pytest.raises(ZeroDenominator):
+                poch_binomials(args, base, count, -1, n, ctx)
+    assert poch_binomials([mono(2, 0)], mono(Fraction(1, 2), 0), 1, -1, 0, ctx) == [(CycRat(2), 0, -1)]
 
 
 def test_poch_recurrence_randomized(ctx):

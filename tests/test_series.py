@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -284,6 +285,57 @@ def test_binomial_factor_lists_match_sequential_oracles():
         for c, e, p in factors:
             expect = oracle_step(expect, c, e, p)
         assert mul_binomials(x, factors) == expect
+
+
+def parent_division(zw, n, c, e):
+    """The parent pass's recurrence for (re + om*w)/d, padded to a window
+    of n, divided by (1 - c*q^e), e > 0: e strided runs for an integer c,
+    one entry at a time otherwise."""
+    d, re, om = zw
+    re, om = list(re) + [0] * (n - len(re)), list(om) + [0] * (n - len(om))
+    s, (cr,), (co,) = _scaled([c])
+    if s == 1 and not co:
+        step = None if cr == 1 else (lambda acc, a: a + cr * acc)
+        for xs in (re, om):
+            for r in range(e):
+                xs[r::e] = accumulate(xs[r::e], step)
+        return d, re, om
+    big = s ** ((n - 1) // e)
+    re, om = [big * a for a in re], [big * b for b in om]
+    for k in range(e, n):
+        pr, po = re[k - e], om[k - e]
+        re[k] += (cr * pr - co * po) // s
+        om[k] += ((cr - co) * po + co * pr) // s
+    return d * big, re, om
+
+
+def test_block_recurrence_matches_the_strided_one():
+    """Division by (1 - c*q^e) for e from 1 to n + 1, n the window, on
+    both sides of e*e == n, equals the parent's strided recurrence: c
+    integer, rational or w-valued, series with w parts, through
+    mul_binomials and through ZwSum.div_binomial, whose window stays
+    order - val long."""
+    rng = random.Random(81)
+    cs = [ONE, -ONE, CycRat(2), CycRat(Fraction(1, 2)), OMEGA, CycRat(1, 1)]  # 1 + w = -w^2
+    sides = {True: 0, False: 0}
+    for order in (1, 2, 9, 10, 37, 64):
+        ctx = SeriesContext(1, order)
+        for c in cs:
+            for val in (0, rng.randint(-6, order - 1)):
+                n = order - val
+                for e in range(1, n + 2):
+                    coeffs = rand_zw_list(rng, rng.randint(1, n), num=30, den=4)
+                    coeffs[0] = coeffs[0] or OMEGA
+                    x = QSeries(ctx, val, coeffs, order)
+                    expect = QSeries.from_zw(ctx, val, *parent_division(x.zw, n, c, e), order)
+                    assert mul_binomials(x, [(c, e, -1)]) == expect, (c, e, n)
+                    acc = ZwSum(ctx, val)
+                    acc.add(x)
+                    acc.div_binomial(c, e)
+                    assert len(acc.re) == len(acc.om) == order - acc.val
+                    assert acc.series() == expect
+                    sides[e * e >= n] += e < n
+    assert min(sides.values()) > 100, sides
 
 
 def test_zw_sum_matches_qseries_sums():
