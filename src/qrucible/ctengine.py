@@ -34,7 +34,7 @@ from .cyclotomic import CycRat, ONE
 from .errors import NonPositiveBaseExponent, WindowOverflow
 from .qkernel import poch, poch_rows
 from .series import Monomial, QSeries, SeriesContext, ZwSum, qpow
-from .series import _zw_mul, _zw_scale
+from .series import ZW_ZERO, _zw_mul, _zw_scale
 
 MAX_WINDOW = 512
 PAD = 4
@@ -213,7 +213,7 @@ def _times_family(z: ZSeries, x: Monomial, count: int, fam: ZPochFamily,
         top -= 1
     rows = []
     for n, (c, en, g) in enumerate(poch_rows(x, fam.base, count, inv, top, ctx)):
-        if c and not g.is_zero():
+        if c != ZW_ZERO and not g.is_zero():
             gd, r, o = _zw_scale(*g.zw, c)
             rows.append(ZSeries(ctx, {d * n: (en + order, r, o)}, gd, en))
     return zmul(z, zsum(ctx, rows), window)

@@ -36,6 +36,10 @@ from .errors import BoundExceeded, ParseError, QrucibleError, SuiteError
 from .series import SeriesContext, first_mismatch
 
 _MAX_ESCALATIONS = 6
+# The largest working order (scaled units) a case is elaborated at. It lies
+# far above every shipped and deep run (600 at most) and stops an absurd
+# order before a window that long is listed; it is not a time budget.
+MAX_ORDER = 10**5
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,8 @@ def verify(
     """Compare both sides exactly up to the case order (zero tolerance).
 
     Evaluator errors become a SKIP carrying the reason; the CLI's strict
-    mode turns those into failures.
+    mode turns those into failures. So does a working order (the scaled
+    target plus any escalation pad) above MAX_ORDER, before elaboration.
     """
     t0 = time.perf_counter()
     eff_denom = case.denom if denom is None else math.lcm(case.denom, denom)
@@ -260,6 +265,9 @@ def verify(
 
     pad = 0
     for _ in range(_MAX_ESCALATIONS):
+        if target + pad > MAX_ORDER:
+            reason = f"working order {target + pad} exceeds the limit {MAX_ORDER} (scaled units)"
+            return done("SKIP", 0, reason=reason)
         ctx = SeriesContext(eff_denom, target + pad)
         try:
             left = dsl.elaborate(lhs_expr, ctx)

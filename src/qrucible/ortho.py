@@ -29,7 +29,8 @@ from itertools import count, islice
 
 from .cyclotomic import ONE
 from .errors import InvalidParameter, ZeroDenominator
-from .series import Monomial, SeriesContext, _scaled, mono, mul_binomials, qpow
+from .series import Monomial, SeriesContext, mono, mul_binomials, qpow
+from .series import _zw_scalar, _zw_times
 from .qkernel import _zero_factor_index, poch
 from .ctengine import ZSeries, zmul, zs_one, zsum
 
@@ -61,10 +62,11 @@ def _t_mul(A: list, B: list, t_order: int) -> list:
             for n in range(t_order + 1)]
 
 
-def _t_times(num: list, c, e: int, i: int, j: int, p: int, ctx) -> list:
-    """num * (1 - c q^e t^i z^j)^p for a t-series num; p = -1 needs i > 0."""
-    k, kr, ko = _scaled([-c if p > 0 else c])
-    m = ZSeries(ctx, {j: (ctx.order, kr, ko)}, k, e)
+def _t_times(num: list, c: tuple, e: int, i: int, j: int, p: int, ctx) -> list:
+    """num * (1 - c q^e t^i z^j)^p for a t-series num and a Z[w] triple c;
+    p = -1 needs i > 0."""
+    k, cr, co = c
+    m = ZSeries(ctx, {j: (ctx.order, [-p * cr], [-p * co])}, k, e)
     out = list(num)
     for r in range(i, len(num)):
         out[r] = out[r] + zmul(num[r - i] if p > 0 else out[r - i], m)
@@ -81,20 +83,24 @@ def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesCon
       = (m t^2 z^j; b^2)_n;
     - den_n is the scalar (uppers; b)_n / (lowers, b; b)_n, one binomial
       pass per step, uppers before lowers.
+
+    Step n's factors are step n-1's times b (b^2 for i = 2), as Z[w]
+    triples.
     """
-    eb = ctx.scale(base.exp)
+    eb, cb = ctx.scale(base.exp), _zw_scalar(base.coeff)
+    cbs = (cb, cb, _zw_times(cb, cb))  # b^max(i, 1) by i
+    zfs = [(_zw_scalar(m.coeff), ctx.scale(m.exp), i, j, p) for m, i, j, p in zparams]
+    dfs = ([(_zw_scalar(u.coeff), ctx.scale(u.exp), 1) for u in uppers] + [(cb, eb, -1)]
+           + [(_zw_scalar(l.coeff), ctx.scale(l.exp), -1) for l in lowers])
     num = [zs_one(ctx)] + [ZSeries(ctx, {}) for _ in range(t_order)]
     den = ctx.one()
     for n in count():
         yield num, den
-        bn = base.coeff ** n
-        for m, i, j, p in zparams:
-            w = max(i, 1)
-            c, e = m.coeff * bn ** w, ctx.scale(m.exp) + n * w * eb
+        for c, e, i, j, p in zfs:
             num = _t_times(num, c, e, i, j, p, ctx)
-        den = mul_binomials(den, [(u.coeff * bn, ctx.scale(u.exp) + n * eb, 1) for u in uppers]
-                            + [(bn * base.coeff, (n + 1) * eb, -1)]
-                            + [(l.coeff * bn, ctx.scale(l.exp) + n * eb, -1) for l in lowers])
+        den = mul_binomials(den, dfs)
+        zfs = [(_zw_times(c, cbs[i]), e + max(i, 1) * eb, i, j, p) for c, e, i, j, p in zfs]
+        dfs = [(_zw_times(c, cb), e + eb, p) for c, e, p in dfs]
 
 
 def _t_phi(zparams, uppers, lowers, base: Monomial, arg: Monomial, arg_t: int, arg_z: int,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclotomic import CycRat, ONE
+from .cyclotomic import ONE
 from .errors import (
     DivergentSpec,
     InvalidParameter,
@@ -23,10 +23,15 @@ from .errors import (
     ZeroDenominator,
 )
 from .series import (
+    ZW_ONE,
+    ZW_ZERO,
     Monomial,
     QSeries,
     SeriesContext,
     ZwSum,
+    _zw_scalar,
+    _zw_times,
+    _zw_value,
     chain_trunc,
     mono,
     mul_binomial,  # noqa: F401 -- perfbench wraps qkernel.mul_binomial by name
@@ -78,22 +83,23 @@ def _zero_factor_index(arg: Monomial, base: Monomial) -> Optional[int]:
 
 def poch_binomials(args: Sequence[Monomial], base: Monomial, count, p: int, n: int,
                    ctx: SeriesContext):
-    """The factors (c, e, p), e scaled, with (a_1, ..., a_m; base)_count^p
-    = prod (1 - c*q^e)^p on a window of n, p = 1 or -1, for one
-    `mul_binomials` pass; None where a factor (1 - 1) makes the product
-    exactly zero, which raises ZeroDenominator for p = -1.
+    """The factors (c, e, p), c a Z[w] triple and e scaled, with
+    (a_1, ..., a_m; base)_count^p = prod (1 - c*q^e)^p on a window of n,
+    p = 1 or -1, for one `mul_binomials` pass; None where a factor (1 - 1)
+    makes the product exactly zero, which raises ZeroDenominator for p = -1.
 
     Factors (1 - a*b^j) are listed until the count is reached or, with a
     base exponent >= 0 (always so for count infinite), until the factor
     exponent reaches n: the pass keeps a window at its length or shortens
     it, so the later factors never reach it. The listing runs at least to
-    exponent 1, past which no factor is exactly zero.
+    exponent 1, past which no factor is exactly zero. Each a*b^j is the
+    one before times b, one integer product.
     """
-    out = []
+    out, cb = [], _zw_scalar(base.coeff)
     for a in args:
         if a.is_zero():
             continue
-        eb, e, c = ctx.scale(base.exp), ctx.scale(a.exp), a.coeff
+        eb, e, c = ctx.scale(base.exp), ctx.scale(a.exp), _zw_scalar(a.coeff)
         if count is INF and eb <= 0:
             raise NonPositiveBaseExponent(
                 f"infinite product needs base exponent > 0, got {base.exp}"
@@ -101,12 +107,12 @@ def poch_binomials(args: Sequence[Monomial], base: Monomial, count, p: int, n: i
         for _ in itertools.count() if count is INF else range(count):
             if e >= max(n, 1) and eb >= 0:
                 break
-            if e == 0 and c == ONE:
+            if e == 0 and c == ZW_ONE:
                 if p < 0:
                     raise ZeroDenominator("Pochhammer denominator has an exact zero factor")
                 return None
             out.append((c, e, p))
-            c = c * base.coeff
+            c = _zw_times(c, cb)
             e += eb
     return out
 
@@ -138,24 +144,34 @@ def poch_rows(x: Monomial, base: Monomial, count, inverted: bool, nmax: int,
     (x; b)_K = sum (-1)^n b^C(n,2) [K, n]_b x^n and 1/(x; b)_K =
     sum [K+n-1, n]_b x^n, [K, n]_b read as 1/(b; b)_n for K = INF.
     g_n is that Gaussian coefficient (val 0, known below the order, one
-    binomial pass from g_(n-1)); the base exponent must be positive
-    unless count is 1.
+    binomial pass from g_(n-1)) and c_n a Z[w] triple; the base exponent
+    must be positive unless count is 1.
+
+    Powers run as products: c_n = c_(n-1)*r, r = x or -x*b^(n-1), and
+    b^a for a = count +- (n - 1), listed up from its least power.
     """
     if count is not INF and not inverted:
         nmax = min(nmax, count)
-    e, eb, b = ctx.scale(x.exp), ctx.scale(base.exp), base.coeff
-    c, en, g = ONE, 0, ctx.one()
+    e, eb = ctx.scale(x.exp), ctx.scale(base.exp)
+    b, (s, xr, xo) = _zw_scalar(base.coeff), _zw_scalar(x.coeff)
+    r = (s, xr, xo) if inverted else (s, -xr, -xo)
+    if count is not INF:
+        lo = count if inverted else count - nmax + 1
+        bas = list(itertools.accumulate([b] * (nmax - 1), _zw_times, initial=_zw_scalar(base.coeff ** lo)))
+        bas = bas if inverted else bas[::-1]
+    c, en, g, bn = ZW_ONE, 0, ctx.one(), ZW_ONE
     rows = [(c, en, g)]
     for n in range(1, nmax + 1):
-        factors = [(b ** n, n * eb, -1)]
+        c, bn = _zw_times(c, r), _zw_times(bn, b)
+        if inverted:
+            en += e
+        else:
+            en, r = en + e + (n - 1) * eb, _zw_times(r, b)
+        factors = [(bn, n * eb, -1)]
         if count is not INF:
             a = count + n - 1 if inverted else count - n + 1
-            factors = [] if a == n else factors + [(b ** a, a * eb, 1)]
+            factors = [] if a == n else factors + [(bas[n - 1], a * eb, 1)]
         g = mul_binomials(g, factors)
-        if inverted:
-            c, en = c * x.coeff, en + e
-        else:
-            c, en = -c * x.coeff * b ** (n - 1), en + e + (n - 1) * eb
         rows.append((c, en, g))
     return rows
 
@@ -175,7 +191,6 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
     eb = ctx.scale(b.exp)
     if eb <= 0:
         raise NonPositiveBaseExponent(f"phi base exponent must be > 0, got {b.exp}")
-    cb = b.coeff
     g = 1 + len(lowers) - len(uppers)
     if z.is_zero():
         return ctx.one()
@@ -192,14 +207,21 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
         if g == 0 and ez <= 0:
             raise NonSummable(f"argument exponent {z.exp} must be positive")
 
-    scaled_uppers = [(u.coeff, ctx.scale(u.exp)) for u in uppers if not u.is_zero()]
-    scaled_lowers = [(l.coeff, ctx.scale(l.exp)) for l in lowers if not l.is_zero()]
+    # the factors that build term_1 from term_0: the uppers, the lowers and
+    # the implicit lower b of (b; b)_n, each a parameter times b^0
+    cb = _zw_scalar(b.coeff)
+    factors = [(_zw_scalar(u.coeff), ctx.scale(u.exp), 1) for u in uppers if not u.is_zero()]
+    factors += [(_zw_scalar(l.coeff), ctx.scale(l.exp), -1) for l in lowers if not l.is_zero()]
+    factors.append((cb, eb, -1))
     # index past which every factor exponent and the term-ratio valuation
     # are strictly positive
-    n0 = max([1] + [-e // eb + 1 for _, e in scaled_uppers + scaled_lowers if e <= 0])
+    n0 = max([1] + [-e // eb + 1 for _, e, _ in factors if e <= 0])
     if g > 0:
         while ez + g * n0 * eb <= 0:
             n0 += 1
+    # term_(n+1) is term_n times the factors indexed by n and the monomial
+    # z*(-1)^g*b^(n*g)*q^(ez + g*n*eb); both step by one power of b per n
+    cbg, mono_c = _zw_scalar(b.coeff ** g), _zw_scalar(-z.coeff if g % 2 else z.coeff)
 
     acc = ctx.one()
     term = ctx.one()
@@ -209,19 +231,14 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
             break
         if term_at is not None and n >= term_at:
             break
-        # factors indexed by n build term_(n+1) from term_n: the uppers, the
-        # lowers and the implicit (b; b)_(n+1) factor in one binomial pass;
-        # an upper one is exactly zero only at n == term_at, which stopped
-        # the loop
-        bn = cb ** n
-        lowers_n = [(c * bn, e + n * eb, -1) for c, e in scaled_lowers]
-        if any(fe == 0 and fc == ONE for fc, fe, _ in lowers_n):
+        # an upper factor is exactly zero only at n == term_at, which
+        # stopped the loop
+        if any(p < 0 and e == 0 and c == ZW_ONE for c, e, p in factors):
             raise ZeroDenominator(f"lower parameter hits an exact zero factor at n={n + 1}")
-        factors = [(c * bn, e + n * eb, 1) for c, e in scaled_uppers]
-        factors += lowers_n + [(bn * cb, (n + 1) * eb, -1)]
-        coeff = z.coeff * (-ONE) ** g * cb ** (n * g)
-        term = mul_binomials(term, factors).mul_monomial(coeff, ez + g * n * eb)
+        term = mul_binomials(term, factors).mul_monomial(_zw_value(mono_c), ez + g * n * eb)
         acc = acc + term
+        factors = [(_zw_times(c, cb), e + eb, p) for c, e, p in factors]
+        mono_c = _zw_times(mono_c, cbg)
         n += 1
         if n > 16 * (ctx.order + 16):
             raise NonSummable("term valuation failed to reach the truncation")
@@ -342,22 +359,25 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             k += 1
         bounds.append(k)
 
-    # per variable i and k <= bounds[i]: the binomial (c, e) that takes
-    # row k to row k+1, the weight power coeffs_i^k, and the val of row k
-    # (a factor with e < 0 raises it by -e, up to the order)
+    # per variable i and k <= bounds[i], as Z[w] triples stepped by one
+    # product each: the binomial (c, e) that takes row k to row k+1, the
+    # signed weight ((-1)^signs_i*coeffs_i)^k, and the val of row k (a
+    # factor with e < 0 raises it by -e, up to the order)
     order = ctx.order
     steps, powers, row_vals = [], [], []
     for i in range(m):
         d, b = spec.denom_args[i], spec.denom_bases[i]
-        c, e, eb = d.coeff, ctx.scale(d.exp), ctx.scale(b.exp)
-        step, power, row_val = [], [ONE], [0]
+        c, e, eb = _zw_scalar(d.coeff), ctx.scale(d.exp), ctx.scale(b.exp)
+        cb, w = _zw_scalar(b.coeff), spec.coeffs[i].coeff
+        w = _zw_scalar(-w if spec.signs[i] % 2 else w)
+        step, power, row_val = [], [ZW_ONE], [0]
         for _ in range(bounds[i]):
-            if e == 0 and c == ONE:
+            if e == 0 and c == ZW_ONE:
                 raise ZeroDenominator("multisum denominator has an exact zero factor")
             step.append((c, e))
-            power.append(power[-1] * spec.coeffs[i].coeff)
-            row_val.append(min(order, row_val[-1] - (min(e, 0) if c else 0)))
-            c = c * b.coeff
+            power.append(_zw_times(power[-1], w))
+            row_val.append(min(order, row_val[-1] - (min(e, 0) if c != ZW_ZERO else 0)))
+            c = _zw_times(c, cb)
             e += eb
         steps.append(step)
         powers.append(power)
@@ -370,7 +390,7 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     ks = [0] * m
     trunc = order
 
-    def horner(i: int, exp_acc: int, coeff_acc: CycRat, sign_acc: int) -> ZwSum:
+    def horner(i: int, exp_acc: int, coeff_acc: tuple) -> ZwSum:
         """The terms over all completions of ks[:i], times the rows of
         variables i.., summed from exponent exp_acc + rest[i] up."""
         nonlocal trunc
@@ -383,18 +403,17 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             e = exp_acc + (A[i][i] * k + lin) * k
             if e + rest[i + 1] >= order:
                 continue
-            c = coeff_acc * powers[i][k]
-            sign = sign_acc + spec.signs[i] * k
+            c = _zw_times(coeff_acc, powers[i][k])
             if i < m - 1:
-                acc.add(horner(i + 1, e, c, sign))
+                acc.add(horner(i + 1, e, c))
                 continue
             # a lattice point: its trunc is that of c*q^e times its rows
-            vals = [e if c else order] + [row_vals[j][ks[j]] for j in range(m)]
+            vals = [e if c != ZW_ZERO else order] + [row_vals[j][ks[j]] for j in range(m)]
             trunc = min(trunc, chain_trunc(order, vals))
-            acc.add_monomial(-c if sign % 2 else c, e)
+            acc.add_monomial(c, e)
         return acc
 
-    return horner(0, 0, ONE, 0).series(trunc)
+    return horner(0, 0, ZW_ONE).series(trunc)
 
 
 # -- named multi-sums ---------------------------------------------------

@@ -21,6 +21,10 @@ and divides itself in place by binomials through that pass, so a chain
 of these converts to Q(w) only where a scalar path reads it.
 `QSeries.inverse` is Newton iteration on the kernel, and reads use the Z[w]
 form, canonical in that d is the smallest positive denominator.
+The kernels' scalars (factors, term weights) are canonical triples
+(s, cr, co) = (cr + co*w)/s, multiplied and inverted in integers; a CycRat
+is converted once where it enters (`mul_binomial`, `div_binomial`,
+`ZwSum.add`, and the callers that turn parameters into factors).
 """
 
 from __future__ import annotations
@@ -457,9 +461,36 @@ def _zw_scalar(c: CycRat) -> tuple:
     return s, cr, co
 
 
-def _zw_scale(d: int, re: list, om: list, k: CycRat):
-    """(d, re, om) times the nonzero scalar k, as a new (d, re, om)."""
-    s, kr, ko = _zw_scalar(k)
+ZW_ZERO, ZW_ONE = _zw_scalar(ZERO), _zw_scalar(ONE)
+
+
+def _zw_value(k: tuple) -> CycRat:
+    """The Q(w) scalar of the triple k."""
+    return _from_zw(k[0], [k[1]], [k[2]])[0]
+
+
+def _zw_canonical(s: int, r: int, o: int) -> tuple:
+    g = math.gcd(s, r, o)
+    return (s, r, o) if g == 1 else (s // g, r // g, o // g)
+
+
+def _zw_times(a: tuple, b: tuple) -> tuple:
+    """The canonical triple of a*b, a and b triples (see `_zw_scalar`)."""
+    (s, ar, ao), (t, br, bo) = a, b
+    oo = ao * bo
+    return _zw_canonical(s * t, ar * br - oo, ar * bo + ao * br - oo)
+
+
+def _zw_inverse(a: tuple) -> tuple:
+    """The canonical triple of 1/a for a nonzero triple a = (r + o*w)/s:
+    s*(r + o*w^2)/N, w^2 = -1 - w, N = r^2 - r*o + o^2 > 0 the norm."""
+    s, r, o = a
+    return _zw_canonical(r * r - r * o + o * o, s * (r - o), -s * o)
+
+
+def _zw_scale(d: int, re: list, om: list, k: tuple):
+    """(d, re, om) times the nonzero triple k, as a new (d, re, om)."""
+    s, kr, ko = k
     if not ko:
         return d * s, [kr * a for a in re], [kr * b for b in om]
     return (
@@ -490,16 +521,16 @@ class ZwSum:
     def add(self, x, c: CycRat = ONE, e: int = 0) -> None:
         """self += c*q^e*x for a QSeries or a ZwSum x, cut to the order."""
         if c:
-            self._add(x.val + e, *x.zw, c)
+            self._add(x.val + e, *x.zw, _zw_scalar(c))
 
-    def add_monomial(self, c: CycRat, e: int) -> None:
-        """self += c*q^e."""
-        if c:
-            s, cr, co = _zw_scalar(c)
-            self._add(e, s, [cr], [co], ONE)
+    def add_monomial(self, k: tuple, e: int) -> None:
+        """self += k*q^e, k a triple (see `_zw_scalar`)."""
+        if k != ZW_ZERO:
+            self._add(e, k[0], [k[1]], [k[2]], ZW_ONE)
 
-    def _add(self, v: int, d: int, re: list, om: list, c: CycRat) -> None:
-        """self += c*q^v*(re + om*w)/d, cut to the order."""
+    def _add(self, v: int, d: int, re: list, om: list, k: tuple) -> None:
+        """self += k*q^v*(re + om*w)/d for a nonzero triple k, cut to the
+        order."""
         if not re:
             return
         if v < self.lo:
@@ -508,8 +539,8 @@ class ZwSum:
         if n <= 0:
             return
         re, om = re[:n], om[:n]
-        if c != ONE:
-            d, re, om = _zw_scale(d, re, om, c)
+        if k != ZW_ONE:
+            d, re, om = _zw_scale(d, re, om, k)
         if d != self.d:
             big = math.lcm(self.d, d)
             if big != self.d:
@@ -530,8 +561,9 @@ class ZwSum:
         if any(om):
             aom[off : off + n] = [a + b for a, b in zip(aom[off : off + n], om)]
 
-    def div_binomial(self, c: CycRat, e: int) -> None:
-        """self /= (1 - c*q^e), in place; e == 0 requires c != 1."""
+    def div_binomial(self, c: tuple, e: int) -> None:
+        """self /= (1 - c*q^e), in place, c a triple; e == 0 requires
+        c != 1."""
         order = self.ctx.order
         self.d, self.re, self.om, self.val, _ = _binomials(
             order, self.d, self.re, self.om, self.val, order, [(c, e, -1)]
@@ -564,7 +596,7 @@ def _unpack(p: int, n: int, kb: int, bias: int) -> list:
 
 def mul_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:
     """x * (1 - c*q^e); e in scaled units, may be negative or zero."""
-    return mul_binomials(x, [(c, e, 1)])
+    return mul_binomials(x, [(_zw_scalar(c), e, 1)])
 
 
 def div_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:
@@ -573,15 +605,16 @@ def div_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:
     For e < 0 the factor is rewritten as -c*q^e*(1 - q^(-e)/c) so the
     recurrence always runs upward. e == 0 requires c != 1.
     """
-    return mul_binomials(x, [(c, e, -1)])
+    return mul_binomials(x, [(_zw_scalar(c), e, -1)])
 
 
 def mul_binomials(x: QSeries, factors) -> QSeries:
-    """x * prod (1 - c*q^e)^p over (c, e, p) in factors, p = 1 or -1: one
-    integer pass (`_binomials`) on a copy of x's Z[w] form, each factor
-    applied in turn with the val/trunc rules of a single mul_binomial
-    (p = 1) or div_binomial (p = -1); x itself where every c is 0."""
-    if not any(c for c, _, _ in factors):
+    """x * prod (1 - c*q^e)^p over (c, e, p) in factors, c a triple (see
+    `_zw_scalar`) and p = 1 or -1: one integer pass (`_binomials`) on a
+    copy of x's Z[w] form, each factor applied in turn with the val/trunc
+    rules of a single mul_binomial (p = 1) or div_binomial (p = -1); x
+    itself where every c is 0."""
+    if all(c == ZW_ZERO for c, _, _ in factors):
         return x
     d, re, om = x.zw
     d, re, om, val, trunc = _binomials(x.ctx.order, d, list(re), list(om), x.val, x.trunc, factors)
@@ -591,32 +624,36 @@ def mul_binomials(x: QSeries, factors) -> QSeries:
 def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, factors):
     """The pass of mul_binomials on q^val * (re + om*w)/d known below trunc:
     returns (d, re, om, val, trunc) times the factors, re and om changed in
-    place where the step allows. A factor with c = 0 is 1.
+    place where the step allows. Each factor's c is the canonical triple
+    (s, cr, co) = (cr + co*w)/s, so an exact zero factor (e == 0, c == 1)
+    is found by integer compares; a factor with c = 0 is 1.
 
     An empty re is the zero series, whose val is its trunc. A nonzero
     series keeps a nonzero leading entry: no factor with e != 0 cancels it,
-    and e == 0 scales by the constant 1 - c. Where c = (cr + co*w)/s is not
-    in Z[w], d takes the factor s (product) or s^((n-1)//e) (quotient over
-    a window of n), so every step stays in Z[w]. A quotient keeps
+    and e == 0 scales by the constant 1 - c. Where c is not in Z[w] (s > 1),
+    d takes the factor s (product) or s^((n-1)//e) (quotient over a window
+    of n), so every step stays in Z[w]. A quotient keeps
     len(re) == trunc - val when it holds on entry (`ZwSum` relies on it).
     """
     for c, e, p in factors:
-        if not c:
+        s, cr, co = c
+        if not (cr or co):
             continue
         if e == 0:
-            if c == ONE:
+            if c == ZW_ONE:
                 if p < 0:
                     raise NotInvertible("division by exact zero factor (1 - 1)")
                 re, om, val = [], [], trunc
             elif re:
-                d, re, om = _zw_scale(d, re, om, ONE - c if p > 0 else (ONE - c).inv())
+                k = (s, s - cr, -co)  # 1 - c, canonical as c is
+                d, re, om = _zw_scale(d, re, om, k if p > 0 else _zw_inverse(k))
             continue
         if p < 0 and e < 0:
             # 1/(1 - c*q^e) = -c^-1*q^-e / (1 - c^-1*q^-e), so the
             # recurrence below always runs upward
-            c, e = c.inv(), -e
+            (s, cr, co), e = _zw_inverse(c), -e
             if re:
-                d, re, om = _zw_scale(d, re, om, -c)
+                d, re, om = _zw_scale(d, re, om, (s, -cr, -co))
             val, trunc = val + e, min(trunc + e, order)
             del re[max(0, trunc - val) :], om[max(0, trunc - val) :]
             if not re:
@@ -626,7 +663,6 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
                 trunc = val = trunc + min(e, 0)
             continue
         n = trunc - val
-        s, cr, co = _zw_scalar(c)
         if p > 0:
             val, trunc = val + min(e, 0), trunc + min(e, 0)
             f = abs(e)

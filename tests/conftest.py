@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qrucible.ctengine import ZSeries, zsum
-from qrucible.cyclotomic import CycRat
-from qrucible.series import QSeries, SeriesContext
+from qrucible.cyclotomic import CycRat, ONE
+from qrucible.qkernel import INF
+from qrucible.series import QSeries, SeriesContext, _zw_scalar, mul_binomials
 
 
 def rand_cycrat(rng: random.Random, height: int = 6) -> CycRat:
@@ -26,6 +27,34 @@ def zseries(ctx: SeriesContext, terms: dict) -> ZSeries:
     """The row set of {z-degree: QSeries}."""
     return zsum(ctx, [ZSeries(ctx, {m: (s.trunc, *s.zw[1:])}, s.zw[0], s.val)
                       for m, s in terms.items()])
+
+
+def zw_factors(factors) -> list:
+    """Binomial factors (c, e, p) with each CycRat c as its Z[w] triple,
+    the one factor form `mul_binomials` takes."""
+    return [(_zw_scalar(c), e, p) for c, e, p in factors]
+
+
+def parent_poch_rows(x, base, count, inverted, nmax, ctx) -> list:
+    """Oracle: qkernel.poch_rows with CycRat scalars, each power by `**`,
+    as it was before the rows carried Z[w] triples."""
+    if count is not INF and not inverted:
+        nmax = min(nmax, count)
+    e, eb, b = ctx.scale(x.exp), ctx.scale(base.exp), base.coeff
+    c, en, g = ONE, 0, ctx.one()
+    rows = [(c, en, g)]
+    for n in range(1, nmax + 1):
+        factors = [(b ** n, n * eb, -1)]
+        if count is not INF:
+            a = count + n - 1 if inverted else count - n + 1
+            factors = [] if a == n else factors + [(b ** a, a * eb, 1)]
+        g = mul_binomials(g, zw_factors(factors))
+        if inverted:
+            c, en = c * x.coeff, en + e
+        else:
+            c, en = -c * x.coeff * b ** (n - 1), en + e + (n - 1) * eb
+        rows.append((c, en, g))
+    return rows
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rand_cycrat, zseries
+from conftest import parent_poch_rows, rand_cycrat, zseries
 from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE, ZERO
 from qrucible.ctengine import (
     MAX_WINDOW,
@@ -23,9 +23,9 @@ from qrucible.ctengine import (
 from qrucible.dsl import _collect_ct, elaborate, parse
 from qrucible.errors import EvalError, NonPositiveBaseExponent, QrucibleError, WindowOverflow
 from qrucible.harness import load_registry, verify
-from qrucible.qkernel import f_triple, poch, poch_rows
+from qrucible.qkernel import f_triple, poch
 from qrucible.series import Monomial, QSeries, SeriesContext, equal_to_order, mono, qpow
-from qrucible.series import _zw_mul, _zw_scale
+from qrucible.series import _zw_mul, _zw_scalar, _zw_scale
 
 # the contour integrals with their hypergeometric forms, as suite cases
 CONTOUR_FORMS = Path(__file__).parent / "data" / "contour_forms.qid"
@@ -120,10 +120,10 @@ def _parent_times_family(den, lo, rows, x, count, fam, ctx, window):
     while top > 0 and top * e + (0 if inv else eb * top * (top - 1) // 2) >= order - lo:
         top -= 1
     frows, fden = {}, 1
-    for n, (c, en, g) in enumerate(poch_rows(x, fam.base, count, inv, top, ctx)):
+    for n, (c, en, g) in enumerate(parent_poch_rows(x, fam.base, count, inv, top, ctx)):
         if c and not g.is_zero():
             gd, gr, go = g.zw
-            frows[d * n] = (en, *_zw_scale(gd, gr[: order - lo - en], go[: order - lo - en], c))
+            frows[d * n] = (en, *_zw_scale(gd, gr[: order - lo - en], go[: order - lo - en], _zw_scalar(c)))
             fden = math.lcm(fden, frows[d * n][1])
     f0 = min(en for en, *_ in frows.values())
     for k, (en, s, r, o) in frows.items():

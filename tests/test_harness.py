@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from qrucible.cli import main as cli_main
 from qrucible.errors import BoundExceeded, ParseError, SuiteError
 from qrucible.dsl import MAX_NESTING
 from qrucible.harness import (
+    MAX_ORDER,
     IdentityCase,
     Registry,
     load_registry,
@@ -28,6 +30,7 @@ SHIPPED_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-repor
 CT_ORDER50_REPORT = Path(__file__).resolve().parent / "data" / "ct-order50-report.json"
 KR_NINE_ORDER150_REPORT = Path(__file__).resolve().parent / "data" / "kr-nine-order150-report.json"
 BIG_COEFFICIENT = Path(__file__).resolve().parent / "data" / "big-coefficient.qid"
+HUGE_ORDER = Path(__file__).resolve().parent / "data" / "huge-order.qid"
 
 
 @pytest.fixture(scope="module")
@@ -410,6 +413,43 @@ def test_cli_rejects_non_positive_counts(capsys):
             assert exc.value.code == 2, (option, value)
             err = capsys.readouterr().err
             assert f"argument {option}: expected a positive integer" in err
+
+
+ORDER_LIMIT_REASON = f"exceeds the limit {MAX_ORDER} (scaled units)"
+
+
+def _skips_at_the_order_limit(run):
+    """run() -> reports; each is a SKIP naming the order limit, all within
+    a second: no series is built at the working order asked for."""
+    t0 = time.perf_counter()
+    reports = run()
+    assert time.perf_counter() - t0 < 1.0
+    assert reports and all(r.status == "SKIP" and ORDER_LIMIT_REASON in r.skip_reason for r in reports)
+
+
+def test_an_order_option_above_the_limit_skips(registry, capsys):
+    # this --order ended in an OverflowError traceback in the binomial pass
+    huge = 99999999999999999999
+    _skips_at_the_order_limit(lambda: run_suite(pattern="rogers-ramanujan-1", order=huge, registry=registry)[1])
+    assert cli_main(["verify", "--strict", "--filter", "rogers-ramanujan-1", "--order", str(huge)]) == 1
+    assert f"working order {huge} {ORDER_LIMIT_REASON}" in capsys.readouterr().out
+
+
+def test_a_denom_option_above_the_limit_skips(registry):
+    # rogers-ramanujan-1 states order 60 on D = 1: D = 2000 asks for 120000
+    _skips_at_the_order_limit(lambda: run_suite(pattern="rogers-ramanujan-1", denom=2000, registry=registry)[1])
+
+
+def test_a_suite_order_above_the_limit_skips(capsys):
+    # huge-order.qid asks for qp(q; q; inf) at an order that grew memory
+    # without end, for as long as the process was let run
+    _skips_at_the_order_limit(lambda: run_suite(files=[HUGE_ORDER])[1])
+    assert cli_main(["verify", "--strict", "--suite", str(HUGE_ORDER)]) == 1
+    capsys.readouterr()
+    # the limit itself is a working order like any other
+    text = 'identity "at-limit" {{ lhs = 1 + q; rhs = q + 1; D = 1; order = {}; }}'
+    assert run_suite(registry=Registry(parse_suite(text.format(MAX_ORDER))))[1][0].status == "PASS"
+    _skips_at_the_order_limit(lambda: run_suite(registry=Registry(parse_suite(text.format(MAX_ORDER + 1))))[1])
 
 
 def test_full_shipped_suite_passes(registry):

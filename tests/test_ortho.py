@@ -4,7 +4,13 @@ from itertools import permutations
 
 import pytest
 
-from conftest import rogers_half_4phi3_text, rogers_half_sum_text, zseries
+from conftest import (
+    parent_poch_rows,
+    rogers_half_4phi3_text,
+    rogers_half_sum_text,
+    zseries,
+    zw_factors,
+)
 from qrucible import ortho
 from qrucible.cyclotomic import CycRat, OMEGA, ONE
 from qrucible.ctengine import ZSeries, zmul, zs_one, zsubst
@@ -18,7 +24,7 @@ from qrucible.ortho import (
     genfun_rhs_coeff,
     rogers_poly,
 )
-from qrucible.qkernel import INF, _zero_factor_index, poch, poch_rows
+from qrucible.qkernel import INF, _zero_factor_index, poch
 from qrucible.series import (
     Monomial,
     SeriesContext,
@@ -314,8 +320,8 @@ def parent_poch_ratio_chain(a, base, n, ctx):
     out = [ctx.one()]
     for k in range(n):
         bk = base.coeff ** k
-        out.append(mul_binomials(out[-1], [(a.coeff * bk, ea + k * eb, 1),
-                                           (bk * base.coeff, (k + 1) * eb, -1)]))
+        out.append(mul_binomials(out[-1], zw_factors([(a.coeff * bk, ea + k * eb, 1),
+                                                      (bk * base.coeff, (k + 1) * eb, -1)])))
     return out
 
 
@@ -353,8 +359,8 @@ def parent_aw_poly(n, p, ctx):
     for k in range(n):
         bk = b.coeff ** k
         qk = (bk * b.coeff, (k + 1) * eb, -1)
-        inv_q_ab.append(mul_binomials(inv_q_ab[-1], [qk, (ab.coeff * bk, ctx.scale(ab.exp) + k * eb, -1)]))
-        inv_q_cd.append(mul_binomials(inv_q_cd[-1], [qk, (cd.coeff * bk, ctx.scale(cd.exp) + k * eb, -1)]))
+        inv_q_ab.append(mul_binomials(inv_q_ab[-1], zw_factors([qk, (ab.coeff * bk, ctx.scale(ab.exp) + k * eb, -1)])))
+        inv_q_cd.append(mul_binomials(inv_q_cd[-1], zw_factors([qk, (cd.coeff * bk, ctx.scale(cd.exp) + k * eb, -1)])))
     acc = ZSeries(ctx, {})
     for k in range(n + 1):
         part = zmul(front[k], back[n - k]).shift(n - 2 * k)
@@ -384,7 +390,7 @@ def parent_t_mul(A, B, t_order):
 def parent_t_euler(x, zdeg, base, t_order, ctx, t_step=1, inverted=False, count=INF):
     """(x z^zdeg t^t_step; base)_count, or its reciprocal, as a t-series."""
     out = [ZSeries(ctx, {}) for _ in range(t_order + 1)]
-    for m, (c, e, g) in enumerate(poch_rows(x, base, count, inverted, t_order // t_step, ctx)):
+    for m, (c, e, g) in enumerate(parent_poch_rows(x, base, count, inverted, t_order // t_step, ctx)):
         out[m * t_step] = zseries(ctx, {m * zdeg: g.mul_monomial(c, e)})
     return out
 
@@ -402,8 +408,8 @@ def parent_t_phi(uppers, lowers, base, argmono, arg_zdeg, t_order, ctx, t_step=1
                 num = zmul(num, parent_z_binomial(ctx, u.coeff * base.coeff ** (m - 1),
                                                   ctx.scale(u.exp) + (m - 1) * eb, zd))
             bm = base.coeff ** (m - 1)
-            den = mul_binomials(den, [(bm * base.coeff, m * eb, -1)] + [
-                (l.coeff * bm, ctx.scale(l.exp) + (m - 1) * eb, -1) for l in lowers])
+            den = mul_binomials(den, zw_factors([(bm * base.coeff, m * eb, -1)] + [
+                (l.coeff * bm, ctx.scale(l.exp) + (m - 1) * eb, -1) for l in lowers]))
             argpow = argpow * argmono
         coeff = den.mul_monomial(argpow.coeff, ctx.scale(argpow.exp))
         out[m * t_step] = num.scale(coeff).shift(m * arg_zdeg)

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import parent_poch_rows, zw_factors
+from qrucible import qkernel
 from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE
 from qrucible.errors import (
     DivergentSpec,
     NonPositiveBaseExponent,
     NonSummable,
+    NotInvertible,
     ZeroDenominator,
 )
 from qrucible.harness import partition_count
@@ -35,12 +38,14 @@ from qrucible.qkernel import (
 from qrucible.series import (
     SeriesContext,
     ZwSum,
+    _zw_scalar,
     chain_trunc,
     div_binomial,
     equal_to_order,
     mono,
     monomial_to_series,
     mul_binomial,
+    mul_binomials,
     qpow,
 )
 
@@ -90,7 +95,7 @@ def test_poch_binomials_see_every_exact_zero_factor(ctx):
             assert poch_binomials(args, base, count, 1, n, ctx) is None
             with pytest.raises(ZeroDenominator):
                 poch_binomials(args, base, count, -1, n, ctx)
-    assert poch_binomials([mono(2, 0)], mono(Fraction(1, 2), 0), 1, -1, 0, ctx) == [(CycRat(2), 0, -1)]
+    assert poch_binomials([mono(2, 0)], mono(Fraction(1, 2), 0), 1, -1, 0, ctx) == [((1, 2, 0), 0, -1)]
 
 
 def test_poch_recurrence_randomized(ctx):
@@ -758,3 +763,148 @@ def test_phi_honest_across_truncations():
         _agree_below(short, phi(spec, SeriesContext(D, n + k)))
         checked += 1
     assert checked > 40
+
+
+# -- Z[w] scalars: the factors against the parent's CycRat factors --------
+#
+# poch_binomials, poch_rows and phi carry every factor's c as a Z[w]
+# triple, each power one integer product from the one before. The oracles
+# below list the parent's CycRat factors, every power by `**`; each factor
+# must be the triple of the oracle's, with the same None / exception
+# outcome, and the series built from them must keep val, trunc and zw.
+
+_C_POOL = [ONE, -ONE, CycRat(2), CycRat(-2), CycRat(Fraction(1, 2)), OMEGA, OMEGA2, CycRat(2, -1)]
+
+
+def parent_poch_binomials(args, base, count, p, n, ctx):
+    """Oracle: the factors (a*b^j, e_a + j*e_b, p) of poch_binomials in
+    CycRat, b^j by `**`, listed by the same stopping rule."""
+    out = []
+    for a in args:
+        if a.is_zero():
+            continue
+        eb, ea = ctx.scale(base.exp), ctx.scale(a.exp)
+        if count is INF and eb <= 0:
+            raise NonPositiveBaseExponent("infinite product")
+        for j in itertools.count() if count is INF else range(count):
+            c, e = a.coeff * base.coeff ** j, ea + j * eb
+            if e >= max(n, 1) and eb >= 0:
+                break
+            if e == 0 and c == ONE:
+                if p < 0:
+                    raise ZeroDenominator("zero factor")
+                return None
+            out.append((c, e, p))
+    return out
+
+
+def parent_phi_factors(spec, ctx, n):
+    """Oracle: the factors phi applies to term_n, as the parent listed
+    them: uppers, lowers, then (b^(n+1), (n+1)*e_b, -1), b^n by `**`."""
+    cb, eb = spec.base.coeff, ctx.scale(spec.base.exp)
+    bn = cb ** n
+    ups = [(u.coeff * bn, ctx.scale(u.exp) + n * eb, 1) for u in spec.uppers if not u.is_zero()]
+    lows = [(l.coeff * bn, ctx.scale(l.exp) + n * eb, -1) for l in spec.lowers if not l.is_zero()]
+    return ups + lows + [(bn * cb, (n + 1) * eb, -1)]
+
+
+def rand_param(rng, D, lo=-1):
+    """c*q^e with c from the pool and e on the 1/D grid, down to lo."""
+    return mono(rng.choice(_C_POOL), Fraction(rng.randint(lo * D, 2 * D), D))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDenominator, NonPositiveBaseExponent, NonSummable, NotInvertible) as exc:
+        return type(exc)
+
+
+def _same_series(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw)
+
+
+def _recorded(monkeypatch):
+    """The factor lists qkernel hands to mul_binomials, call by call."""
+    calls = []
+
+    def record(x, factors):
+        calls.append(list(factors))
+        return mul_binomials(x, factors)
+
+    monkeypatch.setattr(qkernel, "mul_binomials", record)
+    return calls
+
+
+def test_zw_factors_match_the_parent_cycrat_factors(monkeypatch):
+    rng = random.Random(20261016)
+    calls = _recorded(monkeypatch)
+    seen = dict.fromkeys(["None", "raised", "listed", "finite eb <= 0", "rows", "phi", "phi raised", "multisum"], 0)
+    for _ in range(1000):
+        D = rng.choice([1, 2, 3])
+        ctx = SeriesContext(D, rng.randint(1, 12))
+        base = mono(rng.choice(_C_POOL), Fraction(rng.randint(-D, 2 * D), D))
+        count = rng.choice([INF, 0, 1, 2, 3, 5])
+        args = [rand_param(rng, D) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:  # a parameter that hits 1 = a*b^j exactly
+            args.append(base ** -rng.randint(0, 3))
+        p, n = rng.choice([1, -1]), rng.randint(0, ctx.order)
+        want = _outcome(parent_poch_binomials, args, base, count, p, n, ctx)
+        got = _outcome(qkernel.poch_binomials, args, base, count, p, n, ctx)
+        if want is None or isinstance(want, type):
+            assert got is want
+            seen["None" if want is None else "raised"] += 1
+        else:
+            assert got == zw_factors(want)
+            seen["listed"] += 1
+            seen["finite eb <= 0"] += count is not INF and base.exp <= 0 and len(want) > 1
+
+        # poch_rows: each row's c, e and Gaussian coefficient, and each step's factors
+        x, inverted, nmax = rand_param(rng, D), rng.random() < 0.5, rng.randint(0, 4)
+        if count is not INF and base.exp <= 0:
+            count = 1
+        want = _outcome(parent_poch_rows, x, base, count, inverted, nmax, ctx)
+        del calls[:]
+        got = _outcome(qkernel.poch_rows, x, base, count, inverted, nmax, ctx)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert len(got) == len(want)
+            for (c, e, g), (wc, we, wg) in zip(got, want):
+                assert (c, e) == (_zw_scalar(wc), we)
+                _same_series(g, wg)
+            b, eb = base.coeff, ctx.scale(base.exp)
+            for k, fs in enumerate(calls, 1):
+                expect = [(b ** k, k * eb, -1)]
+                if count is not INF:
+                    a = count + k - 1 if inverted else count - k + 1
+                    expect = [] if a == k else expect + [(b ** a, a * eb, 1)]
+                assert fs == zw_factors(expect)
+            seen["rows"] += 1
+
+        # phi: the factors of every step and the sum they build; a
+        # parameter b^-j terminates an upper or zeroes a lower
+        pb = mono(base.coeff, abs(base.exp) or 1)
+        params = [[rand_param(rng, D) if rng.random() < 0.85 else pb ** -rng.randint(0, 3)
+                   for _ in range(rng.randint(0, 3))] for _ in "ul"]
+        spec = PhiSpec(tuple(params[0]), tuple(params[1]), pb, rand_param(rng, D, 0))
+        want = _outcome(per_factor_phi, spec, ctx)
+        del calls[:]
+        got = _outcome(qkernel.phi, spec, ctx)
+        _same_series(got, want)
+        if isinstance(want, type):
+            seen["phi raised"] += 1
+        else:
+            assert calls == [zw_factors(parent_phi_factors(spec, ctx, k)) for k in range(len(calls))]
+            seen["phi"] += 1
+
+        # multisum: two variables whose weights and denominators are the parameters
+        ms = MultiSumSpec(quad=((D, 0), (0, 2 * D)), lin=(rng.randint(-D, D), 0),
+                          signs=(rng.randint(0, 1), rng.randint(0, 1)),
+                          denom_args=(args[0], rand_param(rng, D)), denom_bases=(pb, qpow(1)),
+                          coeffs=(rand_param(rng, D, 0), x))
+        seen["multisum"] += _matches_the_parent(ms, ctx) is not None
+    assert min(seen.values()) >= 50, seen

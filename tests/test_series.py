@@ -4,8 +4,8 @@ from itertools import accumulate
 
 import pytest
 
-from conftest import rand_series
-from qrucible.cyclotomic import CycRat, OMEGA, ONE, ZERO
+from conftest import rand_series, zw_factors
+from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE, ZERO
 from qrucible.errors import (
     ContextMismatch,
     ExponentNotRepresentable,
@@ -16,9 +16,15 @@ from qrucible.series import (
     QSeries,
     SeriesContext,
     ZwSum,
+    ZW_ONE,
+    ZW_ZERO,
     _from_zw,
     _scaled,
+    _zw_inverse,
     _zw_mul,
+    _zw_scalar,
+    _zw_times,
+    _zw_value,
     chain_trunc,
     div_binomial,
     equal_to_order,
@@ -284,7 +290,7 @@ def test_binomial_factor_lists_match_sequential_oracles():
         expect = x
         for c, e, p in factors:
             expect = oracle_step(expect, c, e, p)
-        assert mul_binomials(x, factors) == expect
+        assert mul_binomials(x, zw_factors(factors)) == expect
 
 
 def parent_division(zw, n, c, e):
@@ -328,10 +334,10 @@ def test_block_recurrence_matches_the_strided_one():
                     coeffs[0] = coeffs[0] or OMEGA
                     x = QSeries(ctx, val, coeffs, order)
                     expect = QSeries.from_zw(ctx, val, *parent_division(x.zw, n, c, e), order)
-                    assert mul_binomials(x, [(c, e, -1)]) == expect, (c, e, n)
+                    assert mul_binomials(x, zw_factors([(c, e, -1)])) == expect, (c, e, n)
                     acc = ZwSum(ctx, val)
                     acc.add(x)
-                    acc.div_binomial(c, e)
+                    acc.div_binomial(_zw_scalar(c), e)
                     assert len(acc.re) == len(acc.om) == order - acc.val
                     assert acc.series() == expect
                     sides[e * e >= n] += e < n
@@ -441,8 +447,24 @@ def kernel_results(rng, x, y, ctx):
     acc.add(y)
     gone.add(x)
     gone.add(x, -ONE)
-    results = [x * y, y * x, x * x, mul_binomials(x, factors), mul_binomials(y, [(ONE, 0, 1)])]
+    results = [x * y, y * x, x * x, mul_binomials(x, zw_factors(factors)), mul_binomials(y, zw_factors([(ONE, 0, 1)]))]
     return results + [acc.series(), acc.series(rng.randint(lo, ctx.order)), gone.series(), gone.series(lo + 3)]
+
+
+def test_zw_scalar_products_and_inverses_match_cycrat():
+    """_zw_times and _zw_inverse equal CycRat's * and inv on random
+    elements, w-multiples among them, and return the canonical triple that
+    _zw_scalar gives; _zw_value reads a triple back."""
+    rng = random.Random(85)
+    pool = [rand_factor_coeff, lambda r: r.choice([OMEGA, OMEGA2, -OMEGA, CycRat(0, Fraction(2, 3))]) * rand_factor_coeff(r)]
+    for _ in range(2000):
+        a, b = (rng.choice(pool)(rng) for _ in range(2))
+        za, zb = _zw_scalar(a), _zw_scalar(b)
+        assert _zw_times(za, zb) == _zw_scalar(a * b)
+        assert _zw_inverse(za) == _zw_scalar(a.inv())
+        assert _zw_times(za, _zw_inverse(za)) == ZW_ONE
+        assert _zw_value(za) == a
+    assert _zw_times(_zw_scalar(CycRat(Fraction(3, 4), 1)), ZW_ZERO) == ZW_ZERO == _zw_scalar(ZERO)
 
 
 def test_kernel_results_carry_the_canonical_zw_form():
