@@ -166,13 +166,20 @@ def _flat(rows: dict, span: int, n: int):
 
 def zsubst(x: ZSeries, z: Monomial) -> QSeries:
     """Substitute a monomial (or root of unity) for z: the rows s_m times
-    z^m = c_m q^(e_m) summed in one ZwSum, known below the least trunc."""
+    z^m = c_m q^(e_m) summed in one ZwSum, known below `subst_trunc`."""
     ctx = x.ctx
-    terms = [(x.coefficient(m), (z**m).coeff, ctx.scale((z**m).exp)) for m in x.rows]
+    rows = {m: x.coefficient(m) for m in x.rows}
+    terms = [(s, (z**m).coeff, ctx.scale((z**m).exp)) for m, s in rows.items()]
     acc = ZwSum(ctx, min((s.val + e for s, _, e in terms), default=ctx.order))
     for s, c, e in terms:
         acc.add(s, c, e)
-    return acc.series(min((s.trunc + e for s, _, e in terms), default=ctx.order))
+    return acc.series(subst_trunc([(m, s.trunc) for m, s in rows.items()], z, ctx))
+
+
+def subst_trunc(rows, z: Monomial, ctx: SeriesContext) -> int:
+    """The trunc of `zsubst` for rows (m, t_m), row m known below t_m: the
+    least t_m + e_m, z^m = c_m q^(e_m), capped at the order."""
+    return min([ctx.order] + [t + ctx.scale(m * z.exp) for m, t in rows])
 
 
 def zproduct(families: Sequence[ZPochFamily], ctx: SeriesContext, window: int) -> ZSeries:

@@ -11,6 +11,7 @@ is structurally e, and unparse(parse(s)) is a fixpoint after one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from functools import reduce
@@ -18,8 +19,9 @@ from operator import mul
 from typing import Optional
 
 from .cyclotomic import CycRat, ONE, omega_power
-from .errors import EvalError, MonomialExpected, ParseError, QrucibleError, UnknownSymbol
+from .errors import EvalError, MonomialExpected, NotInvertible, ParseError, QrucibleError, UnknownSymbol
 from .series import Monomial, QSeries, SeriesContext, monomial_to_series, mul_binomials
+from .series import ZW_ZERO, _zw_value, binomial_bounds, chain_trunc
 from . import qkernel
 from . import ctengine
 from . import ortho
@@ -764,3 +766,147 @@ def _elaborate_ct(e: CT, ctx, path) -> QSeries:
         ct = ctx.one() if degree == 0 else ctx.zero()
     out = ct.mul_monomial(shift_mono.coeff, ctx.scale(shift_mono.exp))
     return _product([(f"{path}.scalar", inv, x) for x, inv in scalars], ctx, [out])
+
+
+# -- precision plan --------------------------------------------------------
+#
+# A plan is (lo, lead, t) for the series x a node elaborates to: t >= the
+# trunc of x, and lo <= the val of the exact value x stands for (every
+# coefficient of x below its trunc is that value's), -inf where unknown
+# and inf for an exact zero. Where lead is not None, the exact value is
+# lead*q^lo + higher terms, so the val of x is min(lo, trunc). Each node
+# applies its elaboration's rules to those bounds. A node the plan cannot
+# see through plans (-inf, None, N), N the order, which holds for every
+# series known below the order.
+
+
+def plan_loss(e, ctx: SeriesContext) -> int:
+    """How many scaled orders elaborate(e, ctx) loses, ctx.order minus its
+    trunc, read off the AST before anything is built. It is never more
+    than the elaboration shows, and 0 where the side errs or the plan
+    cannot see through it: phi, multisums, theta, ct{}, and polynomials
+    whose parameter exponents are negative."""
+    try:
+        return ctx.order - _plan(e, ctx)[2]
+    except QrucibleError:
+        return 0
+
+
+def _hi(plan) -> int:
+    """An upper bound on the val of the series: at most its trunc."""
+    lo, lead, t = plan
+    return t if lead is None else min(lo, t)
+
+
+def _plan(e, ctx) -> tuple:
+    order = ctx.order
+    if isinstance(e, (Rational, Omega, QPower)):
+        m = as_monomial(e)
+        return (math.inf, None, order) if m.is_zero() else (ctx.scale(m.exp), m.coeff, order)
+    if isinstance(e, Neg):
+        lo, lead, t = _plan(e.arg, ctx)
+        return lo, None if lead is None else -lead, t
+    if isinstance(e, Sum):
+        terms = [_plan(Neg(x) if negated else x, ctx) for negated, x in e.terms]
+        lo, t = min(p[0] for p in terms), min(p[2] for p in terms)
+        least = [p[1] for p in terms if p[0] == lo]
+        if lo == math.inf or None in least:
+            return lo, None, t
+        lead = sum(least[1:], least[0])
+        # leads that cancel leave a val above lo, on the grid
+        return (lo, lead, t) if lead else (lo + 1, None, t)
+    if isinstance(e, Product):
+        return _plan_product(_flat_factors(e, "", False), ctx)
+    if isinstance(e, Poch):
+        return _plan_product([("", False, e)], ctx)
+    if isinstance(e, IntPower):
+        base, k = _plan(e.base, ctx), e.exp
+        if k < 0:
+            base, k = _plan_inverse(base, order), -k
+        out = base if k else (0, ONE, order)
+        for bit in bin(k)[3:]:
+            out = _plan_chain([out, out, base] if bit == "1" else [out, out], order)
+        return out
+    if isinstance(e, (RogersC, AWPoly, GenfunCoeff)):
+        return _plan_poly(e, ctx)
+    return -math.inf, None, order
+
+
+def _plan_chain(parts, order: int) -> tuple:
+    """The plan of the product of parts, multiplied left to right."""
+    if len(parts) == 1:
+        return parts[0]
+    t = chain_trunc(order, [(_hi(p), p[2]) for p in parts])
+    if any(p[0] == math.inf for p in parts):
+        return math.inf, None, t
+    leads = [p[1] for p in parts]
+    return sum(p[0] for p in parts), None if None in leads else reduce(mul, leads), t
+
+
+def _plan_inverse(plan, order: int) -> tuple:
+    """QSeries.inverse: the val negates and the trunc drops by twice it;
+    an exact zero raises, as its series is zero on its window."""
+    lo, lead, t = plan
+    if lo == math.inf:
+        raise NotInvertible("series is zero on its window")
+    return -_hi(plan), None if lead is None else lead.inv(), min(order, t - 2 * lo)
+
+
+def _plan_product(factors, ctx, rest=()) -> tuple:
+    """The plan of `_product`, its factors split by their planned vals."""
+    order, pochs, rest = ctx.order, [], list(rest)
+    for _, inverted, x in factors:
+        if isinstance(x, Poch):
+            pochs.append((x, -1 if inverted else 1))
+            continue
+        f = _plan(x, ctx)
+        rest.append(_plan_inverse(f, order) if inverted else f)
+    lo, lead, t = _plan_chain([f for f in rest if _hi(f) <= 0] or [(0, ONE, order)], order)
+    # on a window of 1 the factors listed are those of exponent <= 0 (and
+    # all of a finite count on a base of exponent < 0), the only ones
+    # that move a val, a leading coefficient or a trunc
+    num, den = [], []
+    for x, p in pochs:
+        fs = _poch_binomials(x, p, 1, ctx)
+        if fs is None:
+            return math.inf, None, order
+        (num if p > 0 else den).extend(fs)
+    for c, e, p in num + den:
+        if c == ZW_ZERO or e > 0:
+            continue
+        c = _zw_value(c)
+        if e < 0:
+            # (1 - c*q^e)^p = (-c*q^e)^p * (1 - q^(-e)/c)^p
+            _, t = binomial_bounds(lo, t, e, p, order)
+            lo += p * e
+            lead = None if lead is None else lead * (-c if p > 0 else -c.inv())
+        elif lead is not None:
+            lead = lead * (ONE - c if p > 0 else (ONE - c).inv())
+    return _plan_chain([(lo, lead, t)] + [f for f in rest if _hi(f) > 0], order)
+
+
+def _plan_poly(e, ctx) -> tuple:
+    """`zsubst`'s trunc over rows m = +-n, where every row of the
+    polynomial is known to the order at val >= 0 and rows +-n are nonzero:
+    the base exponent is positive, no parameter exponent is negative (for
+    cgf, a's is positive, and over 1/2 for form 5, whose passes read
+    -a^2 q^(-1)), and no factor of the leading coefficient is exactly
+    zero: (a; b)_n for C_n(x; a|b), (abcd b^(n-1); b)_n for p_n."""
+    order, n = ctx.order, e.n
+    if isinstance(e, GenfunCoeff):
+        a = as_monomial(e.a)
+        seen = e.variant in range(1, 6) and a.exp > (Fraction(1, 2) if e.variant == 5 else 0)
+    else:
+        base = as_monomial(e.base)
+        fields = (e.a,) if isinstance(e, RogersC) else (e.a, e.b, e.c, e.d)
+        params = [as_monomial(x) for x in fields]
+        seen = base.exp > 0 and all(x.exp >= 0 for x in params)
+        if seen and n:
+            lead = reduce(mul, params) * base ** (n - 1) if len(params) > 1 else params[0]
+            j = qkernel._zero_factor_index(lead, base)
+            seen = j is None or j >= n
+    if not seen:
+        return -math.inf, None, order
+    z = as_monomial(e.z)
+    t = ctengine.subst_trunc([(n, order), (-n, order)], z, ctx)
+    return -abs(ctx.scale(n * z.exp)), None, t

@@ -12,9 +12,13 @@ Suite files declare one identity per block:
     }
 
 `order` is in scaled units (multiples of 1/D). Verification elaborates
-both sides and compares coefficients exactly; if an evaluation returns
-less proven truncation than requested (negative exponents genuinely cost
-precision), the context is escalated and the case re-run, so a PASS
+both sides and compares coefficients exactly. Negative exponents
+genuinely cost precision, so before anything is built a precision plan
+(`dsl.plan_loss`) reads off each side's AST how many orders its
+elaboration will lose; where one loses, the working order starts that
+far, plus a pad of 4, above the requested one. Where a side still
+returns less proven truncation than requested (a node the plan cannot
+see through), the context is escalated and the case re-run, so a PASS
 always proves at least the requested order.
 """
 
@@ -244,9 +248,14 @@ def verify(
 ) -> VerifyReport:
     """Compare both sides exactly up to the case order (zero tolerance).
 
+    The first working order is the scaled target plus the planned pad:
+    L + 4 where the plan says a side loses L > 0 orders, 0 where neither
+    loses. A round whose sides still fall short of the target escalates
+    by the shortfall plus 4 and re-runs, at most _MAX_ESCALATIONS rounds.
+
     Evaluator errors become a SKIP carrying the reason; the CLI's strict
-    mode turns those into failures. So does a working order (the scaled
-    target plus any escalation pad) above MAX_ORDER, before elaboration.
+    mode turns those into failures. So does a working order above
+    MAX_ORDER, the planned pad included, before elaboration.
     """
     t0 = time.perf_counter()
     eff_denom = case.denom if denom is None else math.lcm(case.denom, denom)
@@ -263,7 +272,9 @@ def verify(
     except QrucibleError as exc:
         return done("SKIP", 0, reason=f"parse: {exc}")
 
-    pad = 0
+    at_target = SeriesContext(eff_denom, target)
+    loss = max(dsl.plan_loss(lhs_expr, at_target), dsl.plan_loss(rhs_expr, at_target))
+    pad = loss + 4 if loss else 0
     for _ in range(_MAX_ESCALATIONS):
         if target + pad > MAX_ORDER:
             reason = f"working order {target + pad} exceeds the limit {MAX_ORDER} (scaled units)"

@@ -361,8 +361,8 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
 
     # per variable i and k <= bounds[i], as Z[w] triples stepped by one
     # product each: the binomial (c, e) that takes row k to row k+1, the
-    # signed weight ((-1)^signs_i*coeffs_i)^k, and the val of row k (a
-    # factor with e < 0 raises it by -e, up to the order)
+    # signed weight ((-1)^signs_i*coeffs_i)^k, and the (val, trunc) of
+    # row k (a factor with e < 0 raises the val by -e, up to the order)
     order = ctx.order
     steps, powers, row_vals = [], [], []
     for i in range(m):
@@ -381,7 +381,7 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             e += eb
         steps.append(step)
         powers.append(power)
-        row_vals.append(row_val)
+        row_vals.append([(v, order) for v in row_val])
 
     # rest[i]: the least exponent variables i.. can add to a prefix; cross
     # terms are nonnegative, so a prefix whose exponent plus rest reaches
@@ -408,8 +408,8 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
                 acc.add(horner(i + 1, e, c))
                 continue
             # a lattice point: its trunc is that of c*q^e times its rows
-            vals = [e if c != ZW_ZERO else order] + [row_vals[j][ks[j]] for j in range(m)]
-            trunc = min(trunc, chain_trunc(order, vals))
+            factors = [(e if c != ZW_ZERO else order, order)] + [row_vals[j][ks[j]] for j in range(m)]
+            trunc = min(trunc, chain_trunc(order, factors))
             acc.add_monomial(c, e)
         return acc
 

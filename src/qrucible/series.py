@@ -59,12 +59,12 @@ class SeriesContext:
     def scale(self, exp) -> int:
         """Exact scaled exponent of a rational exponent, or error."""
         e = exp if isinstance(exp, Fraction) else Fraction(exp)
-        s = e * self.denom
-        if s.denominator != 1:
+        s, r = divmod(e.numerator * self.denom, e.denominator)
+        if r:
             raise ExponentNotRepresentable(
                 f"exponent {e} not on the 1/{self.denom} grid"
             )
-        return int(s)
+        return s
 
     def unscale(self, s: int) -> Fraction:
         return Fraction(s, self.denom)
@@ -365,19 +365,31 @@ class QSeries:
         return f"<QSeries {self}>"
 
 
-def chain_trunc(order: int, vals) -> int:
+def chain_trunc(order: int, factors) -> int:
     """The trunc of x_0 * x_1 * ..., multiplied left to right by
-    QSeries.__mul__, for series x_j with val vals[j] (a zero series has
-    val == trunc), each known below the order.
+    QSeries.__mul__, for series x_j given as (val, trunc) pairs (a zero
+    series has val == trunc).
 
     v runs ahead of the product's val once the product is zero, but then
-    order + v >= order + t >= t + w, so the trunc is the same.
+    u + v >= u + t >= t + w, as w <= u, so the trunc is the same.
     """
-    t, v = order, vals[0]
-    for w in vals[1:]:
-        t = min(t + w, order + v, order)
+    (v, t), *rest = factors
+    for w, u in rest:
+        t = min(t + w, u + v, order)
         v += w
     return t
+
+
+def binomial_bounds(val: int, trunc: int, e: int, p: int, order: int) -> tuple:
+    """The (val, trunc) of a series times (1 - c*q^e)^p, c != 0, e < 0 and
+    p = 1 or -1, in the pass of mul_binomials, where no other factor moves
+    them: both move by e for p = 1, and by -e for p = -1, the trunc capped
+    at the order and the val then at most the trunc (a window that empties
+    is the zero series)."""
+    if p > 0:
+        return val + e, trunc + e
+    trunc = min(trunc - e, order)
+    return min(val - e, trunc), trunc
 
 
 def _zw_mul(ar: list, ao: list, br: list, bo: list, n: int):
@@ -648,23 +660,20 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
                 k = (s, s - cr, -co)  # 1 - c, canonical as c is
                 d, re, om = _zw_scale(d, re, om, k if p > 0 else _zw_inverse(k))
             continue
-        if p < 0 and e < 0:
-            # 1/(1 - c*q^e) = -c^-1*q^-e / (1 - c^-1*q^-e), so the
-            # recurrence below always runs upward
-            (s, cr, co), e = _zw_inverse(c), -e
-            if re:
-                d, re, om = _zw_scale(d, re, om, (s, -cr, -co))
-            val, trunc = val + e, min(trunc + e, order)
-            del re[max(0, trunc - val) :], om[max(0, trunc - val) :]
-            if not re:
-                val = trunc
-        if not re:
-            if p > 0:
-                trunc = val = trunc + min(e, 0)
-            continue
         n = trunc - val
+        if e < 0:
+            val, trunc = binomial_bounds(val, trunc, e, p, order)
+            if p < 0:
+                # 1/(1 - c*q^e) = -c^-1*q^-e / (1 - c^-1*q^-e), so the
+                # recurrence below always runs upward
+                (s, cr, co), e = _zw_inverse(c), -e
+                if re:
+                    d, re, om = _zw_scale(d, re, om, (s, -cr, -co))
+                n = trunc - val
+                del re[max(0, n) :], om[max(0, n) :]
+        if not re:
+            continue
         if p > 0:
-            val, trunc = val + min(e, 0), trunc + min(e, 0)
             f = abs(e)
             if e >= n:
                 continue  # the q^e part lies past the window

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qrucible import dsl
 from qrucible.cli import main as cli_main
 from qrucible.errors import BoundExceeded, ParseError, SuiteError
 from qrucible.dsl import MAX_NESTING
@@ -29,6 +30,7 @@ SUITE_DIR = SRC_DIR / "qrucible" / "suites"
 SHIPPED_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-report.json"
 CT_ORDER50_REPORT = Path(__file__).resolve().parent / "data" / "ct-order50-report.json"
 KR_NINE_ORDER150_REPORT = Path(__file__).resolve().parent / "data" / "kr-nine-order150-report.json"
+DENOM2_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-denom2-report.json"
 BIG_COEFFICIENT = Path(__file__).resolve().parent / "data" / "big-coefficient.qid"
 HUGE_ORDER = Path(__file__).resolve().parent / "data" / "huge-order.qid"
 
@@ -452,6 +454,19 @@ def test_a_suite_order_above_the_limit_skips(capsys):
     _skips_at_the_order_limit(lambda: run_suite(registry=Registry(parse_suite(text.format(MAX_ORDER + 1))))[1])
 
 
+def test_a_planned_pad_above_the_limit_skips_before_anything_is_built(monkeypatch):
+    # the side loses one order, so the first working order is 99999 + 1 + 4
+    def elaborate(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(dsl, "elaborate", elaborate)
+    side = "qp(2*q^(-1); q; inf)"
+    case = parse_suite(f'identity "padded" {{ lhs = {side}; rhs = {side}; D = 1; order = 99999; }}')[0]
+    report = verify(case)
+    assert report.status == "SKIP"
+    assert report.skip_reason == f"working order 100004 {ORDER_LIMIT_REASON}"
+
+
 def test_full_shipped_suite_passes(registry):
     code, reports = run_suite(jobs=2, strict=True, registry=registry)
     assert code == 0
@@ -464,6 +479,17 @@ def test_full_shipped_suite_passes(registry):
     for item in items:
         del item["elapsedMs"]
     assert json.dumps(items, indent=2) + "\n" == SHIPPED_REPORT.read_text(encoding="utf-8")
+
+
+def test_shipped_suite_on_the_refined_grid_matches_the_pinned_report(registry):
+    # every case on D = lcm(D, 2), pinned as `verify --denom 2 --json`
+    # wrote it before the working orders were planned, times removed
+    code, reports = run_suite(denom=2, jobs=2, strict=True, registry=registry)
+    assert code == 0
+    items = json.loads(reports_to_json(reports))
+    for item in items:
+        del item["elapsedMs"]
+    assert json.dumps(items, indent=2) + "\n" == DENOM2_REPORT.read_text(encoding="utf-8")
 
 
 def test_contour_cases_at_order_50_match_the_pinned_report(tmp_path, capsys):

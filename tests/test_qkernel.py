@@ -499,7 +499,7 @@ def parent_multisum(spec, ctx):
                 acc.add(rows[i][k] * rec(i + 1, e, c, sign).series())
                 continue
             vals = [e if c else order] + [rows[j][ks[j]].val for j in range(m)]
-            trunc = min(trunc, chain_trunc(order, vals))
+            trunc = min(trunc, chain_trunc(order, [(v, order) for v in vals]))
             acc.add(rows[i][k], -c if sign % 2 else c, e)
         return acc
 

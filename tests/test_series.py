@@ -370,20 +370,21 @@ def test_zw_sum_matches_qseries_sums():
 
 def test_chain_trunc_matches_left_to_right_products():
     """chain_trunc gives the trunc of x_0 * x_1 * ... for series known to
-    the order, zero series among them, and negative vals."""
+    the order or below it, zero series among them, and negative vals."""
     rng = random.Random(80)
     for _ in range(300):
         ctx = SeriesContext(1, rng.randint(1, 30))
         factors = []
         for _ in range(rng.randint(1, 5)):
+            trunc = ctx.order if rng.random() < 0.5 else rng.randint(-20, ctx.order)
             if rng.random() < 0.15:
-                factors.append(ctx.zero())
+                factors.append(ctx.zero(trunc))
             else:
-                factors.append(QSeries(ctx, rng.randint(-15, ctx.order + 3), [OMEGA, ONE], ctx.order))
+                factors.append(QSeries(ctx, rng.randint(-15, ctx.order + 3), [OMEGA, ONE], trunc))
         product = factors[0]
         for f in factors[1:]:
             product = product * f
-        assert chain_trunc(ctx.order, [f.val for f in factors]) == product.trunc
+        assert chain_trunc(ctx.order, [(f.val, f.trunc) for f in factors]) == product.trunc
 
 
 def test_products_and_inverses_honest_across_truncations():
