@@ -18,7 +18,7 @@ from functools import reduce
 from operator import mul
 from typing import Optional
 
-from .cyclotomic import CycRat, ONE, omega_power
+from .cyclotomic import CycRat, ONE, _text, omega_power
 from .errors import EvalError, MonomialExpected, NotInvertible, ParseError, QrucibleError, UnknownSymbol
 from .series import Monomial, QSeries, SeriesContext, monomial_to_series, mul_binomials
 from .series import ZW_ZERO, _zw_value, binomial_bounds, chain_trunc
@@ -179,6 +179,7 @@ class Token:
 
 
 _PUNCT = "^*/+-()[]{};,="
+_DIGITS = "0123456789"  # str.isdigit also takes "²", which int() rejects, and "١", read as 1
 
 
 def tokenize(text: str) -> list:
@@ -200,11 +201,15 @@ def tokenize(text: str) -> list:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            toks.append(Token("NUM", int(text[i:j]), line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's digit limit for int <-> str
+                raise ParseError(f"integer of {j - i} digits is too long", line, col) from None
+            toks.append(Token("NUM", value, line, col))
             col += j - i
             i = j
             continue
@@ -229,8 +234,12 @@ def tokenize(text: str) -> list:
             if j >= n:
                 raise ParseError("unterminated string", line, col)
             toks.append(Token("STR", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
+            start, i = i, j + 1
+            if (nl := text.count("\n", start, i)):
+                line += nl
+                col = i - text.rindex("\n", start, i)
+            else:
+                col += i - start
             continue
         if ch in _PUNCT:
             toks.append(Token("PUNCT", ch, line, col))
@@ -464,11 +473,8 @@ def _prec(e) -> int:
 
 
 def _exp_str(e: Fraction) -> str:
-    if e.denominator == 1 and e >= 0:
-        return str(e.numerator)
-    if e.denominator == 1:
-        return f"({e.numerator})"
-    return f"({e.numerator}/{e.denominator})"
+    s = _text(e)  # an exponent product may pass the int-to-str digit limit
+    return s if e.denominator == 1 and e >= 0 else f"({s})"
 
 
 def _wrap(e, min_prec: int) -> str:
@@ -515,73 +521,62 @@ def unparse(e) -> str:
 
 # -- elaboration ---------------------------------------------------------
 
-_KEY0 = (Fraction(0), 0)
-
-
-def _const_fold(e) -> dict:
-    """Fold a constant expression, in which z may appear, to
-    {(q-exponent, z-degree): coefficient}."""
-    if isinstance(e, Rational):
-        return {_KEY0: CycRat(e.value)}
-    if isinstance(e, Omega):
-        return {_KEY0: omega_power(e.power)}
-    if isinstance(e, QPower):
-        return {(e.exp, 0): ONE}
-    if isinstance(e, ZPower):
-        return {(Fraction(0), e.deg): ONE}
-    if isinstance(e, Neg):
-        return {k: -v for k, v in _const_fold(e.arg).items()}
-    if isinstance(e, Sum):
-        out = {}
-        for negated, x in e.terms:
-            for k, v in _const_fold(x).items():
-                v = -v if negated else v
-                out[k] = out[k] + v if k in out else v
-        return {k: v for k, v in out.items() if v}
-    if isinstance(e, Product):
-        out = {_KEY0: ONE}
-        for inverted, x in e.factors:
-            f = _const_fold(x)
-            out = _fold_mul(out, _fold_inverse(f, x) if inverted else f)
-        return out
-    if isinstance(e, IntPower):
-        base = _const_fold(e.base)
-        if e.exp < 0:
-            base = _fold_inverse(base, e.base)
-        out = {_KEY0: ONE}  # square-and-multiply over the bits of |exp|
-        for bit in bin(abs(e.exp))[2:]:
-            out = _fold_mul(out, out)
-            out = _fold_mul(out, base) if bit == "1" else out
-        return out
-    raise MonomialExpected(f"not a constant expression: {unparse(e)}")
-
-
-def _fold_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for (q1, d1), v1 in a.items():
-        for (q2, d2), v2 in b.items():
-            k = (q1 + q2, d1 + d2)
-            p = v1 * v2
-            out[k] = out[k] + p if k in out else p
-    return {k: v for k, v in out.items() if v}
-
-
-def _fold_inverse(f: dict, e) -> dict:
-    if len(f) != 1:
-        raise MonomialExpected(f"non-monomial divisor: {unparse(e)}")
-    ((qe, d), v), = f.items()
-    return {(-qe, -d): v.inv()}
+_ZERO_TERM = (CycRat(0), Fraction(0), 0)
+_ONE_TERM = (ONE, Fraction(0), 0)
 
 
 def _term(e) -> tuple:
-    """Fold e to a single term (coefficient, q-exponent, z-degree)."""
-    folded = _const_fold(e)
-    if not folded:
-        return CycRat(0), Fraction(0), 0
-    if len(folded) > 1:
-        raise MonomialExpected(f"expected a monomial, got {unparse(e)}")
-    ((qe, d), v), = folded.items()
-    return v, qe, d
+    """Fold a constant expression, in which z may appear, to its single
+    term (coefficient, q-exponent, z-degree); zero is _ZERO_TERM. A sum
+    adds like terms and raises once two unlike ones survive."""
+    if isinstance(e, Rational):
+        return CycRat(e.value), Fraction(0), 0
+    if isinstance(e, Omega):
+        return omega_power(e.power), Fraction(0), 0
+    if isinstance(e, QPower):
+        return ONE, e.exp, 0
+    if isinstance(e, ZPower):
+        return ONE, Fraction(0), e.deg
+    if isinstance(e, Neg):
+        c, qe, d = _term(e.arg)
+        return -c, qe, d
+    if isinstance(e, Sum):
+        c, qe, d = _ZERO_TERM
+        for negated, x in e.terms:
+            c2, qe2, d2 = _term(x)
+            if not c:
+                c, qe, d = -c2 if negated else c2, qe2, d2
+            elif c2:
+                if (qe2, d2) != (qe, d):
+                    raise MonomialExpected(f"expected a monomial, got {unparse(e)}")
+                c = c - c2 if negated else c + c2
+                c, qe, d = (c, qe, d) if c else _ZERO_TERM
+        return c, qe, d
+    if isinstance(e, Product):
+        out = _ONE_TERM
+        for inverted, x in e.factors:
+            t = _term(x)
+            out = _times(out, _inverse(t, x) if inverted else t)
+        return out
+    if isinstance(e, IntPower):
+        t = _term(e.base)
+        c, qe, d = _inverse(t, e.base) if e.exp < 0 else t
+        k = abs(e.exp)
+        return c**k, qe * k, d * k
+    raise MonomialExpected(f"not a constant expression: {unparse(e)}")
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    c = a[0] * b[0]
+    return (c, a[1] + b[1], a[2] + b[2]) if c else _ZERO_TERM
+
+
+def _inverse(t: tuple, e) -> tuple:
+    """The inverse of the term t that e folds to."""
+    c, qe, d = t
+    if not c:
+        raise MonomialExpected(f"non-monomial divisor: {unparse(e)}")
+    return c.inv(), -qe, -d
 
 
 def as_monomial(e) -> Monomial:
@@ -592,13 +587,14 @@ def as_monomial(e) -> Monomial:
     return Monomial(c, qe)
 
 
-def _collect_ct(e, inverted, families, scalars, shifts):
-    """Split a multiplicative integrand into Pochhammer families in z,
-    scalar factors, and bare z-monomial shifts."""
+def _collect_ct(e, inverted, families, scalars, shift) -> tuple:
+    """Split a multiplicative integrand into Pochhammer families in z and
+    scalar factors; return the term `shift` times its bare z-monomial
+    factors."""
     if isinstance(e, Product):
         for inv, x in e.factors:
-            _collect_ct(x, inverted != inv, families, scalars, shifts)
-        return
+            shift = _collect_ct(x, inverted != inv, families, scalars, shift)
+        return shift
     if isinstance(e, Poch):
         base = as_monomial(e.base)
         for arg in e.args:
@@ -609,12 +605,12 @@ def _collect_ct(e, inverted, families, scalars, shifts):
                 families.append(
                     ctengine.ZPochFamily(c, qe, d, base, inverted, e.count)
                 )
-        return
-    c, qe, d = _term(e)
-    if d == 0:
+        return shift
+    t = _term(e)
+    if t[2] == 0:
         scalars.append((e, inverted))
-    else:
-        shifts.append((Monomial(c, qe), d, inverted))
+        return shift
+    return _times(shift, _inverse(t, e) if inverted else t)
 
 
 def elaborate(e, ctx: SeriesContext, _path: str = "") -> QSeries:
@@ -749,22 +745,13 @@ def _wrap_err(fn, path, *args):
 def _elaborate_ct(e: CT, ctx, path) -> QSeries:
     families: list = []
     scalars: list = []
-    shifts: list = []
-    _collect_ct(e.integrand, False, families, scalars, shifts)
-    degree = 0
-    shift_mono = Monomial(1, 0)
-    for m, d, inverted in shifts:
-        if inverted:
-            degree += d
-            shift_mono = shift_mono * m.inv()
-        else:
-            degree -= d
-            shift_mono = shift_mono * m
+    c, qe, d = _collect_ct(e.integrand, False, families, scalars, _ONE_TERM)
+    # ct{z^d * P} is the coefficient of z^(-d) in P
     if families:
-        ct = ctengine.ct_product(families, ctx, degree=degree)
+        ct = ctengine.ct_product(families, ctx, degree=-d)
     else:
-        ct = ctx.one() if degree == 0 else ctx.zero()
-    out = ct.mul_monomial(shift_mono.coeff, ctx.scale(shift_mono.exp))
+        ct = ctx.one() if d == 0 else ctx.zero()
+    out = ct.mul_monomial(c, ctx.scale(qe))
     return _product([(f"{path}.scalar", inv, x) for x, inv in scalars], ctx, [out])
 
 

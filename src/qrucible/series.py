@@ -695,12 +695,12 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
             continue  # the recurrence never reaches back into the window
         re += [0] * (n - len(re))
         om += [0] * (n - len(om))
-        # out[k] = x[k] + c*out[k-e]: e strided runs, or for e*e >= n the
-        # n/e blocks out[k:k+e], each x there plus c times the block before
-        blocks = e * e >= n
+        # out[k] = x[k] + c*out[k-e] over the n/e blocks out[k:k+e], each x
+        # there plus c times the block before; for c in Z and e*e < n, as e
+        # strided runs instead
         if s == 1 and not co:
             for xs in (re, om) if any(om) else (re,):
-                if blocks:
+                if e * e >= n:
                     for k in range(e, n, e):
                         xs[k : k + e] = (
                             map(add, xs[k : k + e], xs[k - e : k]) if cr == 1
@@ -716,17 +716,10 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
         big = s ** ((n - 1) // e)
         d *= big
         re, om = [big * a for a in re], [big * b for b in om]
-        if blocks:
-            for k in range(e, n, e):
-                pr, po = re[k - e : k], om[k - e : k]
-                re[k : k + e] = [a + (cr * x - co * y) // s for a, x, y in zip(re[k : k + e], pr, po)]
-                om[k : k + e] = [b + ((cr - co) * y + co * x) // s for b, x, y in zip(om[k : k + e], pr, po)]
-            continue
-        for k in range(e, n):
-            pr, po = re[k - e], om[k - e]
-            if pr or po:
-                re[k] += (cr * pr - co * po) // s
-                om[k] += ((cr - co) * po + co * pr) // s
+        for k in range(e, n, e):
+            pr, po = re[k - e : k], om[k - e : k]
+            re[k : k + e] = [a + (cr * x - co * y) // s for a, x, y in zip(re[k : k + e], pr, po)]
+            om[k : k + e] = [b + ((cr - co) * y + co * x) // s for b, x, y in zip(om[k : k + e], pr, po)]
     return d, re, om, val, trunc
 
 

@@ -22,14 +22,16 @@ from qrucible.dsl import (
     RogersC,
     Sum,
     Theta,
+    Token,
     TripleF,
     ZPower,
     as_monomial,
     elaborate,
     parse,
+    tokenize,
     unparse,
 )
-from qrucible.errors import EvalError, MonomialExpected, ParseError, QrucibleError, UnknownSymbol
+from qrucible.errors import EvalError, MonomialExpected, ParseError, UnknownSymbol
 from qrucible.series import SeriesContext, equal_to_order
 
 
@@ -62,6 +64,20 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse("q^(1/0)")
     assert (err.value.line, err.value.col) == (1, 6)
+    # digits are ASCII: "²" and "١" pass str.isdigit, and int() rejects
+    # the one and reads the other as 1
+    for text, col in (("q^²", 3), ("١+q", 1), ("q^(1/٢)", 6)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col), text
+    with pytest.raises(ParseError, match="integer of 5000 digits is too long") as err:
+        parse("q + " + "1" * 5000)
+    assert (err.value.line, err.value.col) == (1, 5)
+    # a string spanning lines moves every later position down by its newlines
+    with pytest.raises(ParseError) as err:
+        tokenize('"a\nbc\nd" q\n  $')
+    assert (err.value.line, err.value.col) == (4, 3)
+    assert tokenize('"ab\ncd" q')[1] == Token("IDENT", "q", 2, 5)
 
 
 def test_print_examples():
@@ -188,8 +204,13 @@ def test_as_monomial():
     assert m.coeff == -OMEGA2 and m.exp == Fraction(3, 2)
     assert as_monomial(parse("0")).is_zero()
     assert as_monomial(parse("w-w2")).coeff == CycRat(1, 2)
+    assert as_monomial(parse("q+q")) == as_monomial(parse("2*q"))
+    assert as_monomial(parse("q-q+w*0")).is_zero()
     with pytest.raises(MonomialExpected):
         as_monomial(parse("1+q"))
+    # the reason names the sum that does not fold, not the whole parameter
+    with pytest.raises(MonomialExpected, match=r"^expected a monomial, got 1\+q\+w\*q\^2$"):
+        as_monomial(parse("2*(1+q+w*q^2)^600"))
 
 
 def test_elaborate_partition_gf():
@@ -332,24 +353,28 @@ def test_int_power_matches_left_to_right_chain():
 
 
 def test_const_fold_powers_match_repeated_products():
-    from qrucible.dsl import _KEY0, _const_fold, _fold_inverse, _fold_mul
+    # a power folds to the term of the product of its |k| copies (or of
+    # their inverses); a zero base inverts to an error, a multi-term one
+    # raises at once, whatever its power
+    from qrucible.dsl import _term
+
+    def fold(text):
+        try:
+            return _term(parse(text))
+        except MonomialExpected as exc:
+            return str(exc).split(":")[0]
 
     rng = random.Random(6061)
-    atoms = ["0", "2", "-1/3", "w", "w2", "q", "q^(-3/2)", "z", "z^(-2)", "(1+z)", "(q - w*z^2)"]
+    atoms = ["0", "2", "-1/3", "w", "w2", "q", "q^(-3/2)", "z", "z^(-2)", "(w-w2)", "(q+q)", "(z-2*z)"]
     for _ in range(400):
         text = "*".join(rng.choice(atoms) for _ in range(rng.randint(1, 3)))
         k = rng.randint(-6, 12)
-        base = _const_fold(parse(text))
-        try:
-            base = _fold_inverse(base, parse(text)) if k < 0 else base
-        except QrucibleError as exc:
-            with pytest.raises(type(exc)):
-                _const_fold(parse(f"({text})^({k})"))
-            continue
-        want = {_KEY0: ONE}
-        for _ in range(abs(k)):
-            want = _fold_mul(want, base)
-        assert _const_fold(parse(f"({text})^({k})")) == want, (text, k)
+        copies = "*".join([f"({text})"] * k) if k >= 0 else "1" + f"/({text})" * -k
+        assert fold(f"({text})^({k})") == fold(copies or "1"), (text, k)
+    for text in ("1+z", "q - w*z^2", "1+q-q", "(1+q)*0"):
+        for k in (-2, 0, 3, 1000):
+            with pytest.raises(MonomialExpected, match="expected a monomial"):
+                _term(parse(f"({text})^({k})"))
 
 
 def test_huge_powers_and_counts_elaborate_at_once():

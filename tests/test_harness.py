@@ -33,6 +33,8 @@ KR_NINE_ORDER150_REPORT = Path(__file__).resolve().parent / "data" / "kr-nine-or
 DENOM2_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-denom2-report.json"
 BIG_COEFFICIENT = Path(__file__).resolve().parent / "data" / "big-coefficient.qid"
 HUGE_ORDER = Path(__file__).resolve().parent / "data" / "huge-order.qid"
+HOSTILE_NUMBERS = Path(__file__).resolve().parent / "data" / "hostile-numbers.qid"
+MULTI_TERM_PARAMETER = Path(__file__).resolve().parent / "data" / "multi-term-parameter.qid"
 
 
 @pytest.fixture(scope="module")
@@ -165,13 +167,46 @@ def test_json_report_schema(tmp_path, registry):
     import jsonschema
 
     code, reports = run_suite(pattern="rogers-ramanujan-*", order=20, registry=registry)
-    payload = json.loads(reports_to_json(reports))
+    fail = verify(IdentityCase("wrong", "1+q", "1+q+w*q^2", 1, 5, (), ""))
+    skip = verify(IdentityCase("nonsummable", "phi([q]; []; q; 1)", "1", 1, 5, (), ""))
+    payload = json.loads(reports_to_json(reports + [fail, skip]))
     schema = json.loads(
         (Path(__file__).resolve().parent.parent / "src" / "qrucible" / "schema"
          / "verify-report.schema.json").read_text()
     )
     jsonschema.validate(payload, schema)
-    assert code == 0 and len(payload) == 2
+    assert code == 0 and len(payload) == 4
+    assert all("firstMismatch" not in item and "skipReason" not in item for item in payload[:2])
+    assert payload[2]["firstMismatch"] == {"exponent": "2", "lhs": "0", "rhs": "w"}
+    assert "skipReason" not in payload[2] and "firstMismatch" not in payload[3]
+    assert payload[3]["status"] == "SKIP" and "exponent" in payload[3]["skipReason"]
+
+
+def test_a_mismatch_at_or_past_the_target_is_a_pass():
+    # the side loses 3 orders, so the working order is 10 + 3 + 4 and both
+    # sides are known past the target: q^11 lies beyond what was asked
+    side = "qp(2*q^(-3); q; inf)"
+    for extra, proven in (("q^11", 11), ("q^10", 10), ("q^9", None)):
+        report = verify(IdentityCase("past", side, f"{side} + {extra}", 1, 10, (), ""))
+        if proven is None:
+            assert report.status == "FAIL" and report.proven_order == 9
+        else:
+            assert (report.status, report.proven_order) == ("PASS", proven), report
+
+
+def test_sides_short_of_the_target_every_round_skip(monkeypatch):
+    # a side the plan cannot see through, which each round returns one
+    # order short of the target: verify escalates and then gives up
+    rounds = []
+
+    def elaborate(expr, ctx):
+        rounds.append(ctx.order)
+        return ctx.zero(9)
+
+    monkeypatch.setattr(dsl, "elaborate", elaborate)
+    report = verify(IdentityCase("short", "q", "q", 1, 10, (), ""))
+    assert (report.status, report.skip_reason) == ("SKIP", "escalation failed to reach order 10")
+    assert rounds == [10, 10, 15, 15, 20, 20, 25, 25, 30, 30, 35, 35]
 
 
 def test_json_determinism(registry):
@@ -607,6 +642,47 @@ def test_cli_kernel_domain_errors_end_without_traceback(tmp_path):
     assert lines[2].startswith("SKIP cgf-seven  (at GenfunCoeff: unknown generating-function variant 7")
     assert lines[3].startswith("PASS awp-base-zero")
     assert lines[4] == "4 cases: 1 pass, 0 fail, 3 skip"
+
+
+def test_numbers_past_the_digit_limit_and_non_ascii_digits_are_positioned_errors(tmp_path):
+    # each of these ended in a ValueError traceback, or read "١" as 1
+    for text, at in (
+        ("q^²", "(line 2, column 11)"),
+        ("١+q", "(line 2, column 9)"),
+        ("q + " + "1" * 5000, "(line 2, column 13)"),
+    ):
+        bad = tmp_path / "bad.qid"
+        bad.write_text(f'identity "x" {{\n  lhs = {text}; rhs = q; D = 1; order = 5; }}\n', encoding="utf-8")
+        with pytest.raises(SuiteError) as err:
+            load_registry([bad])
+        assert str(err.value).endswith(at), err.value
+    with pytest.raises(SuiteError, match=r"unexpected character '²' \(line 15, column 11\)"):
+        load_registry([HOSTILE_NUMBERS])
+
+
+def test_an_exponent_product_past_the_digit_limit_prints(tmp_path):
+    # (q^N)^N with N of 3000 digits is q^(N^2), 6000 digits: printing the
+    # side raised ValueError; the printed side is longer than any literal
+    # the lexer takes, so the case SKIPs on re-reading it
+    n = int("7" * 3000)
+    good = tmp_path / "product.qid"
+    good.write_text(f'identity "x" {{ lhs = (q^{"7" * 3000})^({"7" * 3000}); rhs = 0; D = 1; order = 5; }}\n')
+    case = load_registry([good]).get("x")
+    assert case.lhs_text == f"q^{Decimal(n * n)}"
+    report = verify(case)
+    assert report.status == "SKIP" and "integer of 6000 digits is too long" in report.skip_reason
+
+
+def test_multi_term_parameters_skip_at_once():
+    # both expanded the polynomial (10 and 25 s) before they were refused
+    t0 = time.perf_counter()
+    code, reports = run_suite(files=[MULTI_TERM_PARAMETER])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert [r.skip_reason for r in reports] == [
+        "at Poch: expected a monomial, got 1+q",
+        "at Poch: expected a monomial, got 1+q+w*q^2",
+    ]
 
 
 def _big_rational(text: str) -> Fraction:
