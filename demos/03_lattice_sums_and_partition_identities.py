@@ -2,40 +2,38 @@
 
 F(u,v,w) is the triple sum with quadratic exponent 3k(k-1) + L(L-1),
 L = i + 2j + 3k, weights u^i v^j w^k over (q;q)_i (q^4;q^4)_j (q^6;q^6)_k.
-Nine specializations factor into infinite products; this demo checks two
-of them plus the Capparelli double sum, then confronts a product side
-with a brute-force partition count.
+Nine specializations factor into infinite products. The shipped suites
+state them, with the Capparelli double sum and the Rogers-Ramanujan
+identities, as data; this demo verifies some of them by name, then
+confronts a product side with a brute-force partition count.
 """
 
-from qrucible import INF, SeriesContext, equal_to_order, f_triple, mono, poch, pochhammer_multi, qpow
-from qrucible.harness import partition_count
-from qrucible.qkernel import capparelli_spec, multisum
+from functools import lru_cache
 
-ctx = SeriesContext(1, 40)
-q = qpow(1)
+from qrucible import SeriesContext, elaborate, load_registry, parse, verify
 
-# F(q, 1, q^3) = (q^3; q^12)_inf / (q, q^2; q^4)_inf
-lhs = f_triple(qpow(1), mono(1, 0), qpow(3), ctx)
-rhs = poch(qpow(3), qpow(12), ctx) * pochhammer_multi([qpow(1), qpow(2)], qpow(4), INF, ctx).inverse()
-print("F(q,1,q^3) vs product:", equal_to_order(lhs, rhs, 40))
+registry = load_registry()
+for name in ("kr-conj-5", "kr-conj-4a", "capparelli", "rogers-ramanujan-1", "rogers-ramanujan-2"):
+    case = registry.get(name)
+    rep = verify(case)
+    print(f"{name}: {case.lhs_text} = {case.rhs_text}: {rep.status} to order {rep.proven_order}")
 
-# F(q^2, 1/q, q^6): a negative exponent in the weights is handled exactly.
-lhs = f_triple(qpow(2), qpow(-1), qpow(6), ctx)
-rhs = (pochhammer_multi([qpow(1)], qpow(4), INF, ctx)
-       * pochhammer_multi([qpow(7), qpow(8)], qpow(12), INF, ctx)).inverse()
-print("F(q^2,1/q,q^6) vs product:", equal_to_order(lhs, rhs, 40))
-
-# Capparelli's double sum.
-cap = multisum(capparelli_spec(ctx), ctx)
-rhs = (poch(qpow(3), qpow(6), ctx)
-       * pochhammer_multi([qpow(2), qpow(10)], qpow(12), INF, ctx)).inverse()
-print("Capparelli double sum:", equal_to_order(cap, rhs, 40))
 
 # The first Rogers-Ramanujan product counts partitions into parts
-# congruent to +-1 mod 5; so does an exhaustive enumeration.
-prod = pochhammer_multi([qpow(1), qpow(4)], qpow(5), INF, ctx).inverse()
-counts = [partition_count(n, modulus=5, residues=(1, 4)) for n in range(12)]
+# congruent to +-1 mod 5, and its sum side counts partitions whose parts
+# differ by at least 2; an exhaustive enumeration counts both.
+@lru_cache(maxsize=None)
+def partitions(n, least, gap, residues):
+    """Partitions of n into parts >= least, successive parts at least gap
+    apart, each part's residue mod 5 in residues."""
+    return (n == 0) + sum(partitions(n - p, p + gap, gap, residues)
+                          for p in range(least, n + 1) if p % 5 in residues)
+
+
+prod = elaborate(parse("1/qp(q, q^4; q^5; inf)"), SeriesContext(1, 12))
 coeffs = [int(prod.coefficient(n).re) for n in range(12)]
+counts = [partitions(n, 1, 0, (1, 4)) for n in range(12)]
 print("product coefficients:", coeffs)
 print("partition counts:    ", counts)
-print("gap-2 counts agree:  ", [partition_count(n, min_gap=2) for n in range(12)] == counts)
+print("counts agree:        ", coeffs == counts)
+print("gap-2 counts agree:  ", [partitions(n, 1, 2, tuple(range(5))) for n in range(12)] == counts)

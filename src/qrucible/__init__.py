@@ -21,15 +21,11 @@ from .series import (
 from .qkernel import (
     INF,
     MultiSumSpec,
-    PhiSpec,
-    PochSpec,
     f_triple,
     multisum,
     phi,
-    phi_series,
     poch,
     pochhammer,
-    pochhammer_multi,
     theta_sum,
 )
 from .dsl import elaborate, parse, unparse
@@ -38,7 +34,6 @@ from .harness import (
     Registry,
     VerifyReport,
     load_registry,
-    partition_count,
     run_suite,
     verify,
 )
@@ -60,15 +55,11 @@ __all__ = [
     "qpow",
     "INF",
     "MultiSumSpec",
-    "PhiSpec",
-    "PochSpec",
     "f_triple",
     "multisum",
     "phi",
-    "phi_series",
     "poch",
     "pochhammer",
-    "pochhammer_multi",
     "theta_sum",
     "elaborate",
     "parse",
@@ -77,7 +68,6 @@ __all__ = [
     "Registry",
     "VerifyReport",
     "load_registry",
-    "partition_count",
     "run_suite",
     "verify",
     "__version__",

@@ -12,6 +12,7 @@ is structurally e, and unparse(parse(s)) is a fixpoint after one pass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from functools import reduce
@@ -182,6 +183,14 @@ _PUNCT = "^*/+-()[]{};,="
 _DIGITS = "0123456789"  # str.isdigit also takes "²", which int() rejects, and "١", read as 1
 
 
+def _past_digit_limit(x: Fraction) -> bool:
+    """Whether x's numerator or denominator has more digits than the
+    interpreter converts between int and str, the most a literal may have."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit > 0 and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit
+                             for n in (x.numerator, x.denominator))
+
+
 def tokenize(text: str) -> list:
     toks = []
     i, line, col = 0, 1, 1
@@ -338,14 +347,15 @@ class Parser:
         base = self.parse_atom()
         if not self.at("^"):
             return base
-        self.next()
+        caret = self.next()
         e = self.nested(self.parse_exponent)
-        if isinstance(base, QPower):
-            return QPower(base.exp * e)
-        if isinstance(base, ZPower):
-            if e.denominator != 1:
-                self.error("z exponent must be an integer")
-            return ZPower(base.deg * int(e))
+        if isinstance(base, ZPower) and e.denominator != 1:
+            self.error("z exponent must be an integer")
+        if isinstance(base, (QPower, ZPower)):
+            e *= base.exp if isinstance(base, QPower) else base.deg
+            if _past_digit_limit(e):  # its printed form would not read back
+                raise ParseError("exponent has more digits than a number may have", caret.line, caret.col)
+            return QPower(e) if isinstance(base, QPower) else ZPower(int(e))
         if e.denominator != 1:
             self.error("fractional power of a non-monomial")
         return IntPower(base, int(e))
@@ -656,7 +666,7 @@ def _elaborate(e, ctx, path) -> QSeries:
     if isinstance(e, Poch):
         return _product([(path, False, e)], ctx)
     if isinstance(e, Phi):
-        return qkernel.phi_series(
+        return qkernel.phi(
             [as_monomial(a) for a in e.uppers],
             [as_monomial(a) for a in e.lowers],
             as_monomial(e.base),

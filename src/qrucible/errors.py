@@ -57,10 +57,6 @@ class WindowOverflow(QrucibleError):
     """A z-Laurent computation exceeded its configured degree window."""
 
 
-class BoundExceeded(QrucibleError):
-    """Partition enumeration beyond the configured safety bound."""
-
-
 class ParseError(QrucibleError):
     """Syntax error in DSL text, with source position."""
 

@@ -1,4 +1,5 @@
-"""Identity registry, verification runner, and partition-counting oracle.
+"""Identity registry, suite files, the verification runner and its JSON
+reports.
 
 Suite files declare one identity per block:
 
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 
 from . import dsl
 from .cyclotomic import render
-from .errors import BoundExceeded, ParseError, QrucibleError, SuiteError
+from .errors import ParseError, QrucibleError, SuiteError
 from .series import SeriesContext, first_mismatch
 
 _MAX_ESCALATIONS = 6
@@ -316,7 +317,9 @@ def run_suite(
 ):
     """Verify the selected cases; exit code 0 iff everything demanded passed.
 
-    Reports are ordered by case order regardless of completion order.
+    Reports are ordered by case order regardless of completion order. A
+    case whose pool worker ended before sending its report (killed, say)
+    is a SKIP that says so; the reports already sent are kept.
     """
     reg = registry if registry is not None else load_registry(files)
     cases = reg.select(pattern)
@@ -324,9 +327,18 @@ def run_suite(
         payloads = [(c, order, denom) for c in cases]
         # imported here: a serial run does not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        reports = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_worker, payloads))
+            futures = [pool.submit(_verify_worker, p) for p in payloads]
+            for c, f in zip(cases, futures):
+                try:
+                    reports.append(f.result())
+                except BrokenProcessPool:  # a worker was killed: its case and the unsent ones
+                    d = c.denom if denom is None else math.lcm(c.denom, denom)
+                    reason = "the worker process ended before the case finished"
+                    reports.append(VerifyReport(c.name, "SKIP", 0, d, None, 0.0, c.ref, reason))
         for c, r in zip(cases, reports):
             # each report comes back with its own copies of these strings;
             # sharing the case's makes held reports cost what serial ones do
@@ -360,52 +372,3 @@ def reports_to_json(reports: Sequence[VerifyReport]) -> str:
             item["skipReason"] = r.skip_reason
         out.append(item)
     return json.dumps(out, indent=2)
-
-
-# -- partition oracle ----------------------------------------------------
-
-
-def partition_count(
-    n: int,
-    *,
-    modulus: Optional[int] = None,
-    residues: Optional[Sequence[int]] = None,
-    min_gap: int = 0,
-    bound: int = 5000,
-) -> int:
-    """Number of partitions of n by brute-force enumeration.
-
-    modulus/residues restrict parts to given residue classes; min_gap
-    demands successive parts differ by at least that much (1 = distinct
-    parts, 2 = no repeated or consecutive parts). Used as an independent
-    check of product-side coefficients.
-    """
-    if n < 0:
-        return 0
-    if n > bound:
-        raise BoundExceeded(f"partition_count bound {bound} exceeded by n={n}")
-    if modulus is not None:
-        allowed_res = frozenset(r % modulus for r in (residues or range(modulus)))
-    else:
-        allowed_res = None
-
-    def allowed(p: int) -> bool:
-        return allowed_res is None or p % modulus in allowed_res
-
-    cache: dict = {}
-
-    def count(remaining: int, min_part: int) -> int:
-        if remaining == 0:
-            return 1
-        key = (remaining, min_part)
-        val = cache.get(key)
-        if val is not None:
-            return val
-        total = 0
-        for p in range(min_part, remaining + 1):
-            if allowed(p):
-                total += count(remaining - p, p + min_gap)
-        cache[key] = total
-        return total
-
-    return count(n, 1)

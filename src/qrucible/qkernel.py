@@ -29,6 +29,7 @@ from .series import (
     QSeries,
     SeriesContext,
     ZwSum,
+    _zw_inverse,
     _zw_scalar,
     _zw_times,
     _zw_value,
@@ -47,25 +48,6 @@ _Q3 = qpow(3)
 _Q4 = qpow(4)
 _Q6 = qpow(6)
 _ONE_M = mono(1, 0)
-
-
-@dataclass(frozen=True)
-class PochSpec:
-    """(arg; base)_count, count None meaning the infinite product."""
-
-    arg: Monomial
-    base: Monomial
-    count: Optional[int] = INF
-
-
-@dataclass(frozen=True)
-class PhiSpec:
-    """r-phi-s data: upper/lower parameter lists, base, argument."""
-
-    uppers: tuple
-    lowers: tuple
-    base: Monomial
-    arg: Monomial
 
 
 def _zero_factor_index(arg: Monomial, base: Monomial) -> Optional[int]:
@@ -117,23 +99,17 @@ def poch_binomials(args: Sequence[Monomial], base: Monomial, count, p: int, n: i
     return out
 
 
-def pochhammer(spec: PochSpec, ctx: SeriesContext) -> QSeries:
-    """(a; b)_n as an exact truncated series."""
-    return pochhammer_multi([spec.arg], spec.base, spec.count, ctx)
+def pochhammer(args: Sequence[Monomial], base: Monomial, ctx: SeriesContext, count=INF) -> QSeries:
+    """(a_1, ..., a_m; base)_count, count INF meaning the infinite product:
+    every argument's factors in one binomial pass on 1; the zero series,
+    known below the order, where one factor is exactly zero."""
+    factors = poch_binomials(args, base, count, 1, ctx.order, ctx)
+    return ctx.zero() if factors is None else mul_binomials(ctx.one(), factors)
 
 
 def poch(arg: Monomial, base: Monomial, ctx: SeriesContext, count=INF) -> QSeries:
-    return pochhammer(PochSpec(arg, base, count), ctx)
-
-
-def pochhammer_multi(
-    args: Sequence[Monomial], base: Monomial, count, ctx: SeriesContext
-) -> QSeries:
-    """(a_1, ..., a_m; base)_count: every argument's factors in one
-    binomial pass on 1; the zero series, known below the order, where one
-    factor is exactly zero."""
-    factors = poch_binomials(args, base, count, 1, ctx.order, ctx)
-    return ctx.zero() if factors is None else mul_binomials(ctx.one(), factors)
+    """(a; base)_count as an exact truncated series."""
+    return pochhammer([arg], base, ctx, count)
 
 
 def poch_rows(x: Monomial, base: Monomial, count, inverted: bool, nmax: int,
@@ -176,7 +152,8 @@ def poch_rows(x: Monomial, base: Monomial, count, inverted: bool, nmax: int,
     return rows
 
 
-def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
+def phi(uppers: Sequence[Monomial], lowers: Sequence[Monomial], base: Monomial, arg: Monomial,
+        ctx: SeriesContext) -> QSeries:
     """Basic hypergeometric series with the standard implicit (b;b)_n
     denominator factor and the ((-1)^n b^C(n,2))^(1+s-r) convention.
 
@@ -187,7 +164,7 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
     factor that is not preceded by termination raises ZeroDenominator.
     Non-growing term valuations raise NonSummable.
     """
-    uppers, lowers, b, z = spec.uppers, spec.lowers, spec.base, spec.arg
+    b, z = base, arg
     eb = ctx.scale(b.exp)
     if eb <= 0:
         raise NonPositiveBaseExponent(f"phi base exponent must be > 0, got {b.exp}")
@@ -245,46 +222,33 @@ def phi(spec: PhiSpec, ctx: SeriesContext) -> QSeries:
     return acc
 
 
-def phi_series(uppers, lowers, base, arg, ctx) -> QSeries:
-    return phi(PhiSpec(tuple(uppers), tuple(lowers), base, arg), ctx)
-
-
 def theta_sum(z: Monomial, ctx: SeriesContext) -> QSeries:
     """Two-sided theta sum over n of (-1)^n q^C(n,2) z^n.
 
     The quadratic exponent growth makes both tails finite below any
-    truncation; enumeration walks outward until past the vertex and
-    beyond the order.
+    truncation; enumeration walks outward from n = 0 and from n = -1
+    until past the vertex and beyond the order, each weight (-z)^n the
+    one before times (-z)^(+-1), and the terms are added in one ZwSum.
     """
     if z.is_zero():
         raise InvalidParameter("theta sum needs a nonzero monomial")
-    eb, ez, cz = ctx.denom, ctx.scale(z.exp), z.coeff
+    eb, ez, mz = ctx.denom, ctx.scale(z.exp), _zw_scalar(-z.coeff)
 
-    pairs = []
+    def exp(n: int) -> int:
+        return eb * (n * (n - 1) // 2) + ez * n
 
-    def emit(n: int) -> int:
-        binom = n * (n - 1) // 2
-        e = eb * binom + ez * n
-        if e < ctx.order:
-            c = cz ** n
-            if n % 2:
-                c = -c
-            pairs.append((e, c))
-        return e
-
-    n = 0
-    while True:
-        e = emit(n)
-        if e >= ctx.order and eb * n + ez > 0:
-            break
-        n += 1
-    n = -1
-    while True:
-        e = emit(n)
-        if e >= ctx.order and eb * (1 - n) - ez > 0:
-            break
-        n -= 1
-    return ctx.from_pairs(pairs)
+    terms = []
+    for n, step, r in ((0, 1, mz), (-1, -1, _zw_inverse(mz))):
+        k = ZW_ONE if step > 0 else r
+        # past the vertex the exponents grow: stop at the first past the order
+        while (e := exp(n)) < ctx.order or exp(n + step) <= e:
+            if e < ctx.order:
+                terms.append((k, e))
+            n, k = n + step, _zw_times(k, r)
+    acc = ZwSum(ctx, min(e for _, e in terms))
+    for k, e in terms:
+        acc.add_monomial(k, e)
+    return acc.series()
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
-from .cyclotomic import CycRat, ONE, ZERO
+from .cyclotomic import CycRat, ONE, ZERO, _text
 from .errors import (
     ContextMismatch,
     ExponentNotRepresentable,
@@ -61,9 +61,7 @@ class SeriesContext:
         e = exp if isinstance(exp, Fraction) else Fraction(exp)
         s, r = divmod(e.numerator * self.denom, e.denominator)
         if r:
-            raise ExponentNotRepresentable(
-                f"exponent {e} not on the 1/{self.denom} grid"
-            )
+            raise ExponentNotRepresentable(f"exponent {_text(e)} not on the 1/{self.denom} grid")
         return s
 
     def unscale(self, s: int) -> Fraction:
@@ -81,19 +79,6 @@ class SeriesContext:
         if not coeff or scaled_exp >= t:
             return self.zero(t)
         return QSeries(self, scaled_exp, [coeff], t)
-
-    def from_pairs(self, pairs, trunc: int | None = None) -> "QSeries":
-        """Series from (scaled exponent, coefficient) pairs."""
-        t = self.order if trunc is None else min(trunc, self.order)
-        pairs = [(e, c) for e, c in pairs if c and e < t]
-        if not pairs:
-            return self.zero(t)
-        lo = min(e for e, _ in pairs)
-        hi = max(e for e, _ in pairs)
-        coeffs = [ZERO] * (hi - lo + 1)
-        for e, c in pairs:
-            coeffs[e - lo] = coeffs[e - lo] + c
-        return QSeries(self, lo, coeffs, t)
 
     def __eq__(self, other) -> bool:
         return (
@@ -289,15 +274,6 @@ class QSeries:
         (da, ar, ao), (db, br, bo) = self.zw, other.zw
         return QSeries.from_zw(self.ctx, lo, da * db, *_zw_mul(ar, ao, br, bo, n), t)
 
-    def scale(self, c: CycRat) -> "QSeries":
-        if not c:
-            return self.ctx.zero(self.trunc)
-        return QSeries(self.ctx, self.val, [c * a for a in self.coeffs], self.trunc)
-
-    def shift(self, e: int) -> "QSeries":
-        """Multiply by q^e (scaled units)."""
-        return QSeries(self.ctx, self.val + e, list(self.coeffs), self.trunc + e)
-
     def mul_monomial(self, c: CycRat, e: int) -> "QSeries":
         if not c:
             return self.ctx.zero(self.trunc + e)
@@ -324,13 +300,6 @@ class QSeries:
             yo = [k * o for o in yo] + [-c for c in co] + pad
             dy, yr, yo = _reduced(dy * k, yr, yo)
         return QSeries.from_zw(self.ctx, -self.val, dy, yr, yo, self.trunc - 2 * self.val)
-
-    def truncate(self, new_trunc: int) -> "QSeries":
-        if new_trunc > self.trunc:
-            raise InsufficientTruncation(
-                f"cannot extend truncation {self.trunc} to {new_trunc}"
-            )
-        return QSeries(self.ctx, self.val, list(self.coeffs), new_trunc)
 
     # -- rendering ---------------------------------------------------------
 

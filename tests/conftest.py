@@ -57,6 +57,37 @@ def parent_poch_rows(x, base, count, inverted, nmax, ctx) -> list:
     return rows
 
 
+class BoundExceeded(Exception):
+    """Partition enumeration beyond the configured safety bound."""
+
+
+def partition_count(n: int, *, modulus=None, residues=None, min_gap: int = 0, bound: int = 5000) -> int:
+    """Oracle: the number of partitions of n, by brute-force enumeration.
+
+    modulus/residues restrict parts to given residue classes; min_gap
+    demands successive parts differ by at least that much (1 = distinct
+    parts, 2 = no repeated or consecutive parts). An independent check
+    of product-side coefficients.
+    """
+    if n < 0:
+        return 0
+    if n > bound:
+        raise BoundExceeded(f"partition_count bound {bound} exceeded by n={n}")
+    allowed = None if modulus is None else frozenset(r % modulus for r in (residues or range(modulus)))
+    cache: dict = {}
+
+    def count(remaining: int, min_part: int) -> int:
+        if remaining == 0:
+            return 1
+        key = (remaining, min_part)
+        if key not in cache:
+            cache[key] = sum(count(remaining - p, p + min_gap) for p in range(min_part, remaining + 1)
+                             if allowed is None or p % modulus in allowed)
+        return cache[key]
+
+    return count(n, 1)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)

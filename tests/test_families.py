@@ -23,6 +23,7 @@ from qrucible.harness import IdentityCase, verify
 
 COEFFS = ["1", "-1", "2", "-2", "1/2", "w", "w2"]
 ADMISSIBILITY = re.compile(r"must be positive|exact zero factor")
+FAMILIES = ["q-binomial", "q-gauss", "q-chu-vandermonde", "heine", "heine-2", "heine-3", "jacobi-triple"]
 
 
 def monomial(rng, D, lo, hi):
@@ -36,7 +37,7 @@ def family_instance(rng, D):
     a, b, c = (monomial(rng, D, -D, 2 * D) for _ in range(3))
     z = monomial(rng, D, -D, 3 * D)
     n = rng.randint(0, 4)
-    family = rng.choice(["q-binomial", "q-gauss", "q-chu-vandermonde", "heine"])
+    family = rng.choice(FAMILIES)
     if family == "q-binomial":
         # (II.3), with its limits (II.1) a = 0 and (II.2), the 0phi0 whose
         # terms carry (-1)^n p^C(n,2)
@@ -59,8 +60,21 @@ def family_instance(rng, D):
                     f"qp({c}/{b}; {p}; {n})*{b}^{n}/qp({c}; {p}; {n})")
         return (family, f"phi([{p}^(-{n}), {b}]; [{c}]; {p}; {c}*{p}^{n}/{b})",
                 f"qp({c}/{b}; {p}; {n})/qp({c}; {p}; {n})")
+    if family == "jacobi-triple":
+        # Jacobi's triple product, the two-sided sum in base q: theta(z) has no
+        # other base
+        return family, f"theta({z})", f"qp(q, {z}, q/{z}; q; inf)"
+    lhs = f"phi([{a}, {b}]; [{c}]; {p}; {z})"
+    if family == "heine-2":
+        # Heine's second transformation (III.2)
+        return (family, lhs, f"qp({c}/{b}, {b}*{z}; {p}; inf)/qp({c}, {z}; {p}; inf)"
+                f"*phi([{a}*{b}*{z}/{c}, {b}]; [{b}*{z}]; {p}; {c}/{b})")
+    if family == "heine-3":
+        # Heine's third transformation (III.3)
+        return (family, lhs, f"qp({a}*{b}*{z}/{c}; {p}; inf)/qp({z}; {p}; inf)"
+                f"*phi([{c}/{a}, {c}/{b}]; [{c}]; {p}; {a}*{b}*{z}/{c})")
     # Heine's first transformation (III.1)
-    return (family, f"phi([{a}, {b}]; [{c}]; {p}; {z})",
+    return (family, lhs,
             f"qp({b}, {a}*{z}; {p}; inf)/qp({c}, {z}; {p}; inf)*phi([{c}/{b}, {z}]; [{a}*{z}]; {p}; {b})")
 
 
@@ -68,7 +82,7 @@ def test_formula_families_pass_or_skip_and_catch_perturbations():
     rng = random.Random(20261016)
     t0 = time.perf_counter()
     seen = {}
-    for i in range(400):
+    for i in range(1200):
         D = rng.choice([1, 2, 3])
         family, lhs, rhs = family_instance(rng, D)
         order = rng.randint(3 * D, 10 * D)
@@ -83,5 +97,5 @@ def test_formula_families_pass_or_skip_and_catch_perturbations():
             assert bad.status == "FAIL" and bad.mismatch.exponent == Fraction(k, D), (case, k, bad)
         seen[family, report.status] = seen.get((family, report.status), 0) + 1
     assert time.perf_counter() - t0 < 15
-    for family in ("q-binomial", "q-gauss", "q-chu-vandermonde", "heine"):
+    for family in FAMILIES:
         assert seen.get((family, "PASS"), 0) >= 30, seen

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BoundExceeded, partition_count
 from qrucible import dsl
 from qrucible.cli import main as cli_main
-from qrucible.errors import BoundExceeded, ParseError, SuiteError
+from qrucible.errors import ParseError, SuiteError
 from qrucible.dsl import MAX_NESTING
 from qrucible.harness import (
     MAX_ORDER,
@@ -19,7 +21,6 @@ from qrucible.harness import (
     Registry,
     load_registry,
     parse_suite,
-    partition_count,
     reports_to_json,
     run_suite,
     verify,
@@ -660,17 +661,43 @@ def test_numbers_past_the_digit_limit_and_non_ascii_digits_are_positioned_errors
         load_registry([HOSTILE_NUMBERS])
 
 
-def test_an_exponent_product_past_the_digit_limit_prints(tmp_path):
-    # (q^N)^N with N of 3000 digits is q^(N^2), 6000 digits: printing the
-    # side raised ValueError; the printed side is longer than any literal
-    # the lexer takes, so the case SKIPs on re-reading it
-    n = int("7" * 3000)
-    good = tmp_path / "product.qid"
-    good.write_text(f'identity "x" {{ lhs = (q^{"7" * 3000})^({"7" * 3000}); rhs = 0; D = 1; order = 5; }}\n')
-    case = load_registry([good]).get("x")
-    assert case.lhs_text == f"q^{Decimal(n * n)}"
-    report = verify(case)
-    assert report.status == "SKIP" and "integer of 6000 digits is too long" in report.skip_reason
+def test_an_exponent_product_past_the_digit_limit_is_a_positioned_parse_error(tmp_path, capsys):
+    # (q^N)^N with N of 3000 digits is q^(N^2), 6000 digits: it loaded, but
+    # its printed side did not read back, so the case SKIPped at a position
+    # in the printed text; now the suite fails to load at the second ^
+    n = "7" * 3000
+    bad = tmp_path / "product.qid"
+    head = f'identity "x" {{ lhs = (q^{n})'
+    bad.write_text(f"{head}^({n}); rhs = 0; D = 1; order = 5; }}\n")
+    with pytest.raises(SuiteError) as err:
+        load_registry([bad])
+    assert str(err.value).startswith(str(bad))
+    assert str(err.value).endswith(f"more digits than a number may have (line 1, column {len(head) + 1})")
+    assert cli_main(["verify", "--suite", str(bad)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    # the limit is the lexer's: a product of as many digits as a literal
+    # may have loads, one more digit does not
+    limit = sys.get_int_max_str_digits()
+    fits, past = "9" * limit, "5" + "0" * (limit - 1)
+    assert load_registry([_suite(tmp_path, f"(q^{fits})^1")]).get("x").lhs_text == f"q^{Decimal(fits)}"
+    with pytest.raises(SuiteError, match="more digits than a number may have"):
+        load_registry([_suite(tmp_path, f"(q^{past})^2")])
+    with pytest.raises(SuiteError, match="more digits than a number may have"):
+        load_registry([_suite(tmp_path, f"(z^{past})^(-2)")])
+
+
+def test_a_folded_exponent_past_the_digit_limit_is_a_skip():
+    # two q-powers of a parameter fold to one exponent of 4301 digits, off
+    # the grid: formatting it for the error raised ValueError, a traceback
+    n = "9" * sys.get_int_max_str_digits()
+    report = verify(IdentityCase("x", f"qp(q^({n}/7)*q^({n}/7); q; inf)", "1", 1, 5, (), ""))
+    assert report.status == "SKIP" and report.skip_reason.endswith("/7 not on the 1/1 grid")
+
+
+def _suite(tmp_path, lhs: str) -> Path:
+    path = tmp_path / "one.qid"
+    path.write_text(f'identity "x" {{ lhs = {lhs}; rhs = 0; D = 1; order = 5; }}\n')
+    return path
 
 
 def test_multi_term_parameters_skip_at_once():
@@ -713,3 +740,31 @@ def test_cli_big_coefficient_mismatch_is_a_fail_without_traceback(tmp_path, jobs
     re, om = w["lhs"].removesuffix("*w").split(" - ")
     assert (w["exponent"], _big_rational(w["rhs"])) == ("2", Fraction(1, 3**10000))
     assert (_big_rational(re), _big_rational(om)) == (Fraction(1, 3**10000), Fraction(2**15000, 3**10000))
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
+def test_a_killed_pool_worker_ends_its_cases_as_skips(tmp_path, monkeypatch, capsys):
+    # a worker that died mid-case broke the pool: run_suite raised
+    # BrokenProcessPool, and the CLI printed a traceback
+    from qrucible import harness
+
+    real = harness.verify
+
+    def verify(case, *args):
+        if case.name == "killed":
+            os._exit(1)
+        return real(case, *args)
+
+    monkeypatch.setattr(harness, "verify", verify)
+    names = ["before", "killed", "after-1", "after-2"]
+    suite = tmp_path / "pool.qid"
+    suite.write_text("".join(f'identity "{name}" {{ lhs = qp(q; q; inf); rhs = qp(q; q; inf); D = 1; order = 8; }}\n'
+                             for name in names))
+    ended = "the worker process ended before the case finished"
+    code, reports = run_suite(files=[suite], jobs=2)
+    assert code == 0 and [r.name for r in reports] == names
+    assert reports[1].status == "SKIP" and reports[1].skip_reason == ended
+    assert all(r.status == "PASS" or (r.status == "SKIP" and r.skip_reason == ended) for r in reports)
+    assert cli_main(["verify", "--suite", str(suite), "--jobs", "2", "--strict"]) == 1
+    out = capsys.readouterr()
+    assert f"SKIP killed  ({ended}, 0 ms)" in out.out.splitlines() and "Traceback" not in out.err

@@ -11,7 +11,6 @@ from qrucible.ctengine import plan_window
 from qrucible.dsl import Poch, Product, as_monomial, elaborate, parse
 from qrucible.errors import QrucibleError
 from qrucible.harness import load_registry
-from qrucible.qkernel import PochSpec
 from qrucible.series import SeriesContext
 from test_ctengine import ct_families
 from test_qkernel import sequential_pochhammer
@@ -171,7 +170,7 @@ def chain_elaborate(e, ctx):
     if isinstance(e, Poch):
         base, acc = as_monomial(e.base), ctx.one()
         for a in e.args:
-            acc = acc * sequential_pochhammer(PochSpec(as_monomial(a), base, e.count), ctx)
+            acc = acc * sequential_pochhammer(as_monomial(a), base, e.count, ctx)
         return acc
     return elaborate(e, ctx)
 

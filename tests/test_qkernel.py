@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import parent_poch_rows, zw_factors
+from conftest import parent_poch_rows, partition_count, zw_factors
 from qrucible import qkernel
 from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE
 from qrucible.errors import (
@@ -14,24 +14,19 @@ from qrucible.errors import (
     NotInvertible,
     ZeroDenominator,
 )
-from qrucible.harness import partition_count
 from qrucible.qkernel import (
     INF,
     NAMED_SUMS,
     MultiSumSpec,
-    PhiSpec,
-    PochSpec,
     _zero_factor_index,
     capparelli_spec,
     f_triple,
     f_triple_spec,
     multisum,
     phi,
-    phi_series,
     poch,
     poch_binomials,
     pochhammer,
-    pochhammer_multi,
     theta_sum,
     tsum_h_spec,
 )
@@ -74,15 +69,15 @@ def test_poch_nonpositive_base(ctx):
 
 
 def test_poch_multi_partition_oracle(ctx):
-    s = pochhammer_multi([qpow(1), qpow(4)], qpow(5), INF, ctx).inverse()
+    s = pochhammer([qpow(1), qpow(4)], qpow(5), ctx).inverse()
     for n in range(30):
         assert s.coefficient(n).re == partition_count(n, modulus=5, residues=(1, 4))
     assert [s.coefficient(n).re for n in range(7)] == [1, 1, 1, 1, 2, 2, 3]
 
 
 def test_poch_multi_empty_and_zero_factor(ctx):
-    assert pochhammer_multi([], qpow(1), INF, ctx).coefficient(0) == ONE
-    z = pochhammer_multi([qpow(1), mono(1, 0), qpow(-1)], qpow(1), INF, ctx)
+    assert pochhammer([], qpow(1), ctx).coefficient(0) == ONE
+    z = pochhammer([qpow(1), mono(1, 0), qpow(-1)], qpow(1), ctx)
     assert z.is_zero()  # the z=1 factor (1 - 1) kills the product
 
 
@@ -127,31 +122,31 @@ def test_poch_splitting_randomized(ctx):
 def test_euler_identities(ctx, zc, ze):
     z = mono(OMEGA, ze) if zc is None else mono(zc, ze)
     # sum z^n/(q;q)_n * (z;q)_inf = 1
-    s = phi_series([mono(0)], [], qpow(1), z, ctx)
+    s = phi([mono(0)], [], qpow(1), z, ctx)
     p = s * poch(z, qpow(1), ctx)
     assert equal_to_order(p, ctx.one(), p.trunc)
     # sum q^C(n,2) z^n/(q;q)_n = (-z;q)_inf
-    s2 = phi_series([], [], qpow(1), -z, ctx)
+    s2 = phi([], [], qpow(1), -z, ctx)
     rhs2 = poch(-z, qpow(1), ctx)
     assert equal_to_order(s2, rhs2, min(s2.trunc, rhs2.trunc, 40))
 
 
 def test_q_binomial_theorem_sampled(ctx):
     for a, z in [(qpow(2), qpow(1)), (mono(-1, 1), qpow(2)), (mono(OMEGA, 1), qpow(1))]:
-        lhs = phi_series([a], [], qpow(1), z, ctx)
+        lhs = phi([a], [], qpow(1), z, ctx)
         rhs = poch(a * z, qpow(1), ctx) * poch(z, qpow(1), ctx).inverse()
         assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc))
 
 
 def test_phi_geometric(ctx):
-    p = phi_series([qpow(1)], [], qpow(1), qpow(1), ctx)
+    p = phi([qpow(1)], [], qpow(1), qpow(1), ctx)
     geo = (ctx.one() - monomial_to_series(qpow(1), ctx)).inverse()
     assert equal_to_order(p, geo, min(p.trunc, geo.trunc))
 
 
 def test_phi_telescoping(ctx):
-    p = phi_series([qpow(3)], [], qpow(1), qpow(1), ctx)
-    rhs = pochhammer_multi([qpow(1), qpow(2), qpow(3)], qpow(1), 1, ctx).inverse()
+    p = phi([qpow(3)], [], qpow(1), qpow(1), ctx)
+    rhs = pochhammer([qpow(1), qpow(2), qpow(3)], qpow(1), ctx, 1).inverse()
     assert equal_to_order(p, rhs, min(p.trunc, rhs.trunc))
 
 
@@ -160,11 +155,11 @@ def test_bailey_daum_sampled(ctx):
     for a, b in [(qpow(2), mono(-1, 0)), (qpow(1), mono(-1, -1))]:
         c = a * qpow(1) * b.inv()
         arg = -(qpow(1) * b.inv())
-        lhs = phi_series([a, b], [c], qpow(1), arg, ctx)
+        lhs = phi([a, b], [c], qpow(1), arg, ctx)
         rhs = (
             poch(mono(-1, 1), qpow(1), ctx)
-            * pochhammer_multi([a * qpow(1), a * qpow(2) * (b * b).inv()], qpow(2), INF, ctx)
-            * pochhammer_multi([c, arg * qpow(0)], qpow(1), INF, ctx).inverse()
+            * pochhammer([a * qpow(1), a * qpow(2) * (b * b).inv()], qpow(2), ctx)
+            * pochhammer([c, arg * qpow(0)], qpow(1), ctx).inverse()
         )
         assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc))
 
@@ -176,9 +171,9 @@ def test_q_gauss_sampled(ctx):
         (mono(OMEGA, 1), mono(OMEGA2, 1), qpow(4)),
     ]:
         arg = c * (a * b).inv()
-        lhs = phi_series([a, b], [c], qpow(1), arg, ctx)
-        rhs = pochhammer_multi([c * a.inv(), c * b.inv()], qpow(1), INF, ctx) * \
-            pochhammer_multi([c, arg], qpow(1), INF, ctx).inverse()
+        lhs = phi([a, b], [c], qpow(1), arg, ctx)
+        rhs = pochhammer([c * a.inv(), c * b.inv()], qpow(1), ctx) * \
+            pochhammer([c, arg], qpow(1), ctx).inverse()
         assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc))
 
 
@@ -187,29 +182,29 @@ def test_heine_type_transform_sampled(ctx):
         (qpow(1), qpow(2), qpow(3), qpow(1)),
         (qpow(2), qpow(2), qpow(3), qpow(2)),
     ]:
-        lhs = phi_series([a, b], [c], qpow(1), z, ctx)
-        pref = pochhammer_multi([a * z, b * z], qpow(1), INF, ctx) * \
-            pochhammer_multi([c, z], qpow(1), INF, ctx).inverse()
-        rhs = pref * phi_series([z, a * b * z * c.inv()], [a * z, b * z], qpow(1), c, ctx)
+        lhs = phi([a, b], [c], qpow(1), z, ctx)
+        pref = pochhammer([a * z, b * z], qpow(1), ctx) * \
+            pochhammer([c, z], qpow(1), ctx).inverse()
+        rhs = pref * phi([z, a * b * z * c.inv()], [a * z, b * z], qpow(1), c, ctx)
         assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc))
 
 
 def test_phi_nonsummable(ctx):
     with pytest.raises(NonSummable):
-        phi_series([qpow(1)], [], qpow(1), mono(1, 0), ctx)  # |z| not shrinking
+        phi([qpow(1)], [], qpow(1), mono(1, 0), ctx)  # |z| not shrinking
     with pytest.raises(NonSummable):
-        phi_series([qpow(1), qpow(1), qpow(1)], [qpow(2)], qpow(1), qpow(1), ctx)
+        phi([qpow(1), qpow(1), qpow(1)], [qpow(2)], qpow(1), qpow(1), ctx)
 
 
 def test_phi_zero_denominator(ctx):
     with pytest.raises(ZeroDenominator):
-        phi_series([qpow(1)], [qpow(-2)], qpow(1), qpow(1), ctx)
+        phi([qpow(1)], [qpow(-2)], qpow(1), qpow(1), ctx)
 
 
 def test_phi_terminating_upper(ctx):
     # upper q^(-3) terminates the series after 4 terms; no error from the
     # negative-exponent lower q^(-1) because it never hits an exact zero
-    p = phi_series([qpow(-3)], [mono(OMEGA, -1)], qpow(1), qpow(5), ctx)
+    p = phi([qpow(-3)], [mono(OMEGA, -1)], qpow(1), qpow(5), ctx)
     assert p.trunc > 0
 
 
@@ -287,7 +282,7 @@ def test_theta_zero_at_z_one():
     ctx = SeriesContext(1, 30)
     t = theta_sum(mono(1, 0), ctx)
     assert t.is_zero()
-    p = pochhammer_multi([qpow(1), mono(1, 0), qpow(1)], qpow(1), INF, ctx)
+    p = pochhammer([qpow(1), mono(1, 0), qpow(1)], qpow(1), ctx)
     assert p.is_zero()
 
 
@@ -295,7 +290,7 @@ def test_theta_matches_product():
     ctx = SeriesContext(1, 21)
     for z in [qpow(2), mono(OMEGA, 1), mono(-1, 1)]:
         t = theta_sum(z, ctx)
-        p = pochhammer_multi([qpow(1), z, qpow(1) * z.inv()], qpow(1), INF, ctx)
+        p = pochhammer([qpow(1), z, qpow(1) * z.inv()], qpow(1), ctx)
         assert equal_to_order(t, p, min(t.trunc, p.trunc, 20))
 
 
@@ -303,25 +298,24 @@ def test_multisum_agrees_with_phi_reduction():
     # F(q,1,q^3) equals its prefactor-times-2phi1 reduction termwise
     ctx = SeriesContext(1, 25)
     f = f_triple(qpow(1), mono(1, 0), qpow(3), ctx)
-    pref = pochhammer_multi([mono(-1, 0), mono(OMEGA2, 1)], qpow(2), INF, ctx)
-    ph = phi_series(
+    pref = pochhammer([mono(-1, 0), mono(OMEGA2, 1)], qpow(2), ctx)
+    ph = phi(
         [mono(OMEGA, -1), mono(-OMEGA, 1)], [mono(-1, 0)], qpow(2), mono(OMEGA2, 1), ctx
     )
     red = pref * ph
     assert equal_to_order(f, red, min(f.trunc, red.trunc, 25))
 
 
-def sequential_pochhammer(spec, ctx):
-    """Oracle: (a; b)_n one mul_binomial at a time, stopping an infinite
-    product once the factor exponent plus the valuation reaches the
-    truncation."""
-    a, b = spec.arg, spec.base
+def sequential_pochhammer(a, b, count, ctx):
+    """Oracle: (a; b)_count one mul_binomial at a time, stopping an
+    infinite product once the factor exponent plus the valuation reaches
+    the truncation."""
     if a.is_zero():
         return ctx.one()
     eb, e, c = ctx.scale(b.exp), ctx.scale(a.exp), a.coeff
     acc = ctx.one()
     k = 0
-    while e + acc.val < acc.trunc if spec.count is INF else k < spec.count:
+    while e + acc.val < acc.trunc if count is INF else k < count:
         if e == 0 and c == ONE:
             return ctx.zero()
         acc = mul_binomial(acc, c, e)
@@ -609,8 +603,8 @@ def test_pochhammer_matches_sequential_factors():
         D = ctx.denom
         arg = mono(rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(1, 2)), CycRat(3, 1)]), Fraction(rng.randint(-3 * D, 3 * D), D))
         base = mono(rng.choice([ONE, -ONE, OMEGA2, CycRat(2)]), Fraction(rng.randint(1, 3 * D), D))
-        spec = PochSpec(arg, base, rng.choice([INF, 0, 1, 5, 12]))
-        assert pochhammer(spec, ctx) == sequential_pochhammer(spec, ctx), spec
+        count = rng.choice([INF, 0, 1, 5, 12])
+        assert poch(arg, base, ctx, count) == sequential_pochhammer(arg, base, count, ctx), (arg, base, count)
 
 
 def test_finite_pochhammer_stops_at_the_order():
@@ -625,8 +619,7 @@ def test_finite_pochhammer_stops_at_the_order():
         arg = mono(rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(1, 2)), CycRat(3, 1)]), Fraction(rng.randint(-3 * D, 10 * D), D))
         base = mono(rng.choice([ONE, -ONE, OMEGA2, CycRat(2)]), Fraction(rng.randint(-D, 3 * D), D))
         count = max(0, ctx.order // max(1, ctx.scale(base.exp)) + rng.randint(-3, 3))
-        spec = PochSpec(arg, base, count)
-        assert pochhammer(spec, ctx) == sequential_pochhammer(spec, ctx), spec
+        assert poch(arg, base, ctx, count) == sequential_pochhammer(arg, base, count, ctx), (arg, base, count)
         eb, e = ctx.scale(base.exp), ctx.scale(arg.exp)
         stopped += eb >= 0 and e + count * eb > ctx.order
     assert stopped > 150
@@ -647,8 +640,8 @@ def test_pochhammer_and_multisum_honest_across_truncations():
         D, n, k = rng.choice([1, 2]), rng.randint(1, 30), rng.randint(1, 20)
         arg = mono(rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(2, 3))]), Fraction(rng.randint(-4 * D, 3 * D), D))
         base = mono(rng.choice([ONE, OMEGA2, CycRat(-2)]), Fraction(rng.randint(1, 3 * D), D))
-        spec = PochSpec(arg, base, rng.choice([INF, 3, 9, 40]))
-        _agree_below(pochhammer(spec, SeriesContext(D, n)), pochhammer(spec, SeriesContext(D, n + k)))
+        count = rng.choice([INF, 3, 9, 40])
+        _agree_below(poch(arg, base, SeriesContext(D, n), count), poch(arg, base, SeriesContext(D, n + k), count))
     for _ in range(12):
         D, n, k = rng.choice([1, 2]), rng.randint(3, 14), rng.randint(1, 8)
         spec = rand_multisum_spec(rng, SeriesContext(D, n))
@@ -661,10 +654,9 @@ def test_kr_nine_triples_honest_at_depth():
         _agree_below(short, long)
 
 
-def per_factor_phi(spec, ctx):
+def per_factor_phi(uppers, lowers, b, z, ctx):
     """Oracle: phi with each term built one binomial call per factor, the
     uppers, then the lowers, then the implicit (b; b)_(n+1)."""
-    uppers, lowers, b, z = spec.uppers, spec.lowers, spec.base, spec.arg
     eb = ctx.scale(b.exp)
     if eb <= 0:
         raise NonPositiveBaseExponent("base")
@@ -728,7 +720,7 @@ def rand_phi_spec(rng, D):
     uppers = tuple(param() for _ in range(rng.randint(0, 3)))
     lowers = tuple(param() for _ in range(rng.randint(0, 3)))
     arg = mono(rng.choice(pool), Fraction(rng.randint(1, 3 * D), D))
-    return PhiSpec(uppers, lowers, base, arg)
+    return uppers, lowers, base, arg
 
 
 def test_phi_matches_per_factor_oracle():
@@ -739,13 +731,13 @@ def test_phi_matches_per_factor_oracle():
         ctx = SeriesContext(D, rng.randint(1, 30))
         spec = rand_phi_spec(rng, D)
         try:
-            want = per_factor_phi(spec, ctx)
+            want = per_factor_phi(*spec, ctx)
         except (NonSummable, ZeroDenominator) as exc:
             with pytest.raises(type(exc)):
-                phi(spec, ctx)
+                phi(*spec, ctx)
             raised += 1
             continue
-        assert phi(spec, ctx) == want, spec
+        assert phi(*spec, ctx) == want, spec
         checked += 1
     assert checked > 120 and raised > 10
 
@@ -757,10 +749,10 @@ def test_phi_honest_across_truncations():
         D, n, k = rng.choice([1, 2]), rng.randint(1, 24), rng.randint(1, 12)
         spec = rand_phi_spec(rng, D)
         try:
-            short = phi(spec, SeriesContext(D, n))
+            short = phi(*spec, SeriesContext(D, n))
         except (NonSummable, ZeroDenominator):
             continue
-        _agree_below(short, phi(spec, SeriesContext(D, n + k)))
+        _agree_below(short, phi(*spec, SeriesContext(D, n + k)))
         checked += 1
     assert checked > 40
 
@@ -798,13 +790,13 @@ def parent_poch_binomials(args, base, count, p, n, ctx):
     return out
 
 
-def parent_phi_factors(spec, ctx, n):
+def parent_phi_factors(uppers, lowers, base, ctx, n):
     """Oracle: the factors phi applies to term_n, as the parent listed
     them: uppers, lowers, then (b^(n+1), (n+1)*e_b, -1), b^n by `**`."""
-    cb, eb = spec.base.coeff, ctx.scale(spec.base.exp)
+    cb, eb = base.coeff, ctx.scale(base.exp)
     bn = cb ** n
-    ups = [(u.coeff * bn, ctx.scale(u.exp) + n * eb, 1) for u in spec.uppers if not u.is_zero()]
-    lows = [(l.coeff * bn, ctx.scale(l.exp) + n * eb, -1) for l in spec.lowers if not l.is_zero()]
+    ups = [(u.coeff * bn, ctx.scale(u.exp) + n * eb, 1) for u in uppers if not u.is_zero()]
+    lows = [(l.coeff * bn, ctx.scale(l.exp) + n * eb, -1) for l in lowers if not l.is_zero()]
     return ups + lows + [(bn * cb, (n + 1) * eb, -1)]
 
 
@@ -890,15 +882,15 @@ def test_zw_factors_match_the_parent_cycrat_factors(monkeypatch):
         pb = mono(base.coeff, abs(base.exp) or 1)
         params = [[rand_param(rng, D) if rng.random() < 0.85 else pb ** -rng.randint(0, 3)
                    for _ in range(rng.randint(0, 3))] for _ in "ul"]
-        spec = PhiSpec(tuple(params[0]), tuple(params[1]), pb, rand_param(rng, D, 0))
-        want = _outcome(per_factor_phi, spec, ctx)
+        spec = (params[0], params[1], pb, rand_param(rng, D, 0))
+        want = _outcome(per_factor_phi, *spec, ctx)
         del calls[:]
-        got = _outcome(qkernel.phi, spec, ctx)
+        got = _outcome(qkernel.phi, *spec, ctx)
         _same_series(got, want)
         if isinstance(want, type):
             seen["phi raised"] += 1
         else:
-            assert calls == [zw_factors(parent_phi_factors(spec, ctx, k)) for k in range(len(calls))]
+            assert calls == [zw_factors(parent_phi_factors(*spec[:3], ctx, k)) for k in range(len(calls))]
             seen["phi"] += 1
 
         # multisum: two variables whose weights and denominators are the parameters
