@@ -12,12 +12,13 @@ is structurally e, and unparse(parse(s)) is a fixpoint after one pass.
 from __future__ import annotations
 
 import math
+import re
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclotomic import CycRat, ONE, _text, omega_power
 from .errors import EvalError, MonomialExpected, NotInvertible, ParseError, QrucibleError, UnknownSymbol
@@ -77,35 +78,8 @@ class IntPower:
 
 
 @dataclass(frozen=True)
-class Poch:
-    args: tuple
-    base: object
-    count: Optional[int]  # None = inf
-
-
-@dataclass(frozen=True)
-class Phi:
-    uppers: tuple
-    lowers: tuple
-    base: object
-    arg: object
-
-
-@dataclass(frozen=True)
-class TripleF:
-    u: object
-    v: object
-    w: object
-
-
-@dataclass(frozen=True)
 class NamedSum:
     name: str
-
-
-@dataclass(frozen=True)
-class Theta:
-    z: object
 
 
 @dataclass(frozen=True)
@@ -113,56 +87,66 @@ class CT:
     integrand: object
 
 
-@dataclass(frozen=True)
-class RogersC:
-    n: int
-    a: object
-    base: object
-    z: object
-
-
-@dataclass(frozen=True)
-class AWPoly:
-    n: int
-    a: object
-    b: object
-    c: object
-    d: object
-    base: object
-    z: object
-
-
-@dataclass(frozen=True)
-class GenfunCoeff:
-    variant: int
-    n: int
-    a: object
-    z: object
-
-
-# Argument signature of each call head: one letter per field of its node,
-# in field order, with the ',' and ';' that separate them in the text.
-_CALLS = {
-    "qp": (Poch, "A;E;C"),
-    "phi": (Phi, "L;L;E;E"),
-    "F": (TripleF, "E,E,E"),
-    "theta": (Theta, "E"),
-    "rc": (RogersC, "I;E;E;E"),
-    "awp": (AWPoly, "I;E,E,E,E;E;E"),
-    "cgf": (GenfunCoeff, "I;I;E;E"),
-}
-_HEAD_OF = {node: head for head, (node, _) in _CALLS.items()}
-
-# The field letters, each with the Parser method that reads it and the
-# function that prints it: E expression, I integer, C count (integer or
-# inf), A one or more expressions, L bracketed list of expressions.
+# -- call heads ----------------------------------------------------------
+#
+# Each call head is stated once, by its `_call` line: the fields of its
+# node in order as `name:kind`, each after the ',' or ';' that comes
+# before it in the text, and the kernel that elaborates the node as
+# kernel(*folded fields, ctx); qp's lists the binomial factors of its
+# Pochhammer, given `_product`'s power and window before ctx. Each kind
+# gives the Parser method that reads a field, the function that prints
+# it, and its fold: E expression (a monomial), I integer, C count
+# (integer or inf), A one or more expressions, L bracketed list, Z the
+# expression a polynomial is taken at. Fields fold in order, and the
+# first that fails names the SKIP; A and Z reach the kernel unfolded,
+# since qp folds its base before its args and a polynomial is built
+# before its z folds.
 _FIELD_KINDS = {
-    "E": ("parse_expr", lambda e: unparse(e)),
-    "I": ("parse_int", str),
-    "C": ("parse_count", lambda n: "inf" if n is None else str(n)),
-    "A": ("parse_exprs", lambda es: ", ".join(map(unparse, es))),
-    "L": ("parse_list", lambda es: f"[{', '.join(map(unparse, es))}]"),
+    "E": ("parse_expr", lambda e: unparse(e), lambda e: as_monomial(e)),
+    "I": ("parse_int", str, lambda n: n),
+    "C": ("parse_count", lambda n: "inf" if n is None else str(n), lambda n: n),
+    "A": ("parse_exprs", lambda es: ", ".join(map(unparse, es)), lambda es: es),
+    "L": ("parse_list", lambda es: f"[{', '.join(map(unparse, es))}]",
+          lambda es: [as_monomial(e) for e in es]),
+    "Z": ("parse_expr", lambda e: unparse(e), lambda e: e),
 }
+
+
+class _Spec(NamedTuple):
+    head: str
+    fields: list  # (separator before it or "", name, kind) per field, in order
+    kernel: object
+
+
+_CALLS: dict = {}  # head -> node class
+
+
+def _call(head: str, name: str, spec: str, kernel) -> type:
+    """The frozen node class of a call head, its fields as in spec."""
+    fields = re.findall(r"([,;]?)\s*(\w+):([A-Z])", spec)
+    node = make_dataclass(name, [f for _, f, _ in fields], frozen=True,
+                          namespace={"_spec": _Spec(head, fields, kernel)})
+    node.__module__ = __name__
+    _CALLS[head] = node
+    return node
+
+
+def _at(poly, z) -> QSeries:
+    """The polynomial of a Z-kind head at z, folded only once it is built."""
+    return ctengine.zsubst(poly, as_monomial(z))
+
+
+Poch = _call("qp", "Poch", "args:A; base:E; count:C", lambda args, base, count, p, n, ctx:
+             qkernel.poch_binomials([as_monomial(a) for a in args], base, count, p, n, ctx))
+Phi = _call("phi", "Phi", "uppers:L; lowers:L; base:E; arg:E", qkernel.phi)
+TripleF = _call("F", "TripleF", "u:E, v:E, w:E", qkernel.f_triple)
+Theta = _call("theta", "Theta", "z:E", qkernel.theta_sum)
+RogersC = _call("rc", "RogersC", "n:I; a:E; base:E; z:Z", lambda n, a, base, z, ctx:
+                _at(ortho.rogers_poly(n, ortho.RogersParam(a, base), ctx), z))
+AWPoly = _call("awp", "AWPoly", "n:I; a:E, b:E, c:E, d:E; base:E; z:Z", lambda n, a, b, c, d, base, z, ctx:
+               _at(ortho.aw_poly(n, ortho.AWParam(a, b, c, d, base), ctx), z))
+GenfunCoeff = _call("cgf", "GenfunCoeff", "variant:I; n:I; a:E; z:Z", lambda variant, n, a, z, ctx:
+                    _at(ortho.genfun_lhs(variant, a, n, ctx)[n], z))
 
 # ct{...} and the named sums, such as capparelli(), are special forms
 _HEADS = {*_CALLS, "ct", *qkernel.NAMED_SUMS}
@@ -209,6 +193,7 @@ def tokenize(text: str) -> list:
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         if ch in _DIGITS:
             j = i
@@ -446,13 +431,12 @@ class Parser:
         if head in qkernel.NAMED_SUMS:
             self.expect(")")
             return NamedSum(head)
-        node, signature = _CALLS[head]
+        node = _CALLS[head]
         fields = []
-        for ch in signature:
-            if ch in ",;":
-                self.expect(ch)
-            else:
-                fields.append(getattr(self, _FIELD_KINDS[ch][0])())
+        for sep, _, kind in node._spec.fields:
+            if sep:
+                self.expect(sep)
+            fields.append(getattr(self, _FIELD_KINDS[kind][0])())
         self.expect(")")
         return node(*fields)
 
@@ -518,15 +502,12 @@ def unparse(e) -> str:
         return f"{e.name}()"
     if isinstance(e, CT):
         return f"ct{{{unparse(e.integrand)}}}"
-    head = _HEAD_OF.get(type(e))
-    if head is None:
+    spec = getattr(e, "_spec", None)
+    if spec is None:
         raise TypeError(f"not an expression node: {e!r}")
-    values = iter(getattr(e, f.name) for f in dataclass_fields(e))
-    args = "".join(
-        ch + " " if ch in ",;" else _FIELD_KINDS[ch][1](next(values))
-        for ch in _CALLS[head][1]
-    )
-    return f"{head}({args})"
+    args = "".join((sep and sep + " ") + _FIELD_KINDS[kind][1](getattr(e, f))
+                   for sep, f, kind in spec.fields)
+    return f"{spec.head}({args})"
 
 
 # -- elaboration ---------------------------------------------------------
@@ -665,37 +646,13 @@ def _elaborate(e, ctx, path) -> QSeries:
         return out
     if isinstance(e, Poch):
         return _product([(path, False, e)], ctx)
-    if isinstance(e, Phi):
-        return qkernel.phi(
-            [as_monomial(a) for a in e.uppers],
-            [as_monomial(a) for a in e.lowers],
-            as_monomial(e.base),
-            as_monomial(e.arg),
-            ctx,
-        )
-    if isinstance(e, TripleF):
-        return qkernel.f_triple(
-            as_monomial(e.u), as_monomial(e.v), as_monomial(e.w), ctx
-        )
     if isinstance(e, NamedSum):
         spec = qkernel.NAMED_SUMS[e.name](ctx)
         return qkernel.multisum(spec, ctx)
-    if isinstance(e, Theta):
-        return qkernel.theta_sum(as_monomial(e.z), ctx)
     if isinstance(e, CT):
         return _elaborate_ct(e, ctx, path)
-    if isinstance(e, RogersC):
-        p = ortho.RogersParam(as_monomial(e.a), as_monomial(e.base))
-        return ctengine.zsubst(ortho.rogers_poly(e.n, p, ctx), as_monomial(e.z))
-    if isinstance(e, AWPoly):
-        p = ortho.AWParam(
-            as_monomial(e.a), as_monomial(e.b), as_monomial(e.c),
-            as_monomial(e.d), as_monomial(e.base),
-        )
-        return ctengine.zsubst(ortho.aw_poly(e.n, p, ctx), as_monomial(e.z))
-    if isinstance(e, GenfunCoeff):
-        coeffs = ortho.genfun_lhs(e.variant, as_monomial(e.a), e.n, ctx)
-        return ctengine.zsubst(coeffs[e.n], as_monomial(e.z))
+    if hasattr(e, "_spec"):
+        return _kernel(e, ctx)
     raise MonomialExpected(f"cannot elaborate node {type(e).__name__}")
 
 
@@ -730,7 +687,7 @@ def _product(factors, ctx, rest=()) -> QSeries:
     acc = reduce(mul, [f for f in rest if f.val <= 0] or [ctx.one()])
     num, den, zero = [], [], False
     for path, p, x in pochs:
-        fs = _wrap_err(_poch_binomials, path, x, p, acc.trunc - acc.val, ctx)
+        fs = _wrap_err(_kernel, path, x, p, acc.trunc - acc.val, ctx)
         zero = zero or fs is None
         (num if p > 0 else den).extend(fs or ())
     if zero:
@@ -738,9 +695,14 @@ def _product(factors, ctx, rest=()) -> QSeries:
     return reduce(mul, [f for f in rest if f.val > 0], mul_binomials(acc, num + den))
 
 
-def _poch_binomials(x: Poch, p: int, n: int, ctx) -> Optional[list]:
-    base = as_monomial(x.base)
-    return qkernel.poch_binomials([as_monomial(a) for a in x.args], base, x.count, p, n, ctx)
+def _fold(e) -> list:
+    """The fields of a call node, in field order, each folded by its kind."""
+    return [_FIELD_KINDS[kind][2](getattr(e, f)) for _, f, kind in e._spec.fields]
+
+
+def _kernel(e, *args):
+    """The kernel of e's head on its folded fields, then args."""
+    return e._spec.kernel(*_fold(e), *args)
 
 
 def _wrap_err(fn, path, *args):
@@ -864,7 +826,7 @@ def _plan_product(factors, ctx, rest=()) -> tuple:
     # that move a val, a leading coefficient or a trunc
     num, den = [], []
     for x, p in pochs:
-        fs = _poch_binomials(x, p, 1, ctx)
+        fs = _kernel(x, p, 1, ctx)
         if fs is None:
             return math.inf, None, order
         (num if p > 0 else den).extend(fs)
@@ -889,14 +851,12 @@ def _plan_poly(e, ctx) -> tuple:
     cgf, a's is positive, and over 1/2 for form 5, whose passes read
     -a^2 q^(-1)), and no factor of the leading coefficient is exactly
     zero: (a; b)_n for C_n(x; a|b), (abcd b^(n-1); b)_n for p_n."""
-    order, n = ctx.order, e.n
+    order = ctx.order
     if isinstance(e, GenfunCoeff):
-        a = as_monomial(e.a)
-        seen = e.variant in range(1, 6) and a.exp > (Fraction(1, 2) if e.variant == 5 else 0)
+        variant, n, a, z = _fold(e)
+        seen = variant in range(1, 6) and a.exp > (Fraction(1, 2) if variant == 5 else 0)
     else:
-        base = as_monomial(e.base)
-        fields = (e.a,) if isinstance(e, RogersC) else (e.a, e.b, e.c, e.d)
-        params = [as_monomial(x) for x in fields]
+        n, *params, base, z = _fold(e)
         seen = base.exp > 0 and all(x.exp >= 0 for x in params)
         if seen and n:
             lead = reduce(mul, params) * base ** (n - 1) if len(params) > 1 else params[0]
@@ -904,6 +864,6 @@ def _plan_poly(e, ctx) -> tuple:
             seen = j is None or j >= n
     if not seen:
         return -math.inf, None, order
-    z = as_monomial(e.z)
+    z = as_monomial(z)
     t = ctengine.subst_trunc([(n, order), (-n, order)], z, ctx)
     return -abs(ctx.scale(n * z.exp)), None, t

@@ -7,6 +7,8 @@ import pytest
 
 from qrucible.cyclotomic import CycRat, OMEGA2, ONE
 from qrucible.dsl import (
+    _CALLS,
+    _FIELD_KINDS,
     AWPoly,
     CT,
     GenfunCoeff,
@@ -78,6 +80,10 @@ def test_parse_errors_carry_position():
         tokenize('"a\nbc\nd" q\n  $')
     assert (err.value.line, err.value.col) == (4, 3)
     assert tokenize('"ab\ncd" q')[1] == Token("IDENT", "q", 2, 5)
+    # a comment advances the column, so the end of input after one is
+    # positioned past it, not at its '#'
+    with pytest.raises(ParseError, match=r"expected ';' \(line 1, column 15\)"):
+        parse("qp(q; q # note")
 
 
 def test_print_examples():
@@ -125,11 +131,22 @@ def test_long_chains_parse_print_and_elaborate():
         assert equal_to_order(elaborate(e, ctx), elaborate(parse(value), ctx), 5)
 
 
+# A random field of each kind in dsl._FIELD_KINDS, given a generator of
+# subexpressions
+_FIELD_GEN = {
+    "E": lambda rng, sub: sub(),
+    "Z": lambda rng, sub: sub(),
+    "I": lambda rng, sub: rng.randint(0, 9),
+    "C": lambda rng, sub: None if rng.random() < 0.6 else rng.randint(0, 9),
+    "A": lambda rng, sub: tuple(sub() for _ in range(rng.randint(1, 3))),
+    "L": lambda rng, sub: tuple(sub() for _ in range(rng.randint(0, 3))),
+}
+
+
 def _gen(rng: random.Random, depth: int):
     leaf_kinds = ("num", "q", "w", "z")
     kinds = leaf_kinds if depth <= 0 else (
-        "num", "q", "w", "add", "sub", "mul", "div", "neg", "pow",
-        "qp", "phi", "F", "named", "theta", "ct", "rc", "awp", "cgf",
+        "num", "q", "w", "add", "sub", "mul", "div", "neg", "pow", "named", "ct", *_CALLS,
     )
     k = rng.choice(kinds)
     if k == "num":
@@ -162,41 +179,56 @@ def _gen(rng: random.Random, depth: int):
         while isinstance(base, (QPower, ZPower, IntPower)):
             base = Rational(rng.randint(0, 9))
         return IntPower(base, rng.randint(-3, 5))
-    if k == "qp":
-        nargs = rng.randint(1, 3)
-        count = None if rng.random() < 0.6 else rng.randint(0, 9)
-        return Poch(tuple(sub() for _ in range(nargs)), sub(), count)
-    if k == "phi":
-        return Phi(
-            tuple(sub() for _ in range(rng.randint(0, 3))),
-            tuple(sub() for _ in range(rng.randint(0, 3))),
-            sub(), sub(),
-        )
-    if k == "F":
-        return TripleF(sub(), sub(), sub())
     if k == "named":
         return NamedSum(rng.choice(("capparelli", "tsum_a", "tsum_b", "tsum_c", "tsum_h")))
-    if k == "theta":
-        return Theta(sub())
     if k == "ct":
         return CT(sub())
-    if k == "rc":
-        return RogersC(rng.randint(0, 9), sub(), sub(), sub())
-    if k == "awp":
-        return AWPoly(rng.randint(0, 9), sub(), sub(), sub(), sub(), sub(), sub())
-    if k == "cgf":
-        return GenfunCoeff(rng.randint(1, 5), rng.randint(0, 6), sub(), sub())
-    raise AssertionError(k)
+    # a call head: its node with a random field of each kind, so a head
+    # added to dsl._CALLS is drawn here with no edit
+    node = _CALLS[k]
+    return node(*(_FIELD_GEN[kind](rng, sub) for _, _, kind in node._spec.fields))
 
 
 def test_roundtrip_fuzz_1200_asts():
+    assert set(_FIELD_GEN) == set(_FIELD_KINDS)
     rng = random.Random(987654)
+    heads = set()
     for i in range(1200):
         ast = _gen(rng, rng.randint(0, 6))
         text = unparse(ast)
         back = parse(text)
         assert back == ast, f"case {i}: {text}"
         assert unparse(back) == text
+        heads |= {h for h, node in _CALLS.items() if f"{node.__name__}(" in repr(ast)}
+    assert heads == set(_CALLS)
+
+
+def test_call_nodes_keep_their_public_shape():
+    # the node classes are generated from their _call lines; each is a
+    # frozen dataclass of qrucible.dsl with the fields it had when each
+    # was written out by hand
+    import dataclasses
+    import pickle
+
+    import qrucible.dsl as dsl
+
+    assert {node.__name__: [f.name for f in dataclasses.fields(node)] for node in _CALLS.values()} == {
+        "Poch": ["args", "base", "count"],
+        "Phi": ["uppers", "lowers", "base", "arg"],
+        "TripleF": ["u", "v", "w"],
+        "Theta": ["z"],
+        "RogersC": ["n", "a", "base", "z"],
+        "AWPoly": ["n", "a", "b", "c", "d", "base", "z"],
+        "GenfunCoeff": ["variant", "n", "a", "z"],
+    }
+    for node in (Poch, Phi, TripleF, Theta, RogersC, AWPoly, GenfunCoeff):
+        assert getattr(dsl, node.__name__) is node and node.__module__ == "qrucible.dsl"
+    e = AWPoly(2, QPower(Fraction(1)), Rational(1), Rational(2), Rational(3), QPower(Fraction(1)), ZPower(1))
+    assert e == parse("awp(2; q, 1, 2, 3; q; z)") and hash(e) == hash(parse(unparse(e)))
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert repr(Theta(Rational(0))) == "Theta(z=Rational(value=0))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.n = 3
 
 
 def test_as_monomial():

@@ -36,6 +36,7 @@ BIG_COEFFICIENT = Path(__file__).resolve().parent / "data" / "big-coefficient.qi
 HUGE_ORDER = Path(__file__).resolve().parent / "data" / "huge-order.qid"
 HOSTILE_NUMBERS = Path(__file__).resolve().parent / "data" / "hostile-numbers.qid"
 MULTI_TERM_PARAMETER = Path(__file__).resolve().parent / "data" / "multi-term-parameter.qid"
+MULTI_FAULT_CALLS = Path(__file__).resolve().parent / "data" / "multi-fault-calls.qid"
 
 
 @pytest.fixture(scope="module")
@@ -709,6 +710,21 @@ def test_multi_term_parameters_skip_at_once():
     assert [r.skip_reason for r in reports] == [
         "at Poch: expected a monomial, got 1+q",
         "at Poch: expected a monomial, got 1+q+w*q^2",
+    ]
+
+
+def test_a_call_with_two_faulty_fields_skips_on_the_one_folded_first():
+    # qp folds its base before its args; phi, rc and awp fold their fields
+    # in order; rc, awp and cgf fold z only after the polynomial is built
+    code, reports = run_suite(files=[MULTI_FAULT_CALLS])
+    assert code == 0
+    assert [(r.name, r.status, r.skip_reason) for r in reports] == [
+        ("qp-base-before-args", "SKIP", "at Poch: expected a monomial, got 2+q"),
+        ("qp-base-before-z-arg", "SKIP", "at Poch: expected a monomial, got 1+q"),
+        ("phi-uppers-before-lowers", "SKIP", "at Phi: expected a monomial, got 1+q"),
+        ("rc-a-before-base", "SKIP", "at RogersC: expected a monomial, got 1+q"),
+        ("awp-z-not-constant", "SKIP", "at AWPoly: not a constant expression: z"),
+        ("cgf-variant-before-z", "SKIP", "at GenfunCoeff: unknown generating-function variant 0"),
     ]
 
 
