@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .cyclotomic import CycRat, ONE
 from .errors import NonPositiveBaseExponent, WindowOverflow
 from .qkernel import poch, poch_rows
-from .series import Monomial, QSeries, SeriesContext, ZwSum, qpow
+from .series import Monomial, QSeries, SeriesContext, qpow, series_sum
 from .series import ZW_ZERO, _zw_mul, _zw_scale
 
 MAX_WINDOW = 512
@@ -166,14 +166,9 @@ def _flat(rows: dict, span: int, n: int):
 
 def zsubst(x: ZSeries, z: Monomial) -> QSeries:
     """Substitute a monomial (or root of unity) for z: the rows s_m times
-    z^m = c_m q^(e_m) summed in one ZwSum, known below `subst_trunc`."""
+    z^m = c_m q^(e_m) summed by `series_sum`, known below `subst_trunc`."""
     ctx = x.ctx
-    rows = {m: x.coefficient(m) for m in x.rows}
-    terms = [(s, (z**m).coeff, ctx.scale((z**m).exp)) for m, s in rows.items()]
-    acc = ZwSum(ctx, min((s.val + e for s, _, e in terms), default=ctx.order))
-    for s, c, e in terms:
-        acc.add(s, c, e)
-    return acc.series(subst_trunc([(m, s.trunc) for m, s in rows.items()], z, ctx))
+    return series_sum(ctx, [((z**m).coeff, ctx.scale((z**m).exp), x.coefficient(m)) for m in x.rows])
 
 
 def subst_trunc(rows, z: Monomial, ctx: SeriesContext) -> int:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 from .cyclotomic import CycRat, ONE, _text, omega_power
 from .errors import EvalError, MonomialExpected, NotInvertible, ParseError, QrucibleError, UnknownSymbol
-from .series import Monomial, QSeries, SeriesContext, monomial_to_series, mul_binomials
+from .series import Monomial, QSeries, SeriesContext, monomial_to_series, mul_binomials, series_sum
 from .series import ZW_ZERO, _zw_value, binomial_bounds, chain_trunc
 from . import qkernel
 from . import ctengine
@@ -623,11 +623,7 @@ def _elaborate(e, ctx, path) -> QSeries:
     if isinstance(e, Neg):
         return -sub(e.arg, "arg")
     if isinstance(e, Sum):
-        (_, first), *rest = e.terms
-        acc = sub(first, 0)
-        for i, (negated, x) in enumerate(rest, 1):
-            acc = acc - sub(x, i) if negated else acc + sub(x, i)
-        return acc
+        return series_sum(ctx, [(-ONE if neg else ONE, 0, sub(x, i)) for i, (neg, x) in enumerate(e.terms)])
     if isinstance(e, Product):
         return _product(_flat_factors(e, path, False), ctx)
     if isinstance(e, IntPower):

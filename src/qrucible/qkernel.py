@@ -159,7 +159,8 @@ def phi(uppers: Sequence[Monomial], lowers: Sequence[Monomial], base: Monomial, 
 
     Terms are built iteratively from the term ratio: each step multiplies
     by the upper binomials and divides by the lower ones in one binomial
-    pass, so the cost per term is linear in the window length. A series
+    pass, so the cost per term is linear in the window length, and added
+    in place into one ZwSum, known below the least term trunc. A series
     that hits an exact zero upper factor terminates; an exact zero lower
     factor that is not preceded by termination raises ZeroDenominator.
     Non-growing term valuations raise NonSummable.
@@ -197,29 +198,35 @@ def phi(uppers: Sequence[Monomial], lowers: Sequence[Monomial], base: Monomial, 
         while ez + g * n0 * eb <= 0:
             n0 += 1
     # term_(n+1) is term_n times the factors indexed by n and the monomial
-    # z*(-1)^g*b^(n*g)*q^(ez + g*n*eb); both step by one power of b per n
+    # z*(-1)^g*b^(n*g)*q^(ez + g*n*eb); both step by one power of b per n.
+    # The loop adds term_n for n <= last, and the val of term_n is at least
+    # v_n, the sum of the shifts of the steps before it: p*e for a factor
+    # of exponent e < 0, and the monomial's exponent. Only a series that
+    # does not terminate runs past n0 (a zero upper's exponent is <= 0),
+    # and there every shift is positive; so the least v_n, the lower end
+    # of the sum's window, lies at some n <= min(n0, last).
     cbg, mono_c = _zw_scalar(b.coeff ** g), _zw_scalar(-z.coeff if g % 2 else z.coeff)
-
-    acc = ctx.one()
-    term = ctx.one()
-    n = 0
-    while True:
+    limit = 16 * (ctx.order + 16)
+    last = limit + 1 if term_at is None else min(term_at, limit + 1)
+    shifts = (sum(p * min(e + n * eb, 0) for _, e, p in factors) + ez + g * n * eb
+              for n in range(min(n0, last)))
+    acc, term, trunc = ZwSum(ctx, min(itertools.accumulate(shifts, initial=0))), ctx.one(), ctx.order
+    acc.add(term)
+    for n in range(last):
         if n >= n0 and (term.is_zero() or term.val >= ctx.order):
             break
-        if term_at is not None and n >= term_at:
-            break
-        # an upper factor is exactly zero only at n == term_at, which
-        # stopped the loop
+        # an upper factor is exactly zero only at n == term_at, past the loop
         if any(p < 0 and e == 0 and c == ZW_ONE for c, e, p in factors):
             raise ZeroDenominator(f"lower parameter hits an exact zero factor at n={n + 1}")
         term = mul_binomials(term, factors).mul_monomial(_zw_value(mono_c), ez + g * n * eb)
-        acc = acc + term
+        acc.add(term)
+        trunc = min(trunc, term.trunc)
         factors = [(_zw_times(c, cb), e + eb, p) for c, e, p in factors]
         mono_c = _zw_times(mono_c, cbg)
-        n += 1
-        if n > 16 * (ctx.order + 16):
+    else:
+        if last > limit:
             raise NonSummable("term valuation failed to reach the truncation")
-    return acc
+    return acc.series(trunc)
 
 
 def theta_sum(z: Monomial, ctx: SeriesContext) -> QSeries:

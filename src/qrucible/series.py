@@ -8,17 +8,19 @@ operation propagates the tightest correct bound, so silent precision loss
 is impossible. The zero-on-window series carries val == trunc.
 
 A series keeps its coefficients in the form that produced them, a Q(w)
-list (scalar paths) or a Z[w] triple (d, re, om) = (re + om*w)/d
-(kernels), and derives the other once, on first use. Every product goes
-through one kernel, `_zw_mul`: each of the `re` and `om` parts is packed
-into one Python int (Kronecker substitution q -> 2^k), and three big-int
-multiplies give the Z[w] product (Karatsuba with w^2 = -1 - w). Binomial
-factors (1 - c*q^e)^(+-1) go through one integer pass on the same lists
+list (the constructor, `mul_monomial`) or a Z[w] triple
+(d, re, om) = (re + om*w)/d (kernels, sums), and derives the other once,
+on first use. Every product goes through one kernel, `_zw_mul`: each of
+the `re` and `om` parts is packed into one Python int (Kronecker
+substitution q -> 2^k), and three big-int multiplies give the Z[w]
+product (Karatsuba with w^2 = -1 - w). Binomial factors
+(1 - c*q^e)^(+-1) go through one integer pass on the same lists
 (`mul_binomials`; a division on a window of n runs its recurrence e
 entries at a time where e^2 >= n, n/e slice steps, and in e strided
-runs otherwise), and `ZwSum` adds scaled, shifted series in integers
-and divides itself in place by binomials through that pass, so a chain
-of these converts to Q(w) only where a scalar path reads it.
+runs otherwise). Every sum (`+`, `-`, `series_sum`) is one `ZwSum`, which
+adds scaled, shifted series in integers and divides itself in place by
+binomials through that pass, so a chain of these converts to Q(w) only
+where `mul_monomial` or rendering reads it.
 `QSeries.inverse` is Newton iteration on the kernel, and reads use the Z[w]
 form, canonical in that d is the smallest positive denominator.
 The kernels' scalars (factors, term weights) are canonical triples
@@ -158,7 +160,7 @@ class QSeries:
     `coeffs` in Q(w), or `zw` = (d, re, om) with coeffs == (re + om*w)/d
     and d the lcm of their denominators. A series is built in one form
     (`from_zw` for the second) and derives the other once, on first use;
-    neither is mutated."""
+    neither is mutated, and sums and negation work on `zw`."""
 
     __slots__ = ("ctx", "val", "trunc", "_q", "_z")
 
@@ -241,30 +243,13 @@ class QSeries:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        t = min(self.trunc, other.trunc)
-        if self.is_zero():
-            return QSeries(other.ctx, other.val, list(other.coeffs), t)
-        if other.is_zero():
-            return QSeries(self.ctx, self.val, list(self.coeffs), t)
-        lo = min(self.val, other.val)
-        hi = min(t, max(self.val + len(self.coeffs), other.val + len(other.coeffs)))
-        out = [ZERO] * max(0, hi - lo)
-        for i, c in enumerate(self.coeffs):
-            j = self.val + i - lo
-            if j < len(out):
-                out[j] = c
-        for i, c in enumerate(other.coeffs):
-            j = other.val + i - lo
-            if j < len(out):
-                out[j] = out[j] + c
-        return QSeries(self.ctx, lo, out, t)
+        return series_sum(self.ctx, [(ONE, 0, self), (ONE, 0, other)])
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.ctx, self.val, [-c for c in self.coeffs], self.trunc)
+        return series_sum(self.ctx, [(-ONE, 0, self)])
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
+        return series_sum(self.ctx, [(ONE, 0, self), (-ONE, 0, other)])
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
@@ -482,10 +467,11 @@ def _zw_scale(d: int, re: list, om: list, k: tuple):
 
 
 class ZwSum:
-    """A running sum q^val * (re + om*w)/d known below the order, held as
-    one Z[w] window over the scaled exponents val..order-1 (empty, val the
-    order, for the zero sum). Terms c*q^e*x, x a QSeries or a ZwSum, are
-    added in integers, the window growing down to the least term;
+    """The one way series are added (`series_sum`, `phi`, lattice sums): a
+    running sum q^val * (re + om*w)/d known below the order, held as one
+    Z[w] window from val up to at most the order, zero past its end (empty,
+    val the order, for the zero sum). Terms c*q^e*x, x a QSeries or a
+    ZwSum, are added in integers, the window growing to cover them;
     `div_binomial` divides the whole sum in place by the pass of
     mul_binomials. Terms must start at or above lo; their truncs are not
     tracked (the caller states the trunc of the sum)."""
@@ -534,18 +520,21 @@ class ZwSum:
                 re, om = [a * k for a in re], [a * k for a in om]
         are, aom = self.re, self.om
         if v < self.val:
-            # the window always runs to the order: len(re) == order - val
-            are[:0] = aom[:0] = [0] * (self.val - v)
+            are[:0] = aom[:0] = [0] * (self.val - v) if are else []
             self.val = v
         off, n = v - self.val, len(re)
+        if off + n > len(are):
+            are[len(are) :] = aom[len(aom) :] = [0] * (off + n - len(are))
         are[off : off + n] = [a + b for a, b in zip(are[off : off + n], re)]
         if any(om):
             aom[off : off + n] = [a + b for a, b in zip(aom[off : off + n], om)]
 
     def div_binomial(self, c: tuple, e: int) -> None:
-        """self /= (1 - c*q^e), in place, c a triple; e == 0 requires
-        c != 1."""
+        """self /= (1 - c*q^e) in place, over the window grown to the
+        order; c a triple, and e == 0 requires c != 1."""
         order = self.ctx.order
+        if len(self.re) < order - self.val:
+            self.re[len(self.re) :] = self.om[len(self.om) :] = [0] * (order - self.val - len(self.re))
         self.d, self.re, self.om, self.val, _ = _binomials(
             order, self.d, self.re, self.om, self.val, order, [(c, e, -1)]
         )
@@ -554,6 +543,17 @@ class ZwSum:
         """The sum as a QSeries known below trunc (default: the order)."""
         t = self.ctx.order if trunc is None else trunc
         return QSeries.from_zw(self.ctx, self.val, self.d, self.re, self.om, t)
+
+
+def series_sum(ctx: SeriesContext, terms) -> QSeries:
+    """The sum of c*q^e*x over the (c, e, x) in terms, x series of context
+    ctx, added in one ZwSum and known below the least x.trunc + e."""
+    acc = ZwSum(ctx, min((x.val + e for _, e, x in terms), default=ctx.order))
+    for c, e, x in terms:
+        if x.ctx != ctx:
+            raise ContextMismatch(f"{ctx} vs {x.ctx}")
+        acc.add(x, c, e)
+    return acc.series(min((x.trunc + e for _, e, x in terms), default=ctx.order))
 
 
 def _ones(n: int, kb: int, bias: int) -> int:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qrucible.ctengine import ZSeries, zsum
-from qrucible.cyclotomic import CycRat, ONE
+from qrucible.cyclotomic import CycRat, ONE, ZERO
+from qrucible.errors import ContextMismatch
 from qrucible.qkernel import INF
 from qrucible.series import QSeries, SeriesContext, _zw_scalar, mul_binomials
 
@@ -27,6 +28,35 @@ def zseries(ctx: SeriesContext, terms: dict) -> ZSeries:
     """The row set of {z-degree: QSeries}."""
     return zsum(ctx, [ZSeries(ctx, {m: (s.trunc, *s.zw[1:])}, s.zw[0], s.val)
                       for m, s in terms.items()])
+
+
+def parent_add(x: QSeries, y: QSeries) -> QSeries:
+    """Oracle: x + y merged on Q(w) lists, as QSeries.__add__ was before
+    every sum went through one ZwSum."""
+    if x.ctx != y.ctx:
+        raise ContextMismatch(f"{x.ctx} vs {y.ctx}")
+    t = min(x.trunc, y.trunc)
+    if x.is_zero():
+        return QSeries(y.ctx, y.val, list(y.coeffs), t)
+    if y.is_zero():
+        return QSeries(x.ctx, x.val, list(x.coeffs), t)
+    lo = min(x.val, y.val)
+    hi = min(t, max(x.val + len(x.coeffs), y.val + len(y.coeffs)))
+    out = [ZERO] * max(0, hi - lo)
+    for i, c in enumerate(x.coeffs):
+        j = x.val + i - lo
+        if j < len(out):
+            out[j] = c
+    for i, c in enumerate(y.coeffs):
+        j = y.val + i - lo
+        if j < len(out):
+            out[j] = out[j] + c
+    return QSeries(x.ctx, lo, out, t)
+
+
+def parent_neg(x: QSeries) -> QSeries:
+    """Oracle: -x on the Q(w) list."""
+    return QSeries(x.ctx, x.val, [-c for c in x.coeffs], x.trunc)
 
 
 def zw_factors(factors) -> list:

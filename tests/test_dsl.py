@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import parent_add, parent_neg
 from qrucible.cyclotomic import CycRat, OMEGA2, ONE
 from qrucible.dsl import (
     _CALLS,
@@ -380,6 +381,42 @@ def test_int_power_matches_left_to_right_chain():
         seen["zero"] += base.is_zero()
         seen["short"] += base.trunc < ctx.order
     assert min(seen.values()) > 40, seen
+
+
+def test_n_ary_sums_match_the_parent_pairwise_q_w_adds():
+    """A Sum of n terms, added in one Z[w] window, keeps the val, trunc and
+    Z[w] form of n - 1 pairwise adds on Q(w) lists left to right: terms
+    with w parts, negative vals, windows short of the order, zero terms
+    and leading entries that cancel."""
+    rng = random.Random(2302)
+    seen = {"negative val": 0, "short": 0, "cancel": 0, "zero": 0}
+    for _ in range(300):
+        ctx = SeriesContext(2, rng.randint(4, 24))
+        texts = [_rand_base_text(rng) for _ in range(rng.randint(2, 6))]
+        ops = [rng.choice("+-") for _ in texts[1:]]
+        r = rng.random()
+        if r < 0.3:  # the first term's entries cancel where no other term reaches
+            texts, ops = texts + texts[:1], ops + ["-"]
+        elif r < 0.45:  # t - t
+            texts, ops = texts[:1] * 2, ["-"]
+        e = parse(texts[0] + "".join(f" {op} {t}" for op, t in zip(ops, texts[1:])))
+        assert isinstance(e, Sum) and len(e.terms) >= len(texts)
+        try:
+            terms = [elaborate(x, ctx) for _, x in e.terms]
+        except EvalError:  # a divisor zero on its window
+            with pytest.raises(EvalError):
+                elaborate(e, ctx)
+            continue
+        want = terms[0]
+        for (negated, _), x in zip(e.terms[1:], terms[1:]):
+            want = parent_add(want, parent_neg(x) if negated else x)
+        got = elaborate(e, ctx)
+        assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw), texts
+        seen["negative val"] += got.val < 0
+        seen["short"] += got.trunc < ctx.order
+        seen["cancel"] += got.val > min(x.val for x in terms)
+        seen["zero"] += got.is_zero()
+    assert min(seen.values()) > 15, seen
 
 
 def test_const_fold_powers_match_repeated_products():

@@ -32,6 +32,7 @@ SHIPPED_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-repor
 CT_ORDER50_REPORT = Path(__file__).resolve().parent / "data" / "ct-order50-report.json"
 KR_NINE_ORDER150_REPORT = Path(__file__).resolve().parent / "data" / "kr-nine-order150-report.json"
 DENOM2_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-denom2-report.json"
+DEEP_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-deep-report.json"
 BIG_COEFFICIENT = Path(__file__).resolve().parent / "data" / "big-coefficient.qid"
 HUGE_ORDER = Path(__file__).resolve().parent / "data" / "huge-order.qid"
 HOSTILE_NUMBERS = Path(__file__).resolve().parent / "data" / "hostile-numbers.qid"
@@ -552,6 +553,16 @@ def test_kr_nine_at_order_150_matches_the_pinned_report(registry):
     for item in items:
         del item["elapsedMs"]
     assert json.dumps(items, indent=2) + "\n" == KR_NINE_ORDER150_REPORT.read_text(encoding="utf-8")
+
+
+def test_every_case_at_three_times_its_order_matches_the_pinned_report(registry):
+    # every shipped case at three times its stated order, pinned from
+    # `verify(case, 3 * case.order)` over the registry before sums went
+    # through one Z[w] window, times removed
+    items = json.loads(reports_to_json([verify(c, 3 * c.order) for c in registry]))
+    for item in items:
+        del item["elapsedMs"]
+    assert json.dumps(items, indent=2) + "\n" == DEEP_REPORT.read_text(encoding="utf-8")
 
 
 def test_cross_evaluator_coherence():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import parent_poch_rows, partition_count, zw_factors
+from conftest import parent_add, parent_poch_rows, partition_count, zw_factors
 from qrucible import qkernel
 from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE
 from qrucible.errors import (
@@ -655,8 +655,9 @@ def test_kr_nine_triples_honest_at_depth():
 
 
 def per_factor_phi(uppers, lowers, b, z, ctx):
-    """Oracle: phi with each term built one binomial call per factor, the
-    uppers, then the lowers, then the implicit (b; b)_(n+1)."""
+    """Oracle: the parent's phi loop, each term built one binomial call
+    per factor, the uppers, then the lowers, then the implicit
+    (b; b)_(n+1), and the terms added by the parent's Q(w) add."""
     eb = ctx.scale(b.exp)
     if eb <= 0:
         raise NonPositiveBaseExponent("base")
@@ -701,7 +702,7 @@ def per_factor_phi(uppers, lowers, b, z, ctx):
             coeff = coeff * ((-ONE) ** g * cb ** (n * g))
             e_extra += g * n * eb
         term = nxt.mul_monomial(coeff, e_extra)
-        acc = acc + term
+        acc = parent_add(acc, term)
         n += 1
     return acc
 
@@ -900,3 +901,66 @@ def test_zw_factors_match_the_parent_cycrat_factors(monkeypatch):
                           coeffs=(rand_param(rng, D, 0), x))
         seen["multisum"] += _matches_the_parent(ms, ctx) is not None
     assert min(seen.values()) >= 50, seen
+
+
+# -- phi sums its terms in one Z[w] window --------------------------------
+#
+# The window's lower end comes from the val recurrence: parameters of
+# negative exponent give early terms of negative val (down to -3D here)
+# or of less trunc than the order, and a terminating series may have an
+# argument of negative exponent, so its vals fall until the last term.
+
+
+def rand_deep_phi_spec(rng, D):
+    """phi parameters with exponents down to -3D; some uppers terminate
+    (b^-k) and the argument's exponent runs from -2D."""
+    base = mono(rng.choice([ONE, -ONE, OMEGA]), Fraction(rng.randint(1, 2 * D), D))
+
+    def param():
+        if rng.random() < 0.15:
+            return base ** -rng.randint(0, 4)
+        return mono(rng.choice(_C_POOL), Fraction(rng.randint(-3 * D, 2 * D), D))
+
+    uppers = [param() for _ in range(rng.randint(0, 3))]
+    lowers = [param() for _ in range(rng.randint(0, 3))]
+    return uppers, lowers, base, mono(rng.choice(_C_POOL), Fraction(rng.randint(-2 * D, 3 * D), D))
+
+
+def test_phi_sums_match_the_parent_loop():
+    rng = random.Random(2300)
+    seen = dict.fromkeys(["summed", "raised", "negative val", "short trunc", "falling vals"], 0)
+    for _ in range(300):
+        D = rng.choice([1, 2, 3])
+        ctx = SeriesContext(D, rng.randint(1, 30))
+        spec = rand_deep_phi_spec(rng, D)
+        want = _outcome(per_factor_phi, *spec, ctx)
+        _same_series(_outcome(phi, *spec, ctx), want)
+        if isinstance(want, type):
+            seen["raised"] += 1
+            continue
+        seen["summed"] += 1
+        seen["negative val"] += want.val < 0
+        seen["short trunc"] += want.trunc < ctx.order
+        g = 1 + len(spec[1]) - len(spec[0])
+        seen["falling vals"] += g <= 0 and spec[3].exp < 0
+    assert min(seen.values()) >= 10, seen
+
+
+def test_phi_trunc_stays_honest_with_negative_exponent_parameters():
+    """Evaluated at orders N and N + k, phi agrees below the trunc it
+    claims at N, and each claimed trunc is the parent's."""
+    rng = random.Random(2301)
+    seen = dict.fromkeys(["checked", "short trunc", "negative val"], 0)
+    for _ in range(200):
+        D, n, k = rng.choice([1, 2, 3]), rng.randint(1, 24), rng.randint(1, 12)
+        spec = rand_deep_phi_spec(rng, D)
+        short, long = (_outcome(phi, *spec, SeriesContext(D, m)) for m in (n, n + k))
+        if isinstance(short, type):
+            continue
+        _agree_below(short, long)
+        assert short.trunc == per_factor_phi(*spec, SeriesContext(D, n)).trunc
+        assert long.trunc == per_factor_phi(*spec, SeriesContext(D, n + k)).trunc
+        seen["checked"] += 1
+        seen["short trunc"] += short.trunc < n
+        seen["negative val"] += short.val < 0
+    assert min(seen.values()) >= 15, seen

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from conftest import rand_series, zw_factors
+from conftest import parent_add, parent_neg, rand_series, zw_factors
 from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE, ZERO
 from qrucible.errors import (
     ContextMismatch,
@@ -34,6 +34,7 @@ from qrucible.series import (
     mul_binomial,
     mul_binomials,
     qpow,
+    series_sum,
 )
 
 
@@ -345,9 +346,9 @@ def test_block_recurrence_matches_the_strided_one():
 
 
 def test_zw_sum_matches_qseries_sums():
-    """ZwSum adds c*q^e*x exactly as QSeries.mul_monomial and + do, below
-    the order: rational and w-valued c, windows cut by the order, terms
-    past the order, the zero series."""
+    """ZwSum adds c*q^e*x exactly as QSeries.mul_monomial and the parent's
+    Q(w) add do, below the order: rational and w-valued c, windows cut by
+    the order, terms past the order, the zero series."""
     rng = random.Random(79)
     for _ in range(60):
         ctx = SeriesContext(rng.choice([1, 2]), rng.randint(10, 40))
@@ -359,13 +360,88 @@ def test_zw_sum_matches_qseries_sums():
             e = lo - min(x.val, x.trunc) + rng.randint(0, ctx.order + 4)
             acc.add(x, c, e)
             term = x.mul_monomial(c, e)
-            expect = expect + QSeries(ctx, term.val, term.coeffs, ctx.order)
+            expect = parent_add(expect, QSeries(ctx, term.val, term.coeffs, ctx.order))
         got = acc.series()
         assert got.trunc == ctx.order
         assert equal_to_order(got, expect, ctx.order)
     acc = ZwSum(SeriesContext(1, 10), 2)
     with pytest.raises(ValueError):
         acc.add(QSeries(SeriesContext(1, 10), 1, [ONE], 10))
+
+
+def rand_sum_operand(rng, ctx, like=None):
+    """A series for the sum tests, built by the Q(w) constructor or by
+    from_zw: a negative val, a trunc short of the order, the zero series
+    (val == trunc), or, given like, one whose leading entries cancel those
+    of like, or all of them."""
+    if like is not None and not like.is_zero() and rng.random() < 0.25:
+        keep = rng.randint(1, len(like.coeffs))
+        coeffs = [-c for c in like.coeffs[:keep]] + rand_zw_list(rng, rng.randint(0, 6), num=9, den=4)
+        val, trunc = like.val, like.trunc if rng.random() < 0.5 else ctx.order
+    else:
+        val = rng.randint(-3 * ctx.denom, ctx.order - 1)
+        trunc = rng.randint(val, ctx.order) if rng.random() < 0.4 else ctx.order
+        big = rng.random() < 0.2
+        coeffs = rand_zw_list(rng, rng.randint(0, 25), num=10**15 if big else 9, den=10**6 if big else 4)
+    if rng.random() < 0.5:
+        return QSeries(ctx, val, coeffs, trunc)
+    return QSeries.from_zw(ctx, val, *_scaled(coeffs), trunc)
+
+
+def _same(got, want):
+    assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw)
+
+
+def test_sums_match_the_parent_q_w_add():
+    """a + b, a - b, -a and n-ary sums of c*q^e*x through one ZwSum keep
+    the val, trunc and Z[w] form of the parent's Q(w) merge: operands built
+    either way, D = 1, 2, 3, negative vals, zero series, unequal truncs and
+    leading entries that cancel."""
+    rng = random.Random(2323)
+    seen = dict.fromkeys(["zero", "short", "negative val", "cancel", "empty sum"], 0)
+    for _ in range(400):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 40))
+        a = rand_sum_operand(rng, ctx)
+        b = rand_sum_operand(rng, ctx, like=a)
+        _same(a + b, parent_add(a, b))
+        _same(a - b, parent_add(a, parent_neg(b)))
+        _same(-a, parent_neg(a))
+        _same(a - a, parent_add(a, parent_neg(a)))
+        # n-ary sums of c*q^e*x against the parent's mul_monomial and adds
+        terms = [(rng.choice([ONE, -ONE, rand_factor_coeff(rng)]), rng.randint(-4, 4), x)
+                 for x in [a] + [rand_sum_operand(rng, ctx, like=a) for _ in range(rng.randint(0, 5))]]
+        want = ctx.zero()
+        for c, e, x in terms:
+            want = parent_add(want, x.mul_monomial(c, e))
+        got = series_sum(ctx, terms)
+        _same(got, want)
+        seen["zero"] += a.is_zero() or b.is_zero()
+        seen["short"] += min(a.trunc, b.trunc) < ctx.order
+        seen["negative val"] += min(a.val, b.val) < 0
+        seen["cancel"] += not (a + b).is_zero() and (a + b).val > min(a.val, b.val)
+        seen["empty sum"] += got.is_zero()
+    assert min(seen.values()) > 20, seen
+    with pytest.raises(ContextMismatch):
+        SeriesContext(1, 5).one() + SeriesContext(2, 5).one()
+    with pytest.raises(ContextMismatch):
+        SeriesContext(1, 5).one() - SeriesContext(1, 6).one()
+    assert series_sum(SeriesContext(1, 5), []) == SeriesContext(1, 5).zero()
+
+
+def test_zw_sum_window_covers_its_terms_only():
+    """A sum's window runs from its least term to its furthest one, so a
+    sum of short series costs their length, not the order; a division
+    fills it to the order."""
+    ctx = SeriesContext(1, 10**4)
+    acc = ZwSum(ctx, -3)
+    acc.add(QSeries(ctx, 2, [ONE, OMEGA], ctx.order))
+    assert (acc.val, len(acc.re), len(acc.om)) == (2, 2, 2)
+    acc.add(QSeries(ctx, -3, [ONE], ctx.order), -ONE)
+    acc.add_monomial(ZW_ONE, 5)
+    assert (acc.val, len(acc.re), len(acc.om)) == (-3, 9, 9)
+    assert (ctx.monomial(ONE, 2) + ctx.monomial(ONE, 3)).zw == (1, [1, 1], [0, 0])
+    acc.div_binomial(ZW_ONE, 1)
+    assert len(acc.re) == len(acc.om) == ctx.order + 3
 
 
 def test_chain_trunc_matches_left_to_right_products():
