@@ -384,7 +384,9 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             acc.add_monomial(c, e)
         return acc
 
-    return horner(0, 0, ZW_ONE).series(trunc)
+    acc = horner(0, 0, ZW_ONE)
+    del horner  # it refers to itself through its cell: break that cycle now, not in a gc pass
+    return acc.series(trunc)
 
 
 # -- named multi-sums ---------------------------------------------------

@@ -13,14 +13,15 @@ list (the constructor, `mul_monomial`) or a Z[w] triple
 on first use. Every product goes through one kernel, `_zw_mul`: each of
 the `re` and `om` parts is packed into one Python int (Kronecker
 substitution q -> 2^k), and three big-int multiplies give the Z[w]
-product (Karatsuba with w^2 = -1 - w). Binomial factors
-(1 - c*q^e)^(+-1) go through one integer pass on the same lists
-(`mul_binomials`; a division on a window of n runs its recurrence e
-entries at a time where e^2 >= n, n/e slice steps, and in e strided
-runs otherwise). Every sum (`+`, `-`, `series_sum`) is one `ZwSum`, which
-adds scaled, shifted series in integers and divides itself in place by
-binomials through that pass, so a chain of these converts to Q(w) only
-where `mul_monomial` or rendering reads it.
+product (Karatsuba with w^2 = -1 - w); a slot up to 8 bytes wide is
+widened to a machine word and converted through `array`, a wider one per
+entry. Binomial factors (1 - c*q^e)^(+-1) go through one integer pass on
+the same lists (`mul_binomials`; a division on a window of n runs its
+recurrence e entries at a time where e^2 >= n, n/e slice steps, and in e
+strided runs otherwise). Every sum (`+`, `-`, `series_sum`) is one
+`ZwSum`, which adds scaled, shifted series in integers and divides itself
+in place by binomials through that pass, so a chain of these converts to
+Q(w) only where `mul_monomial` or rendering reads it.
 `QSeries.inverse` is Newton iteration on the kernel, and reads use the Z[w]
 form, canonical in that d is the smallest positive denominator.
 The kernels' scalars (factors, term weights) are canonical triples
@@ -32,6 +33,8 @@ is converted once where it enters (`mul_binomial`, `div_binomial`,
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -43,6 +46,8 @@ from .errors import (
     InsufficientTruncation,
     NotInvertible,
 )
+
+_CODES = {array(code).itemsize: code for code in "bhilq"}  # word width -> `array` type code
 
 
 class SeriesContext:
@@ -367,6 +372,7 @@ def _zw_mul(ar: list, ao: list, br: list, bo: list, n: int):
     # (each at most ma or mb, both nonzero here), can spill into the next.
     bound = 3 * min(len(ar), len(br)) * ma * mb
     kb = bound.bit_length() // 8 + 1
+    kb = 1 << (kb - 1).bit_length() if kb <= 8 else kb  # a word of 1, 2, 4 or 8 bytes
     bias = 1 << (8 * kb - 1)
     pa, pc = _pack(ar, kb, bias), _pack(br, kb, bias)
     ac = pa * pc
@@ -562,17 +568,31 @@ def _ones(n: int, kb: int, bias: int) -> int:
 
 
 def _pack(xs: list, kb: int, bias: int) -> int:
-    """sum xs[i] * 2^(8*kb*i) for |xs[i]| < bias, by offsetting each entry
-    into [0, 2*bias) and removing the offsets afterwards."""
-    raw = b"".join([(x + bias).to_bytes(kb, "little") for x in xs])
-    return int.from_bytes(raw, "little") - _ones(len(xs), kb, bias)
+    """sum xs[i] * 2^(8*kb*i) for |xs[i]| < bias: the two's complement slots
+    (one `array` for a word-size kb), XORed with the biases, are the x + bias
+    in [0, 2*bias), and the offsets are removed afterwards."""
+    if kb in _CODES:
+        words = array(_CODES[kb], xs)
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+    else:
+        raw = b"".join([x.to_bytes(kb, "little", signed=True) for x in xs])
+    ones = _ones(len(xs), kb, bias)
+    return (int.from_bytes(raw, "little") ^ ones) - ones
 
 
 def _unpack(p: int, n: int, kb: int, bias: int) -> list:
     """The n low signed slots of p, each known to lie in [-bias, bias)."""
     width = kb * n
-    raw = ((p + _ones(n, kb, bias)) & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-    return [int.from_bytes(raw[i : i + kb], "little") - bias for i in range(0, width, kb)]
+    ones = _ones(n, kb, bias)
+    raw = (((p + ones) & ((1 << (8 * width)) - 1)) ^ ones).to_bytes(width, "little")
+    if kb not in _CODES:
+        return [int.from_bytes(raw[i : i + kb], "little", signed=True) for i in range(0, width, kb)]
+    words = array(_CODES[kb], raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
 
 
 def mul_binomial(x: QSeries, c: CycRat, e: int) -> QSeries:

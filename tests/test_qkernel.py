@@ -596,6 +596,25 @@ def test_triple_sum_builds_no_q_w_lists(monkeypatch):
     assert x.coeffs and len(calls) == 1
 
 
+def test_verify_of_a_lattice_sum_leaves_no_reference_cycle():
+    # multisum's recursive horner closure refers to itself through its
+    # cell; unbroken, that cycle kept every call's step, power and row
+    # tables alive until a full gc pass
+    import gc
+
+    from qrucible.harness import load_registry, verify
+
+    case = next(c for c in load_registry() if c.name == "kr-conj-1")
+    assert verify(case).status == "PASS"
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify(case).status == "PASS"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_pochhammer_matches_sequential_factors():
     rng = random.Random(9)
     for _ in range(60):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -5,6 +6,7 @@ from itertools import accumulate
 import pytest
 
 from conftest import parent_add, parent_neg, rand_series, zw_factors
+from qrucible import series
 from qrucible.cyclotomic import CycRat, OMEGA, OMEGA2, ONE, ZERO
 from qrucible.errors import (
     ContextMismatch,
@@ -19,7 +21,9 @@ from qrucible.series import (
     ZW_ONE,
     ZW_ZERO,
     _from_zw,
+    _pack,
     _scaled,
+    _unpack,
     _zw_inverse,
     _zw_mul,
     _zw_scalar,
@@ -183,6 +187,50 @@ def test_polymul_matches_schoolbook():
     small = [CycRat(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(40)]
     assert _polymul(small, [ZERO, ZERO], 50) == [ZERO] * 41
     assert _polymul(small, [], 50) == []
+
+
+@pytest.mark.parametrize("kb", range(1, 11))
+def test_pack_and_unpack_round_trip_the_slot_bounds(kb):
+    """At every slot width, a machine word (1, 2, 4, 8 bytes, through
+    `array`) or not (one entry at a time), _pack is the arithmetic sum
+    xs[i] * 2^(8*kb*i), which holds on any byte order, and _unpack reads
+    the n low slots back, whatever lies above them."""
+    bias = 1 << (8 * kb - 1)
+    rng = random.Random(kb)
+    edges = [-bias, -1, 0, 1, bias - 1]
+    for xs in (edges, edges[::-1], [rng.randrange(-bias, bias) for _ in range(40)], [-bias] * 7, []):
+        p = _pack(xs, kb, bias)
+        assert p == sum(x << (8 * kb * i) for i, x in enumerate(xs))
+        assert _unpack(p, len(xs), kb, bias) == xs
+        assert _unpack(p - (3 << (8 * kb * len(xs))), len(xs), kb, bias) == xs
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_zw_mul_matches_schoolbook_at_slot_width_boundaries(bits, monkeypatch):
+    """(M - M*w)(-M + M*w) = 3*M^2*w, so with m = min(len(a), len(b)) the
+    product of these lists reaches the kernel's bound 3*m*M^2 exactly. A
+    bound just below 2^(bits-1) fits a signed slot of that many bits; one
+    at or above it takes the next machine word, or 9 bytes past 64 bits,
+    so no slot of 3, 5, 6 or 7 bytes is used."""
+    widths = []
+
+    def pack(xs, kb, bias):
+        widths.append(kb)
+        return _pack(xs, kb, bias)
+
+    monkeypatch.setattr(series, "_pack", pack)
+    for m in (1, 2, 5, 13):
+        low = math.isqrt((2 ** (bits - 1) - 1) // (3 * m))
+        assert 3 * m * low**2 < 2 ** (bits - 1) <= 3 * m * (low + 1) ** 2
+        for big, want in ((low, bits // 8), (low + 1, {8: 2, 16: 4, 32: 8, 64: 9}[bits])):
+            for sign in (1, -1):
+                for a, b in (
+                    ([CycRat(big, -big)] * m, [CycRat(-sign * big, sign * big)] * (m + 1)),
+                    ([CycRat(sign * big)] * (m + 2), [CycRat(big)] * m),
+                ):
+                    widths.clear()
+                    assert _polymul(a, b, 2 * m + 2) == schoolbook(a, b, 2 * m + 2)
+                    assert set(widths) == {want}
 
 
 def test_newton_inverse_matches_recurrence():
