@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -30,39 +30,42 @@ from . import ortho
 
 
 # -- AST -----------------------------------------------------------------
+#
+# Nodes are frozen and slotted: a case loaded from a suite keeps the trees
+# of both its sides for as long as the registry lives.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rational:
     value: int  # nonnegative; signs and fractions are Neg/Product nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Omega:
     power: int  # 1 or 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QPower:
     exp: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZPower:
     deg: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     terms: tuple  # (negated, expr) pairs, left to right; the first is not negated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     factors: tuple  # (inverted, expr) pairs, left to right; the first is not inverted
 
@@ -71,18 +74,18 @@ def _operands(e) -> tuple:
     return e.terms if isinstance(e, Sum) else e.factors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntPower:
     base: object
     exp: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedSum:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CT:
     integrand: object
 
@@ -124,7 +127,7 @@ _CALLS: dict = {}  # head -> node class
 def _call(head: str, name: str, spec: str, kernel) -> type:
     """The frozen node class of a call head, its fields as in spec."""
     fields = re.findall(r"([,;]?)\s*(\w+):([A-Z])", spec)
-    node = make_dataclass(name, [f for _, f, _ in fields], frozen=True,
+    node = make_dataclass(name, [f for _, f, _ in fields], frozen=True, slots=True,
                           namespace={"_spec": _Spec(head, fields, kernel)})
     node.__module__ = __name__
     _CALLS[head] = node
@@ -155,16 +158,28 @@ _HEADS = {*_CALLS, "ct", *qkernel.NAMED_SUMS}
 # -- lexer ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM IDENT STR PUNCT EOF
     value: object
     line: int
     col: int
 
 
-_PUNCT = "^*/+-()[]{};,="
-_DIGITS = "0123456789"  # str.isdigit also takes "²", which int() rejects, and "١", read as 1
+# One alternative per lexeme, tried in order. Digits are ASCII only:
+# str.isdigit also takes "²", which int() rejects, and "١", read as 1. A
+# word is \w+, which is str.isalnum() or "_" per character; one that does
+# not start with a letter or "_" is refused at its first character. A
+# string may span lines and takes any character after a backslash. The
+# last alternative takes the character no other does, so every character
+# is matched and an unmatched '"' is an unterminated string.
+_LEXEME = re.compile(
+    r'(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<PUNCT>[\^*/+\-()\[\]{};,=])|(?P<NUM>[0-9]+)|(?P<IDENT>\w+)'
+    r'|(?P<NL>\n)|(?P<STR>"(?:[^"\\]|\\.)*")|(?P<BAD>.)',
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# a Token from its 4-tuple, skipping the Python-level __new__ of a NamedTuple
+_token = partial(tuple.__new__, Token)
 
 
 def _past_digit_limit(x: Fraction) -> bool:
@@ -176,72 +191,35 @@ def _past_digit_limit(x: Fraction) -> bool:
 
 
 def tokenize(text: str) -> list:
+    """Tokens with 1-based line and column; a column counts characters
+    since the line's start, tabs and comments included."""
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, bol = 1, 0  # bol: the offset at which the line starts
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "NL":
+            line, bol = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
+        value, col = m.group(), m.start() - bol + 1
+        if kind == "IDENT":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        elif kind == "NUM":
             try:
-                value = int(text[i:j])
+                value = int(value)
             except ValueError:  # past the interpreter's digit limit for int <-> str
-                raise ParseError(f"integer of {j - i} digits is too long", line, col) from None
-            toks.append(Token("NUM", value, line, col))
-            col += j - i
-            i = j
+                raise ParseError(f"integer of {len(value)} digits is too long", line, col) from None
+        elif kind == "STR":
+            toks.append(_token((kind, _ESCAPE.sub(r"\1", value[1:-1]), line, col)))
+            if (nl := value.count("\n")):
+                line, bol = line + nl, m.start() + value.rindex("\n") + 1
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col)
-            toks.append(Token("STR", "".join(out), line, col))
-            start, i = i, j + 1
-            if (nl := text.count("\n", start, i)):
-                line += nl
-                col = i - text.rindex("\n", start, i)
-            else:
-                col += i - start
-            continue
-        if ch in _PUNCT:
-            toks.append(Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", None, line, col))
+        elif kind == "BAD":
+            raise ParseError("unterminated string" if value == '"' else f"unexpected character {value!r}", line, col)
+        toks.append(_token((kind, value, line, col)))
+    toks.append(Token("EOF", None, line, len(text) - bol + 1))
     return toks
 
 

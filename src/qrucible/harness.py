@@ -12,15 +12,19 @@ Suite files declare one identity per block:
       ref = "Rogers 1894 / Ramanujan";
     }
 
-`order` is in scaled units (multiples of 1/D). Verification elaborates
-both sides and compares coefficients exactly. Negative exponents
-genuinely cost precision, so before anything is built a precision plan
-(`dsl.plan_loss`) reads off each side's AST how many orders its
-elaboration will lose; where one loses, the working order starts that
-far, plus a pad of 4, above the requested one. Where a side still
-returns less proven truncation than requested (a node the plan cannot
-see through), the context is escalated and the case re-run, so a PASS
-always proves at least the requested order.
+`order` is in scaled units (multiples of 1/D). A case loaded from a suite
+carries the ASTs its canonical side texts were printed from, so verifying
+it, here or in a pool worker, parses nothing; a case built by hand or by
+`dataclasses.replace` parses its texts on first use.
+
+Verification elaborates both sides and compares coefficients exactly.
+Negative exponents genuinely cost precision, so before anything is built
+a precision plan (`dsl.plan_loss`) reads off each side's AST how many
+orders its elaboration will lose; where one loses, the working order
+starts that far, plus a pad of 4, above the requested one. Where a side
+still returns less proven truncation than requested (a node the plan
+cannot see through), the context is escalated and the case re-run, so a
+PASS always proves at least the requested order.
 """
 
 from __future__ import annotations
@@ -59,10 +63,20 @@ class IdentityCase:
     source: str = "<memory>"
 
     def lhs(self):
-        return dsl.parse(self.lhs_text)
+        return self._side("_lhs", self.lhs_text)
 
     def rhs(self):
-        return dsl.parse(self.rhs_text)
+        return self._side("_rhs", self.rhs_text)
+
+    def _side(self, key: str, text: str):
+        """A side's AST, kept in the instance dict outside the fields, so
+        equality, hash, repr and dataclasses.replace ignore it and pickling
+        ships it: `parse_suite` stores the tree it printed the text from,
+        and any other case parses its text on first use."""
+        expr = self.__dict__.get(key)
+        if expr is None:
+            expr = self.__dict__[key] = dsl.parse(text)
+        return expr
 
     def matches(self, pattern: str) -> bool:
         from fnmatch import fnmatchcase
@@ -150,8 +164,7 @@ def parse_suite(text: str, source: str = "<string>") -> list:
                 raise ParseError(f"field {key!r} given twice", key_tok.line, key_tok.col)
             p.expect("=")
             if key in ("lhs", "rhs"):
-                expr = p.parse_expr()
-                fields[key] = dsl.unparse(expr)
+                fields[key] = p.parse_expr()
             elif key in ("D", "order"):
                 t = p.next()
                 if t.kind != "NUM":
@@ -184,18 +197,18 @@ def parse_suite(text: str, source: str = "<string>") -> list:
         for req in ("lhs", "rhs", "D", "order"):
             if req not in fields:
                 raise ParseError(f"identity {name!r} missing field {req!r}", *at)
-        cases.append(
-            IdentityCase(
-                name=name,
-                lhs_text=fields["lhs"],
-                rhs_text=fields["rhs"],
-                denom=fields["D"],
-                order=fields["order"],
-                tags=fields.get("tags", ()),
-                ref=fields.get("ref", ""),
-                source=source,
-            )
+        case = IdentityCase(
+            name=name,
+            lhs_text=dsl.unparse(fields["lhs"]),
+            rhs_text=dsl.unparse(fields["rhs"]),
+            denom=fields["D"],
+            order=fields["order"],
+            tags=fields.get("tags", ()),
+            ref=fields.get("ref", ""),
+            source=source,
         )
+        case.__dict__.update(_lhs=fields["lhs"], _rhs=fields["rhs"])
+        cases.append(case)
     return cases
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from qrucible.ctengine import ZSeries, zsum
 from qrucible.cyclotomic import CycRat, ONE, ZERO
-from qrucible.errors import ContextMismatch
+from qrucible.dsl import Token
+from qrucible.errors import ContextMismatch, ParseError
 from qrucible.qkernel import INF
 from qrucible.series import QSeries, SeriesContext, _zw_scalar, mul_binomials
 
@@ -85,6 +86,79 @@ def parent_poch_rows(x, base, count, inverted, nmax, ctx) -> list:
             c, en = -c * x.coeff * b ** (n - 1), en + e + (n - 1) * eb
         rows.append((c, en, g))
     return rows
+
+
+def parent_tokenize(text: str) -> list:
+    """Oracle: dsl.tokenize as a loop over characters, as it was before
+    the lexer became one compiled pattern."""
+    digits = "0123456789"
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch in digits:
+            j = i
+            while j < n and text[j] in digits:
+                j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError(f"integer of {j - i} digits is too long", line, col) from None
+            toks.append(Token("NUM", value, line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch == '"':
+            j = i + 1
+            out = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    out.append(text[j + 1])
+                    j += 2
+                else:
+                    out.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ParseError("unterminated string", line, col)
+            toks.append(Token("STR", "".join(out), line, col))
+            start, i = i, j + 1
+            if (nl := text.count("\n", start, i)):
+                line += nl
+                col = i - text.rindex("\n", start, i)
+            else:
+                col += i - start
+            continue
+        if ch in "^*/+-()[]{};,=":
+            toks.append(Token("PUNCT", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("EOF", None, line, col))
+    return toks
 
 
 class BoundExceeded(Exception):

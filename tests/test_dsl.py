@@ -1,11 +1,13 @@
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import parent_add, parent_neg
+from conftest import parent_add, parent_neg, parent_tokenize
 from qrucible.cyclotomic import CycRat, OMEGA2, ONE
 from qrucible.dsl import (
     _CALLS,
@@ -85,6 +87,78 @@ def test_parse_errors_carry_position():
     # positioned past it, not at its '#'
     with pytest.raises(ParseError, match=r"expected ';' \(line 1, column 15\)"):
         parse("qp(q; q # note")
+
+
+def _lex(tokenize, text):
+    """The tokens of text, or the message and position of its ParseError."""
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return (type(err), str(err), err.line, err.col)
+
+
+# Fragments the fuzz strings are drawn from. Those that lex: ASCII
+# punctuation and digits, letters past ASCII, closed strings with escapes
+# and newlines, comments, tabs and CR. Those that raise: other ASCII
+# punctuation, non-ASCII digits, an unclosed string, a form feed and a
+# literal past the digit limit.
+_LEX_CLEAN = [*"^*/+-()[]{};,=", *"0123456789", *"aqzw", "é", "ℤ", "_", "Ω", "x²", "é1", "_9",
+              "w2", "qp", "inf", " ", "  ", "\t", "\r", "\n", "\r\n", "#", "# note", "# é ℤ\n",
+              '"ab"', '"a\\"b"', '"a\\\\"', '"x\ny"', '"\\\n"', '"é\\q"', "12", "007", "9" * 40]
+_LEX_HOSTILE = [*"!$%&'.:<>?@\\`|~", "²", "١", "٢", "½", "\f", '"', '"open', None]
+
+
+def _lex_fuzz_text(rng: random.Random) -> str:
+    hostile = rng.choice([0.0, 0.02, 0.1])
+    limit = sys.get_int_max_str_digits()
+    parts = []
+    for _ in range(rng.randint(0, 30)):
+        part = rng.choice(_LEX_HOSTILE if rng.random() < hostile else _LEX_CLEAN)
+        if part is None:  # a literal just past the digit limit
+            part = "1" * (limit + rng.randint(1, 3))
+        parts.append(part)
+    return "".join(parts)
+
+
+def test_tokenize_matches_the_character_loop_on_2500_fuzz_strings():
+    # the compiled pattern gives the tokens, or the ParseError message and
+    # position, of the loop over characters it replaced
+    rng = random.Random(20261020)
+    outcomes = {"tokens": 0, "unexpected character": 0, "unterminated string": 0, "too long": 0}
+    for i in range(2500):
+        text = _lex_fuzz_text(rng)
+        got, want = _lex(tokenize, text), _lex(parent_tokenize, text)
+        assert got == want, f"case {i}: {text!r}"
+        for kind in outcomes:
+            outcomes[kind] += isinstance(want, list) if kind == "tokens" else kind in str(want)
+    # every kind of outcome is drawn, each error many times
+    assert outcomes["tokens"] > 1000 and min(outcomes.values()) >= 10, outcomes
+
+
+def test_the_lexer_word_class_is_isalnum_or_underscore_on_every_code_point():
+    # the pattern reads an identifier as \w+, which the character loop
+    # read as str.isalnum() or "_"; both come from the interpreter's
+    # Unicode tables, so this is checked on each supported interpreter
+    from qrucible.dsl import _LEXEME
+
+    assert r"(?P<IDENT>\w+)" in _LEXEME.pattern
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\w", everything) == [c for c in everything if c.isalnum() or c == "_"]
+
+
+def test_tokenize_matches_the_character_loop_on_the_shipped_suites():
+    suites = sorted((Path(__file__).resolve().parent.parent / "src" / "qrucible" / "suites").glob("*.qid"))
+    assert len(suites) == 6
+    for path in suites:
+        text = path.read_text(encoding="utf-8")
+        assert tokenize(text) == parent_tokenize(text), path.name
+
+
+def test_token_keeps_its_fields_and_equality():
+    t = Token("NUM", 3, 1, 2)
+    assert (t.kind, t.value, t.line, t.col) == ("NUM", 3, 1, 2)
+    assert t == Token("NUM", 3, 1, 2) and t != Token("NUM", 3, 1, 3)
+    assert repr(t) == "Token(kind='NUM', value=3, line=1, col=2)"
 
 
 def test_print_examples():

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
+import random
 import subprocess
 import sys
 import time
@@ -233,6 +236,75 @@ def test_parallel_matches_serial(registry):
     assert [r.status for r in serial] == [r.status for r in para]
     # pooled reports hold the case's strings, as serial ones do
     assert all(p.name is s.name and p.ref is s.ref for s, p in zip(serial, para))
+
+
+def _mutants(registry, seed: int, count: int) -> list:
+    """[(mutant, k/D)]: loaded cases whose rhs gains q^(k/D), built with
+    dataclasses.replace as the benchmark builds its mutants."""
+    rng = random.Random(seed)
+    out = []
+    for case in rng.sample(registry.cases, count):
+        k = rng.randrange(case.order)
+        mutant = dataclasses.replace(case, name=f"{case.name}+q^({k}/{case.denom})",
+                                     rhs_text=f"({case.rhs_text}) + q^({k}/{case.denom})")
+        out.append((mutant, Fraction(k, case.denom)))
+    return out
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mutants_built_by_replace_fail_at_exactly_their_exponent(registry, jobs):
+    # a case made by replace parses its own text: a side carried over
+    # from the loaded case would verify the unmutated identity and PASS
+    mutants = _mutants(registry, 20261020, 8)
+    code, reports = run_suite(registry=Registry([m for m, _ in mutants]), jobs=jobs)
+    assert code == 1
+    assert [(r.name, r.status, r.mismatch.exponent) for r in reports] == [
+        (m.name, "FAIL", k) for m, k in mutants]
+
+
+def test_a_case_with_malformed_text_skips_with_its_parse_error(registry):
+    hand_built = IdentityCase("malformed", "qp(q; q; ", "1", 1, 5, (), "")
+    replaced = dataclasses.replace(registry.get("rogers-ramanujan-1"), rhs_text="1 +")
+    for case in (hand_built, replaced):
+        report = verify(case)
+        assert report.status == "SKIP" and report.skip_reason.startswith("parse: "), report
+    assert verify(hand_built).skip_reason == "parse: expected an integer (line 1, column 10)"
+
+
+def _no_parse(*args):
+    raise AssertionError("a side was parsed after the suites were loaded")
+
+
+@pytest.mark.parametrize("jobs", [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                             reason="the patch reaches forked workers only")),
+])
+def test_verify_parses_no_side_of_a_loaded_case(monkeypatch, jobs):
+    registry = load_registry()
+    monkeypatch.setattr(dsl, "parse", _no_parse)
+    monkeypatch.setattr(dsl, "tokenize", _no_parse)
+    code, reports = run_suite(registry=registry, jobs=jobs)
+    assert code == 0 and len(reports) == 99
+    assert all(r.status == "PASS" for r in reports)
+
+
+def test_a_loaded_case_carries_the_sides_its_texts_parse_to(monkeypatch):
+    recorded = json.loads((Path(__file__).resolve().parent / "data" / "shipped-suite-sides.json")
+                          .read_text(encoding="utf-8"))
+    registry = load_registry()
+    monkeypatch.setattr(dsl, "parse", _no_parse)
+    carried = [(c.name, c.lhs(), c.rhs()) for c in registry]
+    # pickling ships the sides, as the pool does
+    shipped = [(c.name, c.lhs(), c.rhs()) for c in pickle.loads(pickle.dumps(registry.cases))]
+    monkeypatch.undo()
+    want = [(r["name"], dsl.parse(r["lhs_text"]), dsl.parse(r["rhs_text"])) for r in recorded]
+    assert carried == shipped == want and len(want) == 99
+    # the carried sides are outside the fields: equality, hash and repr
+    # are those of a case made from the same fields
+    case = registry.get("rogers-ramanujan-1")
+    bare = IdentityCase(**{f.name: getattr(case, f.name) for f in dataclasses.fields(case)})
+    assert case == bare and hash(case) == hash(bare) and repr(case) == repr(bare)
 
 
 def test_strict_mode_fails_on_skip():
