@@ -7,23 +7,22 @@ coefficients for scaled exponents strictly below `trunc`, and every
 operation propagates the tightest correct bound, so silent precision loss
 is impossible. The zero-on-window series carries val == trunc.
 
-A series keeps its coefficients in the form that produced them, a Q(w)
-list (the constructor, `mul_monomial`) or a Z[w] triple
-(d, re, om) = (re + om*w)/d (kernels, sums), and derives the other once,
-on first use. Every product goes through one kernel, `_zw_mul`: each of
-the `re` and `om` parts is packed into one Python int (Kronecker
-substitution q -> 2^k), and three big-int multiplies give the Z[w]
-product (Karatsuba with w^2 = -1 - w); a slot up to 8 bytes wide is
+A series stores one form, the canonical Z[w] triple
+(d, re, om) = (re + om*w)/d, d the smallest positive denominator; the
+constructor converts a Q(w) list to it once, and the Q(w) list `coeffs`
+is only a view, for rendering and `mul_monomial`, the one computation
+left in Q(w) (ROADMAP item 2). Every product goes through one kernel,
+`_zw_mul`: each of the `re` and `om` parts is packed into one Python int
+(Kronecker substitution q -> 2^k), and three big-int multiplies give the
+Z[w] product (Karatsuba with w^2 = -1 - w); a slot up to 8 bytes wide is
 widened to a machine word and converted through `array`, a wider one per
 entry. Binomial factors (1 - c*q^e)^(+-1) go through one integer pass on
 the same lists (`mul_binomials`; a division on a window of n runs its
 recurrence e entries at a time where e^2 >= n, n/e slice steps, and in e
 strided runs otherwise). Every sum (`+`, `-`, `series_sum`) is one
 `ZwSum`, which adds scaled, shifted series in integers and divides itself
-in place by binomials through that pass, so a chain of these converts to
-Q(w) only where `mul_monomial` or rendering reads it.
-`QSeries.inverse` is Newton iteration on the kernel, and reads use the Z[w]
-form, canonical in that d is the smallest positive denominator.
+in place by binomials through that pass. `QSeries.inverse` is Newton
+iteration on the kernel, and reads compare and hash the triple.
 The kernels' scalars (factors, term weights) are canonical triples
 (s, cr, co) = (cr + co*w)/s, multiplied and inverted in integers; a CycRat
 is converted once where it enters (`mul_binomial`, `div_binomial`,
@@ -75,17 +74,14 @@ class SeriesContext:
         return Fraction(s, self.denom)
 
     def zero(self, trunc: int | None = None) -> "QSeries":
-        t = self.order if trunc is None else min(trunc, self.order)
-        return QSeries(self, t, [], t)
+        return QSeries.from_zw(self, 0, 1, [], [], self.order if trunc is None else trunc)
 
     def one(self) -> "QSeries":
-        return QSeries(self, 0, [ONE], self.order)
+        return QSeries.from_zw(self, 0, 1, [1], [0], self.order)
 
     def monomial(self, coeff: CycRat, scaled_exp: int, trunc: int | None = None) -> "QSeries":
-        t = self.order if trunc is None else min(trunc, self.order)
-        if not coeff or scaled_exp >= t:
-            return self.zero(t)
-        return QSeries(self, scaled_exp, [coeff], t)
+        s, cr, co = _zw_scalar(coeff)
+        return QSeries.from_zw(self, scaled_exp, s, [cr], [co], self.order if trunc is None else trunc)
 
     def __eq__(self, other) -> bool:
         return (
@@ -161,59 +157,36 @@ def monomial_to_series(m: Monomial, ctx: SeriesContext) -> "QSeries":
 
 
 class QSeries:
-    """Dense coefficient window from `val` up, proven below `trunc`:
-    `coeffs` in Q(w), or `zw` = (d, re, om) with coeffs == (re + om*w)/d
-    and d the lcm of their denominators. A series is built in one form
-    (`from_zw` for the second) and derives the other once, on first use;
-    neither is mutated, and sums and negation work on `zw`."""
+    """Dense coefficient window from `val` up, proven below `trunc`, stored
+    as one canonical Z[w] triple `zw` = (d, re, om): the coefficients are
+    (re + om*w)/d, d is the smallest positive denominator, and neither end
+    entry is zero (the zero series is (1, [], []) with val == trunc).
+    `coeffs` is the Q(w) view of the triple, computed on each read; no
+    series is mutated."""
 
-    __slots__ = ("ctx", "val", "trunc", "_q", "_z")
+    __slots__ = ("ctx", "val", "trunc", "zw")
 
     def __init__(self, ctx: SeriesContext, val: int, coeffs: list, trunc: int):
-        trunc = min(trunc, ctx.order)
-        if len(coeffs) > trunc - val:
-            coeffs = coeffs[: max(0, trunc - val)]
-        lead = 0
-        n = len(coeffs)
-        while lead < n and not coeffs[lead]:
-            lead += 1
-        tail = n
-        while tail > lead and not coeffs[tail - 1]:
-            tail -= 1
-        if lead == tail:
-            self.val = trunc
-            self._q = []
-        else:
-            self.val = val + lead
-            self._q = coeffs[lead:tail]
-        self.ctx, self.trunc, self._z = ctx, trunc, None
+        """q^val * sum coeffs[i]*q^i known below trunc, a Q(w) list that is
+        cut to the trunc and converted to `zw` here, once."""
+        self.ctx, self.trunc = ctx, min(trunc, ctx.order)
+        d, re, om = _scaled(coeffs[: max(0, self.trunc - val)])  # canonical already
+        self.val, re, om = _trimmed(val, re, om, self.trunc)
+        self.zw = d, re, om
 
     @classmethod
     def from_zw(cls, ctx: SeriesContext, val: int, d: int, re: list, om: list, trunc: int) -> "QSeries":
         """q^val * (re + om*w)/d known below trunc, cut to the trunc and
-        reduced to the `zw` form; re and om are not kept."""
+        reduced to the canonical triple; re and om are not kept."""
         x = cls.__new__(cls)
-        x.ctx, x.trunc, x._q = ctx, min(trunc, ctx.order), None
-        lead, tail = 0, max(0, min(len(re), x.trunc - val))
-        while lead < tail and not (re[lead] or om[lead]):
-            lead += 1
-        while tail > lead and not (re[tail - 1] or om[tail - 1]):
-            tail -= 1
-        x.val = val + lead if lead < tail else x.trunc
-        x._z = _reduced(d, re[lead:tail], om[lead:tail])
+        x.ctx, x.trunc = ctx, min(trunc, ctx.order)
+        x.val, re, om = _trimmed(val, re, om, x.trunc)
+        x.zw = _reduced(d, re, om)
         return x
 
     @property
     def coeffs(self) -> list:
-        if self._q is None:
-            self._q = _from_zw(*self._z)
-        return self._q
-
-    @property
-    def zw(self) -> tuple:
-        if self._z is None:
-            self._z = _scaled(self._q)
-        return self._z
+        return _from_zw(*self.zw)
 
     # -- queries ---------------------------------------------------------
 
@@ -265,6 +238,8 @@ class QSeries:
         return QSeries.from_zw(self.ctx, lo, da * db, *_zw_mul(ar, ao, br, bo, n), t)
 
     def mul_monomial(self, c: CycRat, e: int) -> "QSeries":
+        """self * c*q^e, scaled entry by entry in Q(w): the one computation
+        left on the `coeffs` view (ROADMAP item 2)."""
         if not c:
             return self.ctx.zero(self.trunc + e)
         return QSeries(self.ctx, self.val + e, [c * a for a in self.coeffs], self.trunc + e)
@@ -407,6 +382,17 @@ def _from_zw(d: int, re: list, om: list) -> list:
         (CycRat(Fraction(r, d), Fraction(o, d)) if r or o else ZERO)
         for r, o in zip(re, om)
     ]
+
+
+def _trimmed(val: int, re: list, om: list, trunc: int) -> tuple:
+    """(val, re, om) for the window q^val * (re + om*w) cut to the trunc and
+    to its first and last nonzero entries (val the trunc if none is left)."""
+    lead, tail = 0, max(0, min(len(re), trunc - val))
+    while lead < tail and not (re[lead] or om[lead]):
+        lead += 1
+    while tail > lead and not (re[tail - 1] or om[tail - 1]):
+        tail -= 1
+    return val + lead if lead < tail else trunc, re[lead:tail], om[lead:tail]
 
 
 def _reduced(d: int, re: list, om: list) -> tuple:

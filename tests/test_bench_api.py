@@ -39,7 +39,8 @@ def test_benchmark_entry_points_resolve():
 
 def test_mul_counter_reads_either_coefficient_form():
     # the traced benchmark counts the operands of each product from their
-    # Q(w) coefficients, which a kernel result derives on first use
+    # Q(w) view, the same whether a series was built from a Q(w) list or
+    # by from_zw
     from fractions import Fraction
 
     from qrucible.cyclotomic import OMEGA, ONE, ZERO, CycRat

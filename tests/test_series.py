@@ -27,6 +27,7 @@ from qrucible.series import (
     _zw_inverse,
     _zw_mul,
     _zw_scalar,
+    _zw_scale,
     _zw_times,
     _zw_value,
     chain_trunc,
@@ -236,8 +237,8 @@ def test_zw_mul_matches_schoolbook_at_slot_width_boundaries(bits, monkeypatch):
 def test_newton_inverse_matches_recurrence():
     """The Z[w] Newton inverse equals the Newton iteration on Q(w) lists,
     and on the first draws (large entries) the term-by-term recurrence, in
-    val, trunc, coefficients and the canonical Z[w] form, whichever form
-    the input was built in."""
+    val, trunc, coefficients and the canonical Z[w] form, whether the
+    input was built from a Q(w) list or by from_zw."""
     rng = random.Random(41)
     seen = {"w lead": 0, "fractional lead": 0, "negative val": 0}
     for k in range(330):
@@ -546,7 +547,7 @@ def parent_mul(x, y):
 
 
 def zw_only(x):
-    """x rebuilt from its Z[w] form alone."""
+    """x rebuilt by from_zw from its triple."""
     return QSeries.from_zw(x.ctx, x.val, *x.zw, x.trunc)
 
 
@@ -555,7 +556,7 @@ def snapshot(xs):
 
 
 def rand_operands(rng, ctx):
-    """Two random series, the first sometimes carrying only its Z[w] form."""
+    """Two random series, the first sometimes rebuilt by from_zw."""
     x, y = rand_window_series(rng, ctx), rand_window_series(rng, ctx)
     return (zw_only(x) if rng.random() < 0.5 else x), y
 
@@ -664,10 +665,26 @@ def test_first_mismatch_matches_the_q_w_scan():
     assert min(outcomes.values()) > 100, outcomes
 
 
+def assert_canonical(x):
+    """x stores the canonical triple: d the smallest positive denominator,
+    no zero entry at either end (the zero series is (1, [], []) at its
+    trunc), and `coeffs` is its Q(w) view."""
+    d, re, om = x.zw
+    assert d > 0 and math.gcd(d, *re, *om) == 1 and len(re) == len(om)
+    if re:
+        assert (re[0] or om[0]) and (re[-1] or om[-1]) and x.val + len(re) <= x.trunc
+    else:
+        assert x.val == x.trunc and d == 1
+    assert x.coeffs == _from_zw(d, re, om)
+
+
 def test_q_w_series_equal_and_hash_as_their_zw_twins():
     """A series built from a Q(w) list is == to the series built by from_zw
     from any Z[w] triple of the same window, hashes the same, and is !=
-    to one that differs in the w parts or in d."""
+    to one that differs in the w parts or in d. Both store the canonical
+    triple, also where the list has zero ends and entries past the trunc
+    (whose denominators must not reach d), and so do the SeriesContext
+    helpers, equal to the same window built from a Q(w) list."""
     rng = random.Random(85)
     for k in range(200):
         ctx = SeriesContext(1 + k % 3, 30)
@@ -687,6 +704,64 @@ def test_q_w_series_equal_and_hash_as_their_zw_twins():
         if re:  # a change in the w parts alone, or in d alone, is seen
             assert fresh != QSeries.from_zw(ctx, x.val, d, re, [o + 1 for o in om], x.trunc)
             assert fresh != QSeries.from_zw(ctx, x.val, 2 * d, re, om, x.trunc)
+        gap = [ZERO] * (x.trunc - x.val - len(re))
+        past = [CycRat(Fraction(1, 7), Fraction(-2, 11))] + rand_zw_list(rng, rng.randint(0, 5), num=9, den=13)
+        padded = QSeries(ctx, x.val - pad, [ZERO] * pad + x.coeffs + gap + past, x.trunc)
+        assert padded == x and hash(padded) == hash(x) and padded.zw[0] == d
+        for y in (x, twin, fresh, padded):
+            assert_canonical(y)
+    for k in range(300):
+        ctx = SeriesContext(1 + k % 3, 30)
+        t = rng.choice([None, rng.randint(-5, 40)])
+        c = rng.choice([ZERO, rand_factor_coeff(rng), CycRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))])
+        e = rng.randint(-5, 35)
+        cut = ctx.order if t is None else min(t, ctx.order)
+        pairs = [
+            (ctx.zero(t), QSeries(ctx, 0, [], cut)),
+            (ctx.one(), QSeries(ctx, 0, [ONE], ctx.order)),
+            (ctx.monomial(c, e, t), QSeries(ctx, e, [c], cut)),
+        ]
+        for got, want in pairs:
+            assert_canonical(got)
+            assert got == want and (got.val, got.trunc) == (want.val, want.trunc)
+        assert ctx.zero(t).trunc == cut and ctx.monomial(c, e, t).is_zero() == (not c or e >= cut)
+
+
+def test_mul_monomial_matches_the_zw_scale():
+    """x.mul_monomial(c, e), scaled in Q(w), equals the series from_zw
+    builds from x's triple scaled by _zw_scale, in val, trunc and zw: the
+    oracle for scaling in integers. The series include negative vals,
+    truncs short of the order and the zero series; c = 0 gives the zero
+    series at trunc + e."""
+    rng = random.Random(87)
+    seen = dict.fromkeys(["negative val", "short trunc", "zero series", "zero c", "integer", "rational", "w part"], 0)
+    for k in range(600):
+        ctx = SeriesContext(1 + k % 3, 40)
+        x = rand_window_series(rng, ctx)
+        if rng.random() < 0.3:
+            x = zw_only(x)
+        c = rng.choice([
+            ZERO,
+            CycRat(rng.randint(-9, 9)),
+            CycRat(Fraction(rng.randint(-9, 9), rng.randint(2, 9))),
+            rand_factor_coeff(rng),
+            CycRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+        ])
+        e = rng.randint(-12, 12)
+        got = x.mul_monomial(c, e)
+        want = QSeries.from_zw(ctx, x.val + e, *_zw_scale(*x.zw, _zw_scalar(c)), x.trunc + e)
+        assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw)
+        assert_canonical(got)
+        if not c:
+            assert got.is_zero() and got.trunc == min(x.trunc + e, ctx.order)
+        seen["negative val"] += x.val < 0 and not x.is_zero()
+        seen["short trunc"] += x.trunc < ctx.order
+        seen["zero series"] += x.is_zero()
+        seen["zero c"] += not c
+        seen["integer"] += bool(c) and not c.om and c.re.denominator == 1
+        seen["rational"] += not c.om and c.re.denominator > 1
+        seen["w part"] += bool(c.om)
+    assert min(seen.values()) > 40, seen
 
 
 def test_monomial_to_series_grid():
