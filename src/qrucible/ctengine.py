@@ -34,7 +34,7 @@ from .cyclotomic import CycRat, ONE
 from .errors import NonPositiveBaseExponent, WindowOverflow
 from .qkernel import poch, poch_rows
 from .series import Monomial, QSeries, SeriesContext, qpow, series_sum
-from .series import ZW_ZERO, _zw_mul, _zw_scale
+from .series import ZW_ONE, ZW_ZERO, _zw_mul, _zw_scale
 
 MAX_WINDOW = 512
 PAD = 4
@@ -85,12 +85,13 @@ class ZSeries:
     def shift(self, deg: int) -> "ZSeries":
         return ZSeries(self.ctx, {m + deg: row for m, row in self.rows.items()}, self.d, self.lo)
 
-    def scale(self, s: QSeries) -> "ZSeries":
-        """Every row times s, with the truncs of QSeries.__mul__."""
-        y = ZSeries(self.ctx, {}, 1, s.val)
+    def scale(self, s: QSeries, k: tuple = ZW_ONE, e: int = 0) -> "ZSeries":
+        """Every row times s c q^e, c the Z[w] triple k, with the truncs of
+        QSeries.__mul__ and the trunc of s moved by e."""
+        y = ZSeries(self.ctx, {}, 1, s.val + e)
         # s is kept even where it is zero: it still cuts the rows of negative val
-        y.d, re, om = s.zw
-        y.rows = {0: (s.trunc, re, om)}
+        y.d, re, om = _zw_scale(*s.zw, k)
+        y.rows = {0: (s.trunc + e, re, om)}
         return zmul(self, y)
 
     def __add__(self, other: "ZSeries") -> "ZSeries":

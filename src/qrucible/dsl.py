@@ -102,8 +102,9 @@ class CT:
 # (integer or inf), A one or more expressions, L bracketed list, Z the
 # expression a polynomial is taken at. Fields fold in order, and the
 # first that fails names the SKIP; A and Z reach the kernel unfolded,
-# since qp folds its base before its args and a polynomial is built
-# before its z folds.
+# since qp folds its base before its args and a polynomial's faults are
+# named before its z's: z folds first, but one that fails is left to
+# fold again after the polynomial is built in z.
 _FIELD_KINDS = {
     "E": ("parse_expr", lambda e: unparse(e), lambda e: as_monomial(e)),
     "I": ("parse_int", str, lambda n: n),
@@ -134,9 +135,19 @@ def _call(head: str, name: str, spec: str, kernel) -> type:
     return node
 
 
-def _at(poly, z) -> QSeries:
-    """The polynomial of a Z-kind head at z, folded only once it is built."""
-    return ctengine.zsubst(poly, as_monomial(z))
+def _at(build, z, ctx) -> QSeries:
+    """The polynomial build(point) of a Z-kind head at z. Where z folds to
+    a nonzero monomial on the grid, it is built at z and read off its
+    degree-0 row; otherwise it is built in z (point None) before z folds
+    again, so its own fault is named before z's."""
+    try:
+        point = as_monomial(z)
+        ctx.scale(point.exp)
+    except QrucibleError:
+        point = None
+    if point is None or point.is_zero():
+        return ctengine.zsubst(build(None), as_monomial(z))
+    return build(point).coefficient(0)
 
 
 Poch = _call("qp", "Poch", "args:A; base:E; count:C", lambda args, base, count, p, n, ctx:
@@ -145,11 +156,11 @@ Phi = _call("phi", "Phi", "uppers:L; lowers:L; base:E; arg:E", qkernel.phi)
 TripleF = _call("F", "TripleF", "u:E, v:E, w:E", qkernel.f_triple)
 Theta = _call("theta", "Theta", "z:E", qkernel.theta_sum)
 RogersC = _call("rc", "RogersC", "n:I; a:E; base:E; z:Z", lambda n, a, base, z, ctx:
-                _at(ortho.rogers_poly(n, ortho.RogersParam(a, base), ctx), z))
+                _at(lambda p: ortho.rogers_poly(n, ortho.RogersParam(a, base), ctx, p), z, ctx))
 AWPoly = _call("awp", "AWPoly", "n:I; a:E, b:E, c:E, d:E; base:E; z:Z", lambda n, a, b, c, d, base, z, ctx:
-               _at(ortho.aw_poly(n, ortho.AWParam(a, b, c, d, base), ctx), z))
+               _at(lambda p: ortho.aw_poly(n, ortho.AWParam(a, b, c, d, base), ctx, p), z, ctx))
 GenfunCoeff = _call("cgf", "GenfunCoeff", "variant:I; n:I; a:E; z:Z", lambda variant, n, a, z, ctx:
-                    _at(ortho.genfun_lhs(variant, a, n, ctx)[n], z))
+                    _at(lambda p: ortho.genfun_lhs(variant, a, n, ctx, p)[n], z, ctx))
 
 # ct{...} and the named sums, such as capparelli(), are special forms
 _HEADS = {*_CALLS, "ct", *qkernel.NAMED_SUMS}
@@ -824,7 +835,10 @@ def _plan_poly(e, ctx) -> tuple:
     the base exponent is positive, no parameter exponent is negative (for
     cgf, a's is positive, and over 1/2 for form 5, whose passes read
     -a^2 q^(-1)), and no factor of the leading coefficient is exactly
-    zero: (a; b)_n for C_n(x; a|b), (abcd b^(n-1); b)_n for p_n."""
+    zero: (a; b)_n for C_n(x; a|b), (abcd b^(n-1); b)_n for p_n. That is
+    the trunc of the z-Laurent build; the build at z that `_at` makes
+    where z folds keeps each trunc of a power of z exactly, so on it the
+    plan may over-pad but never under-pads."""
     order = ctx.order
     if isinstance(e, GenfunCoeff):
         variant, n, a, z = _fold(e)

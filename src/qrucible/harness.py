@@ -343,7 +343,9 @@ def run_suite(
         from concurrent.futures.process import BrokenProcessPool
 
         reports = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first submit, so no more
+        # than there are cases
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
             futures = [pool.submit(_verify_worker, p) for p in payloads]
             for c, f in zip(cases, futures):
                 try:

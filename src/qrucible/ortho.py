@@ -1,12 +1,19 @@
-"""Rogers (continuous q-ultraspherical) and Askey-Wilson polynomials as
-symmetric z-Laurent objects and their generating functions. The
-transformation identities built on them are data in
+"""Rogers (continuous q-ultraspherical) and Askey-Wilson polynomials and
+their generating functions, built at a point z or as symmetric z-Laurent
+objects. The transformation identities built on them are data in
 `suites/transforms.qid`.
 
-x is never a first-class variable: every polynomial lives in z with
+x is never a first-class variable: every polynomial is taken in z with
 x = (z + 1/z)/2 implicit. The generating-function machinery treats t as
-an outer formal variable truncated at a small order, with z-Laurent
-coefficients.
+an outer formal variable truncated at a small order, with coefficients
+in z.
+
+Each builder takes the point z, a nonzero monomial c q^e on the grid, or
+None. Substituting z is a ring homomorphism, so at a point it is folded
+in first: each z^j, a parameter's or a shift's, is c^j q^(je) at degree
+0, and every row set keeps the one row the caller reads. With None the
+polynomial is built in z as a row per z-degree; `ctengine.zsubst` takes
+that build at z, and the benchmark probe and the test oracles read it.
 
 Every series here is a basic hypergeometric sum (Gasper-Rahman, Basic
 Hypergeometric Series, 2nd ed., 2004, ch. 7), and one term pass,
@@ -53,7 +60,7 @@ class AWParam:
     base: Monomial
 
 
-# -- t-series: lists of z-Laurent coefficients of t^0..t^t_order ----------
+# -- t-series: lists of the coefficients in z of t^0..t^t_order ----------
 
 
 def _t_mul(A: list, B: list, t_order: int) -> list:
@@ -73,7 +80,7 @@ def _t_times(num: list, c: tuple, e: int, i: int, j: int, p: int, ctx) -> list:
     return out
 
 
-def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesContext):
+def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesContext, z=None):
     """Yield (num_n, den_n) for n = 0, 1, ... of a basic hypergeometric
     series in base b:
 
@@ -85,11 +92,14 @@ def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesCon
       pass per step, uppers before lowers.
 
     Step n's factors are step n-1's times b (b^2 for i = 2), as Z[w]
-    triples.
+    triples. At a point z = c q^e each m z^j is m c^j q^(je) at degree 0.
     """
     eb, cb = ctx.scale(base.exp), _zw_scalar(base.coeff)
     cbs = (cb, cb, _zw_times(cb, cb))  # b^max(i, 1) by i
     zfs = [(_zw_scalar(m.coeff), ctx.scale(m.exp), i, j, p) for m, i, j, p in zparams]
+    if z is not None:
+        zfs = [(_zw_times(c, _zw_scalar(z.coeff ** j)), e + ctx.scale(j * z.exp), i, 0, p)
+               for c, e, i, j, p in zfs]
     dfs = ([(_zw_scalar(u.coeff), ctx.scale(u.exp), 1) for u in uppers] + [(cb, eb, -1)]
            + [(_zw_scalar(l.coeff), ctx.scale(l.exp), -1) for l in lowers])
     num = [zs_one(ctx)] + [ZSeries(ctx, {}) for _ in range(t_order)]
@@ -103,48 +113,83 @@ def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesCon
         dfs = [(_zw_times(c, cb), e + eb, p) for c, e, p in dfs]
 
 
+def _num_floor(zparams, eb: int, t_order: int, ctx: SeriesContext, z: Monomial) -> int:
+    """A lower bound on the val at the point z of num_n of `_terms` below
+    t^(t_order + 1), for every n and a base exponent eb > 0: each power
+    of t costs at least min(0, e)/i of some parameter m t^i z^j = c q^e,
+    i > 0, and one of i = 0 adds its factors (1 - c q^(e + k eb)) of
+    negative exponent."""
+    floor, per_t = 0, 0
+    for m, i, j, _ in zparams:
+        e = ctx.scale(m.exp) + ctx.scale(j * z.exp)
+        if i:
+            per_t = min(per_t, t_order * min(0, e) // i)
+        else:
+            floor += sum(e + k * eb for k in range(-(e // eb) if e < 0 else 0))
+    return floor + per_t
+
+
 def _t_phi(zparams, uppers, lowers, base: Monomial, arg: Monomial, arg_t: int, arg_z: int,
-           t_order: int, ctx: SeriesContext) -> list:
+           t_order: int, ctx: SeriesContext, z=None) -> list:
     """sum num_n den_n (arg t^arg_t z^arg_z)^n ((-1)^n b^C(n,2))^(1+s-r) over
     the terms of `_terms` as a t-series, r and s counting the upper and
     lower parameters, a scalar upper 0 included; terms stop once t^n
-    passes t_order or the scalar monomial passes the order."""
+    passes t_order or the scalar monomial passes the order. At the point
+    z the scalar takes z^(n arg_z) and the least val num can have, so
+    that the terms left out lie past the order too: e(n) is convex or
+    linear from 0 (1+s-r >= 0 and b's exponent > 0 in every factor of
+    `genfun_lhs`), so once past the order it stays there."""
     r = len(uppers) + sum(max(i, 1) for _, i, _, p in zparams if p > 0)
     s = len(lowers) + sum(max(i, 1) for _, i, _, p in zparams if p < 0)
     power = 1 + s - r
     eb, ea = ctx.scale(base.exp), ctx.scale(arg.exp)
+    shift, floor = (0, 0) if z is None else (
+        arg_z * ctx.scale(z.exp), _num_floor(zparams, eb, t_order, ctx, z))
 
     def e(n):
         return n * ea + power * (n * (n - 1) // 2) * eb
 
-    stop = next(n for n in count(1) if n * arg_t > t_order or e(n) >= ctx.order)
+    stop = next(n for n in count(1) if n * arg_t > t_order or e(n) + n * shift + floor >= ctx.order)
     out = [[] for _ in range(t_order + 1)]
-    for n, (num, den) in enumerate(islice(_terms(zparams, uppers, lowers, base, t_order, ctx), stop)):
+    for n, (num, den) in enumerate(islice(_terms(zparams, uppers, lowers, base, t_order, ctx, z), stop)):
         c = arg.coeff ** n * ((-ONE) ** n * base.coeff ** (n * (n - 1) // 2)) ** power
-        coeff = den.mul_monomial(c, e(n))
-        for k, row in enumerate(num[: t_order + 1 - n * arg_t]):
-            out[k + n * arg_t].append(row.scale(coeff).shift(n * arg_z))
+        rows = num[: t_order + 1 - n * arg_t]
+        if z is None:
+            coeff = den.mul_monomial(c, e(n))
+            terms = [row.scale(coeff).shift(n * arg_z) for row in rows]
+        else:  # z^(n arg_z) goes into the scalar, as in `_cauchy`
+            zc = _zw_scalar(c * z.coeff ** (n * arg_z))
+            terms = [row.scale(den, zc, e(n) + n * shift) for row in rows]
+        for k, term in enumerate(terms):
+            out[k + n * arg_t].append(term)
     return [zsum(ctx, parts) for parts in out]
 
 
-def _cauchy(front, back, ctx) -> ZSeries:
+def _cauchy(front, back, ctx, z) -> ZSeries:
     """The t^n coefficient of the product of two term passes, given their
     terms 0..n, whose arguments are t/z and t z:
-    sum_k num_k num'_(n-k) z^(n-2k) den_k den'_(n-k), each scalar applied
-    after its z-product."""
-    n = len(front) - 1
-    return zsum(ctx, [zmul(nf[0], nb[0]).shift(n - 2 * k).scale(df * db)
-                      for k, ((nf, df), (nb, db)) in enumerate(zip(front, reversed(back)))])
+    sum_k num_k num'_(n-k) den_k den'_(n-k) z^(n-2k), each scalar applied
+    after its z-product; at the point z = c q^e, z^(n-2k) is c^(n-2k)
+    q^((n-2k)e) in that scalar, whose trunc moves with it, so that a zero
+    scalar still bounds the truncs."""
+    n, parts = len(front) - 1, []
+    for k, ((nf, df), (nb, db)) in enumerate(zip(front, reversed(back))):
+        x, j = zmul(nf[0], nb[0]), n - 2 * k
+        if z is None:
+            parts.append(x.scale(df * db).shift(j))
+        else:
+            parts.append(x.scale(df * db, _zw_scalar(z.coeff ** j), ctx.scale(j * z.exp)))
+    return zsum(ctx, parts)
 
 
-def rogers_poly(n: int, p: RogersParam, ctx: SeriesContext) -> ZSeries:
+def rogers_poly(n: int, p: RogersParam, ctx: SeriesContext, z=None) -> ZSeries:
     """C_n(x; a | b) = sum_k (a;b)_k (a;b)_(n-k) / ((b;b)_k (b;b)_(n-k)) z^(n-2k),
     the t^n coefficient of 1phi0(a; -; b, t z) 1phi0(a; -; b, t/z)."""
     half = list(islice(_terms([], [p.a], [], p.base, 0, ctx), n + 1))
-    return _cauchy(half, half, ctx)
+    return _cauchy(half, half, ctx, z)
 
 
-def aw_poly(n: int, p: AWParam, ctx: SeriesContext) -> ZSeries:
+def aw_poly(n: int, p: AWParam, ctx: SeriesContext, z=None) -> ZSeries:
     """Askey-Wilson p_n via its generating function
     2phi1(az, bz; ab; q, t/z) 2phi1(c/z, d/z; cd; q, t z):
 
@@ -158,17 +203,22 @@ def aw_poly(n: int, p: AWParam, ctx: SeriesContext) -> ZSeries:
         j = _zero_factor_index(m, b)
         if j is not None and j < n:
             raise ZeroDenominator(f"({label}; base)_k vanishes for k <= {n}")
-    front = list(islice(_terms([(p.a, 0, 1, 1), (p.b, 0, 1, 1)], [], [ab], b, 0, ctx), n + 1))
-    back = list(islice(_terms([(p.c, 0, -1, 1), (p.d, 0, -1, 1)], [], [cd], b, 0, ctx), n + 1))
+    front = list(islice(_terms([(p.a, 0, 1, 1), (p.b, 0, 1, 1)], [], [ab], b, 0, ctx, z), n + 1))
+    back = list(islice(_terms([(p.c, 0, -1, 1), (p.d, 0, -1, 1)], [], [cd], b, 0, ctx, z), n + 1))
     pref = poch(b, b, ctx, n)
     if not ab.is_zero():
         pref = pref * poch(ab, b, ctx, n)
     if not cd.is_zero():
         pref = pref * poch(cd, b, ctx, n)
-    return _cauchy(front, back, ctx).scale(pref)
+    out = _cauchy(front, back, ctx, z)
+    if z is not None and not out.rows:
+        # every part vanished below the order: the row stays, so that a
+        # pref of negative val brings its trunc down
+        out.rows = {0: (ctx.order, [], [])}
+    return out.scale(pref)
 
 
-def genfun_lhs(variant: int, a: Monomial, t_order: int, ctx: SeriesContext) -> list:
+def genfun_lhs(variant: int, a: Monomial, t_order: int, ctx: SeriesContext, z=None) -> list:
     """t-coefficients (each a ZSeries) of the five generating-function
     left-hand sides for the Rogers polynomials, keyed 1..5. Each is the
     product of `_t_phi` factors, listed under its formula as (zparams,
@@ -197,9 +247,9 @@ def genfun_lhs(variant: int, a: Monomial, t_order: int, ctx: SeriesContext) -> l
                    ([(one, 1, 1, 1), (one, 1, -1, 1), (a2, 2, 0, -1)], [], [], q, arg, 0, 0)]
     else:
         raise InvalidParameter(f"unknown generating-function variant {variant}")
-    out = _t_phi(*factors[0], t_order, ctx)
+    out = _t_phi(*factors[0], t_order, ctx, z)
     for f in factors[1:]:
-        out = _t_mul(out, _t_phi(*f, t_order, ctx), t_order)
+        out = _t_mul(out, _t_phi(*f, t_order, ctx, z), t_order)
     if variant in (4, 5):
         pref = poch(arg, q, ctx).inverse()
         out = [x.scale(pref) for x in out]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -798,7 +799,8 @@ def test_multi_term_parameters_skip_at_once():
 
 def test_a_call_with_two_faulty_fields_skips_on_the_one_folded_first():
     # qp folds its base before its args; phi, rc and awp fold their fields
-    # in order; rc, awp and cgf fold z only after the polynomial is built
+    # in order; rc, awp and cgf fold z first, but a z that does not fold is
+    # folded again only after the polynomial is built, so its fault is named
     code, reports = run_suite(files=[MULTI_FAULT_CALLS])
     assert code == 0
     assert [(r.name, r.status, r.skip_reason) for r in reports] == [
@@ -809,6 +811,57 @@ def test_a_call_with_two_faulty_fields_skips_on_the_one_folded_first():
         ("awp-z-not-constant", "SKIP", "at AWPoly: not a constant expression: z"),
         ("cgf-variant-before-z", "SKIP", "at GenfunCoeff: unknown generating-function variant 0"),
     ]
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor that records its max_workers and runs each
+    task in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (4, 4), (5, 4), (100000, 4)])
+def test_the_pool_has_no_more_workers_than_cases(monkeypatch, registry, jobs, workers):
+    # with the fork start method every worker is forked at the first
+    # submit; a real pool is never asked for a large --jobs here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    code, reports = run_suite(pattern="jacobi-triple-*", jobs=jobs, registry=registry)
+    assert code == 0 and len(reports) == 4 and _InlinePool.sizes == [workers]
+
+
+@pytest.mark.parametrize("side, outcome", [
+    ("rc(2; q; q; 0)", ("SKIP", "at RogersC: inverse of 0 in Q(w)")),
+    ("awp(2; q, q^2, q^3, q^4; q; 0)", ("SKIP", "at AWPoly: inverse of 0 in Q(w)")),
+    ("cgf(1; 2; q; 0)", ("SKIP", "at GenfunCoeff: inverse of 0 in Q(w)")),
+    ("cgf(7; 2; q; 0)", ("SKIP", "at GenfunCoeff: unknown generating-function variant 7")),
+    ("rc(0; q; q; 0)", ("PASS", None)),
+    ("rc(2; q; q; 1 + q)", ("SKIP", "at RogersC: expected a monomial, got 1+q")),
+    ("awp(1; q, q, q, q; q; q^(1/2))", ("SKIP", "at AWPoly: exponent 1/2 not on the 1/1 grid")),
+    ("rc(0; q; q; q^(1/2))", ("PASS", None)),
+])
+def test_a_polynomial_at_a_z_it_cannot_be_built_at_keeps_its_outcome(side, outcome):
+    # z = 0, a z that is no monomial and one off the grid are not built
+    # at: the polynomial is built in z and z folds after it, so a fault of
+    # the polynomial (variant 7) is named before z's, and a polynomial
+    # with no row z^m that z cannot take passes
+    case = parse_suite(f'identity "at-z" {{ lhs = {side}; rhs = 1; D = 1; order = 5; }}')[0]
+    report = verify(case)
+    assert (report.status, report.skip_reason) == outcome
 
 
 def _big_rational(text: str) -> Fraction:

@@ -7,6 +7,8 @@ the lower truncation too, at its stated order and 12*D above it."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from qrucible.ctengine import plan_window
 from qrucible.dsl import Poch, Product, as_monomial, elaborate, parse
 from qrucible.errors import QrucibleError
@@ -111,6 +113,20 @@ def test_polynomials_at_inverse_q_parameters_never_over_claim():
             bad.append((order, text))
     assert not bad
     assert evaluated > 40
+
+
+@pytest.mark.parametrize("text, order", [
+    ("awp(2; 1/2*q^(1/2), w*q, 1/2*q^(-1), 1/2*q^2; q^2; -q^(1/2))", 4),
+    ("awp(1; -q^2, 1/2*q^(-1), 1/2*q^0, q^(1/2); -q^2; q^(-1))", 4),
+    ("cgf(1; 3; -w2*q^(-1); -q^(3/2))", 5),
+    ("cgf(1; 3; -w2*q^(-1); -q^(3/2))", 6),
+])
+def test_polynomials_built_at_z_keep_the_truncs_of_their_shifted_rows(text, order):
+    # built in z and then substituted, each of these claimed coefficients
+    # it did not know: the z-Laurent build drops a row or a term that is
+    # zero below the order, so z^m, m < 0, cannot move its trunc down.
+    # Built at z, each trunc moves with its power of z
+    assert _over_claims(text, order) is False
 
 
 def test_cgf5_at_inverse_q_keeps_the_truncs_of_a_zero_scalar():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -14,8 +15,8 @@ from conftest import (
 from qrucible import ortho
 from qrucible.cyclotomic import CycRat, OMEGA, ONE
 from qrucible.ctengine import ZSeries, zmul, zs_one, zsubst
-from qrucible.dsl import elaborate, parse
-from qrucible.errors import ZeroDenominator
+from qrucible.dsl import AWPoly, RogersC, _fold, _plan, as_monomial, elaborate, parse, unparse
+from qrucible.errors import QrucibleError, ZeroDenominator
 from qrucible.ortho import (
     AWParam,
     RogersParam,
@@ -243,7 +244,7 @@ def test_single_sums_are_halved_reductions():
     """Each quarter-grid one-variable sum is its parent reduction with the
     base replaced by its square root: coefficients at scaled index k must
     agree between the D=4 and D=2 elaborations."""
-    from qrucible.dsl import elaborate, parse
+    from qrucible.dsl import AWPoly, RogersC, _fold, _plan, as_monomial, elaborate, parse, unparse
     from qrucible.harness import load_registry
 
     registry = load_registry()
@@ -265,7 +266,7 @@ def test_single_sums_are_halved_reductions():
 
 def test_half_exponent_triple_sum_reduces_to_its_single_series():
     # the half-grid lattice sum equals its prefactor-times-2phi1 form
-    from qrucible.dsl import elaborate, parse
+    from qrucible.dsl import AWPoly, RogersC, _fold, _plan, as_monomial, elaborate, parse, unparse
 
     ctx = SeriesContext(2, 60)
     lhs = elaborate(parse("tsum_h()"), ctx)
@@ -280,7 +281,7 @@ def test_transform_sextic_quarter_grid_matches_single_sum():
     # at a = q^(3/4) the sextic-a transform's lhs is exactly the
     # one-variable sum the registry verifies on the quarter grid; no suite
     # entry states this specialization, so both sides are checked here
-    from qrucible.dsl import elaborate, parse
+    from qrucible.dsl import AWPoly, RogersC, _fold, _plan, as_monomial, elaborate, parse, unparse
     from qrucible.qkernel import phi
 
     ctx = SeriesContext(4, 60)
@@ -695,3 +696,105 @@ def test_rewritten_helpers_honest_across_truncations():
         long = genfun_lhs(variant, a, 3, SeriesContext(D, N + k))
         for s, l in zip(short, long):
             _zs_agree_below(s, l)
+
+
+
+_COEFF_TEXTS = ["", "-", "w*", "-w2*", "2*", "1/2*"]
+_Z_EXPS = [Fraction(-2), Fraction(-1), -HALF, Fraction(0), HALF, Fraction(1), Fraction(3, 2)]
+
+
+def _random_polynomial_text(rng, D) -> str:
+    """rc, awp or cgf with random parameters on the 1/D grid, a positive
+    base, and z = c*q^e for c among w, -w^2, 2, 1/2, 1 and -1 and e among
+    negative, whole and half exponents; cgf's variant is now and then
+    unknown."""
+    def m(lo, hi, coeffs=_COEFF_TEXTS):
+        return f"{rng.choice(coeffs)}q^({Fraction(rng.randint(lo * D, hi * D), D)})"
+
+    n, z = rng.randint(0, 5), f"{rng.choice(_COEFF_TEXTS)}q^({rng.choice(_Z_EXPS)})"
+    kind = rng.choice("rac")
+    if kind == "r":
+        return f"rc({n}; {m(-1, 2)}; {m(1, 2, ['', '-', 'w*'])}; {z})"
+    if kind == "a":
+        return f"awp({n}; {', '.join(m(-1, 2) for _ in range(4))}; {m(1, 2, ['', '-', 'w*'])}; {z})"
+    return f"cgf({rng.randint(0, 6)}; {n}; {m(-1, 2)}; {z})"
+
+
+def _build(e, ctx, z):
+    """The polynomial of the call node e, built at the point z, or in z
+    for None."""
+    fields = _fold(e)[:-1]
+    if isinstance(e, RogersC):
+        n, a, base = fields
+        return rogers_poly(n, RogersParam(a, base), ctx, z)
+    if isinstance(e, AWPoly):
+        n, *params, base = fields
+        return aw_poly(n, AWParam(*params, base), ctx, z)
+    variant, n, a = fields
+    return genfun_lhs(variant, a, n, ctx, z)[n]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except QrucibleError as exc:
+        return type(exc), str(exc)
+
+
+def _at_point(e, ctx, z):
+    """The point build as a QSeries: it has no row but degree 0."""
+    x = _build(e, ctx, z)
+    assert set(x.rows) <= {0}
+    return x.coefficient(0)
+
+
+def test_point_build_matches_the_laurent_build_and_never_over_claims():
+    """rc, awp and cgf built at z against the z-Laurent build taken at z.
+    Both raise the same error, or the point build agrees with itself at a
+    higher order below its trunc, and where the two builds differ below
+    the smaller trunc, it is the Laurent build that over-claims: it drops
+    a row or a term that is zero below the order, which z^m, m < 0, would
+    bring below it. That happens only where the precision plan does not
+    see the polynomial, and the Laurent build at the higher order, where
+    it knows more, sides with the point build. Where the plan sees the
+    polynomial, the planned trunc is at most the Laurent one and that at
+    most the point one: the plan may over-pad a point build, never
+    under-pad."""
+    rng = random.Random(2710)
+    builds = higher = lower = errors = wrong = 0
+    while builds < 300:
+        D = rng.choice([1, 2])
+        e = parse(_random_polynomial_text(rng, D))
+        z = as_monomial(e.z)
+        if (z.exp * D).denominator != 1 or z.is_zero():
+            continue  # the DSL builds these in z
+        N, k = rng.randint(4, 16), rng.randint(1, 8)
+        ctx = SeriesContext(D, N)
+        point = _outcome(lambda: _at_point(e, ctx, z))
+        laurent = _outcome(lambda: zsubst(_build(e, ctx, None), z))
+        if isinstance(point, tuple) or isinstance(laurent, tuple):
+            assert point == laurent, unparse(e)
+            errors += 1
+            continue
+        builds += 1
+        assert elaborate(e, ctx) == point
+        longer = _at_point(e, SeriesContext(D, N + k), z)
+        assert longer.trunc >= point.trunc, unparse(e)
+        lo = min(point.val, longer.val)
+        assert all(point.coefficient(j) == longer.coefficient(j) for j in range(lo, point.trunc)), unparse(e)
+        plan_lo, _, planned = _plan(e, ctx)
+        seen = plan_lo != -math.inf
+        lo = min(point.val, laurent.val)
+        differ = [j for j in range(lo, min(point.trunc, laurent.trunc))
+                  if point.coefficient(j) != laurent.coefficient(j)]
+        if differ:
+            again = zsubst(_build(e, SeriesContext(D, N + k), None), z)
+            assert not seen, unparse(e)
+            assert all(again.coefficient(j) == point.coefficient(j) for j in differ if j < again.trunc)
+            wrong += 1
+        if seen:
+            assert laurent.trunc >= planned and point.trunc >= laurent.trunc, unparse(e)
+        higher += point.trunc > laurent.trunc
+        lower += point.trunc < laurent.trunc
+    # both outcomes are met, and the point build is not the Laurent one
+    assert errors > 20 and higher > 5, (errors, higher, lower, wrong)
