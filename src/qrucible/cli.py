@@ -4,10 +4,11 @@
                     [--denom D] [--json PATH] [--strict] [--jobs K]
 
 Exit code 0 iff all selected cases PASS (SKIPs tolerated unless
---strict); 2 on a usage error, a --filter that selects no case, a
-suite file that cannot be read or does not parse, an identity name
-given twice, or a --json path that cannot be written (checked before
-any case runs).
+--strict); 2 on a usage error, suites that hold no case (a missing or
+empty suite directory, empty suite files), a --filter that selects no
+case, a suite file that cannot be read or does not parse, an identity
+name given twice, or a --json path that cannot be written (checked
+before any case runs).
 QRUCIBLE_SUITE_DIR overrides the default suite location.
 """
 
@@ -18,7 +19,7 @@ import sys
 from contextlib import nullcontext
 
 from .errors import SuiteError
-from .harness import load_registry, reports_to_json, run_suite
+from .harness import default_suite_dir, load_registry, reports_to_json, run_suite
 
 
 def positive_int(text: str) -> int:
@@ -75,8 +76,10 @@ def main(argv=None) -> int:
     except SuiteError as exc:
         print(f"qrucible: error: {exc}", file=sys.stderr)
         return 2
-    if args.filter is not None and not registry.select(args.filter):
-        print(f"qrucible: error: --filter {args.filter!r} selects no case", file=sys.stderr)
+    if not registry.select(args.filter):
+        where = ", ".join(args.suite or [str(default_suite_dir() / "*.qid")])
+        what = f"--filter {args.filter!r} selects" if registry.cases else f"{where} holds"
+        print(f"qrucible: error: {what} no case", file=sys.stderr)
         return 2
     try:
         report = open(args.json, "w", encoding="utf-8") if args.json else nullcontext()

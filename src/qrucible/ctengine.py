@@ -85,13 +85,13 @@ class ZSeries:
     def shift(self, deg: int) -> "ZSeries":
         return ZSeries(self.ctx, {m + deg: row for m, row in self.rows.items()}, self.d, self.lo)
 
-    def scale(self, s: QSeries, k: tuple = ZW_ONE, e: int = 0) -> "ZSeries":
-        """Every row times s c q^e, c the Z[w] triple k, with the truncs of
-        QSeries.__mul__ and the trunc of s moved by e."""
+    def scale(self, s: QSeries, k: tuple = ZW_ONE, e: int = 0, deg: int = 0) -> "ZSeries":
+        """Every row times s c q^e z^deg, c the Z[w] triple k, with the
+        truncs of QSeries.__mul__ and the trunc of s moved by e."""
         y = ZSeries(self.ctx, {}, 1, s.val + e)
         # s is kept even where it is zero: it still cuts the rows of negative val
         y.d, re, om = _zw_scale(*s.zw, k)
-        y.rows = {0: (s.trunc + e, re, om)}
+        y.rows = {deg: (s.trunc + e, re, om)}
         return zmul(self, y)
 
     def __add__(self, other: "ZSeries") -> "ZSeries":

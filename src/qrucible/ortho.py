@@ -9,11 +9,12 @@ an outer formal variable truncated at a small order, with coefficients
 in z.
 
 Each builder takes the point z, a nonzero monomial c q^e on the grid, or
-None. Substituting z is a ring homomorphism, so at a point it is folded
-in first: each z^j, a parameter's or a shift's, is c^j q^(je) at degree
-0, and every row set keeps the one row the caller reads. With None the
-polynomial is built in z as a row per z-degree; `ctengine.zsubst` takes
-that build at z, and the benchmark probe and the test oracles read it.
+None, on one code path: `_zpow` alone says how z^j, a parameter's or a
+shift's, enters. Substitution is a ring homomorphism, so at a point z^j
+is c^j q^(je) at degree 0, and every row set keeps the one row the
+caller reads. With None, z^j is row j: the z-Laurent build, which
+`ctengine.zsubst` takes at z, and the benchmark probe and the test
+oracles read.
 
 Every series here is a basic hypergeometric sum (Gasper-Rahman, Basic
 Hypergeometric Series, 2nd ed., 2004, ch. 7), and one term pass,
@@ -37,8 +38,8 @@ from itertools import count, islice
 from .cyclotomic import ONE
 from .errors import InvalidParameter, ZeroDenominator
 from .series import Monomial, SeriesContext, mono, mul_binomials, qpow
-from .series import _zw_scalar, _zw_times
-from .qkernel import _zero_factor_index, poch
+from .series import ZW_ONE, _zw_scalar, _zw_times
+from .qkernel import _zero_factor_index, poch, pochhammer
 from .ctengine import ZSeries, zmul, zs_one, zsum
 
 _Q = qpow(1)
@@ -80,6 +81,15 @@ def _t_times(num: list, c: tuple, e: int, i: int, j: int, p: int, ctx) -> list:
     return out
 
 
+def _zpow(z, j: int, ctx: SeriesContext) -> tuple:
+    """How z^j enters a build at z, as (Z[w] triple, q-shift, z-degree):
+    in z (z None) it is row j; at the point z = c q^e it is c^j q^(je)
+    at degree 0."""
+    if z is None:
+        return ZW_ONE, 0, j
+    return _zw_scalar(z.coeff ** j), ctx.scale(j * z.exp), 0
+
+
 def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesContext, z=None):
     """Yield (num_n, den_n) for n = 0, 1, ... of a basic hypergeometric
     series in base b:
@@ -92,14 +102,14 @@ def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesCon
       pass per step, uppers before lowers.
 
     Step n's factors are step n-1's times b (b^2 for i = 2), as Z[w]
-    triples. At a point z = c q^e each m z^j is m c^j q^(je) at degree 0.
+    triples; each m z^j is m times `_zpow`'s z^j.
     """
     eb, cb = ctx.scale(base.exp), _zw_scalar(base.coeff)
     cbs = (cb, cb, _zw_times(cb, cb))  # b^max(i, 1) by i
-    zfs = [(_zw_scalar(m.coeff), ctx.scale(m.exp), i, j, p) for m, i, j, p in zparams]
-    if z is not None:
-        zfs = [(_zw_times(c, _zw_scalar(z.coeff ** j)), e + ctx.scale(j * z.exp), i, 0, p)
-               for c, e, i, j, p in zfs]
+    zfs = []
+    for m, i, j, p in zparams:
+        k, e, d = _zpow(z, j, ctx)
+        zfs.append((_zw_times(_zw_scalar(m.coeff), k), ctx.scale(m.exp) + e, i, d, p))
     dfs = ([(_zw_scalar(u.coeff), ctx.scale(u.exp), 1) for u in uppers] + [(cb, eb, -1)]
            + [(_zw_scalar(l.coeff), ctx.scale(l.exp), -1) for l in lowers])
     num = [zs_one(ctx)] + [ZSeries(ctx, {}) for _ in range(t_order)]
@@ -113,15 +123,15 @@ def _terms(zparams, uppers, lowers, base: Monomial, t_order: int, ctx: SeriesCon
         dfs = [(_zw_times(c, cb), e + eb, p) for c, e, p in dfs]
 
 
-def _num_floor(zparams, eb: int, t_order: int, ctx: SeriesContext, z: Monomial) -> int:
-    """A lower bound on the val at the point z of num_n of `_terms` below
-    t^(t_order + 1), for every n and a base exponent eb > 0: each power
-    of t costs at least min(0, e)/i of some parameter m t^i z^j = c q^e,
-    i > 0, and one of i = 0 adds its factors (1 - c q^(e + k eb)) of
-    negative exponent."""
+def _num_floor(zparams, eb: int, t_order: int, ctx: SeriesContext, z) -> int:
+    """A lower bound on the val of num_n of `_terms` below t^(t_order + 1),
+    every row, for every n and a base exponent eb > 0: each power of t
+    costs at least min(0, e)/i of some parameter m t^i z^j, i > 0, whose
+    m times `_zpow`'s z^j is c q^e, and one of i = 0 adds its factors
+    (1 - c q^(e + k eb)) of negative exponent."""
     floor, per_t = 0, 0
     for m, i, j, _ in zparams:
-        e = ctx.scale(m.exp) + ctx.scale(j * z.exp)
+        e = ctx.scale(m.exp) + _zpow(z, j, ctx)[1]
         if i:
             per_t = min(per_t, t_order * min(0, e) // i)
         else:
@@ -133,18 +143,18 @@ def _t_phi(zparams, uppers, lowers, base: Monomial, arg: Monomial, arg_t: int, a
            t_order: int, ctx: SeriesContext, z=None) -> list:
     """sum num_n den_n (arg t^arg_t z^arg_z)^n ((-1)^n b^C(n,2))^(1+s-r) over
     the terms of `_terms` as a t-series, r and s counting the upper and
-    lower parameters, a scalar upper 0 included; terms stop once t^n
-    passes t_order or the scalar monomial passes the order. At the point
-    z the scalar takes z^(n arg_z) and the least val num can have, so
-    that the terms left out lie past the order too: e(n) is convex or
-    linear from 0 (1+s-r >= 0 and b's exponent > 0 in every factor of
-    `genfun_lhs`), so once past the order it stays there."""
+    lower parameters, a scalar upper 0 included. Each term is a z-product
+    times one scalar, z^(n arg_z) taken as `_zpow` gives it. Terms stop
+    once t^n passes t_order or the scalar's q-exponent, plus the least
+    val num can have, passes the order, so that the terms left out lie
+    past the order too: e(n) is convex or linear from 0 (1+s-r >= 0 and
+    b's exponent > 0 in every factor of `genfun_lhs`), so once past the
+    order it stays there."""
     r = len(uppers) + sum(max(i, 1) for _, i, _, p in zparams if p > 0)
     s = len(lowers) + sum(max(i, 1) for _, i, _, p in zparams if p < 0)
     power = 1 + s - r
     eb, ea = ctx.scale(base.exp), ctx.scale(arg.exp)
-    shift, floor = (0, 0) if z is None else (
-        arg_z * ctx.scale(z.exp), _num_floor(zparams, eb, t_order, ctx, z))
+    shift, floor = _zpow(z, arg_z, ctx)[1], _num_floor(zparams, eb, t_order, ctx, z)
 
     def e(n):
         return n * ea + power * (n * (n - 1) // 2) * eb
@@ -153,15 +163,9 @@ def _t_phi(zparams, uppers, lowers, base: Monomial, arg: Monomial, arg_t: int, a
     out = [[] for _ in range(t_order + 1)]
     for n, (num, den) in enumerate(islice(_terms(zparams, uppers, lowers, base, t_order, ctx, z), stop)):
         c = arg.coeff ** n * ((-ONE) ** n * base.coeff ** (n * (n - 1) // 2)) ** power
-        rows = num[: t_order + 1 - n * arg_t]
-        if z is None:
-            coeff = den.mul_monomial(c, e(n))
-            terms = [row.scale(coeff).shift(n * arg_z) for row in rows]
-        else:  # z^(n arg_z) goes into the scalar, as in `_cauchy`
-            zc = _zw_scalar(c * z.coeff ** (n * arg_z))
-            terms = [row.scale(den, zc, e(n) + n * shift) for row in rows]
-        for k, term in enumerate(terms):
-            out[k + n * arg_t].append(term)
+        k, zs, d = _zpow(z, n * arg_z, ctx)
+        for i, row in enumerate(num[: t_order + 1 - n * arg_t]):
+            out[i + n * arg_t].append(row.scale(den, _zw_times(_zw_scalar(c), k), e(n) + zs, d))
     return [zsum(ctx, parts) for parts in out]
 
 
@@ -169,17 +173,12 @@ def _cauchy(front, back, ctx, z) -> ZSeries:
     """The t^n coefficient of the product of two term passes, given their
     terms 0..n, whose arguments are t/z and t z:
     sum_k num_k num'_(n-k) den_k den'_(n-k) z^(n-2k), each scalar applied
-    after its z-product; at the point z = c q^e, z^(n-2k) is c^(n-2k)
-    q^((n-2k)e) in that scalar, whose trunc moves with it, so that a zero
-    scalar still bounds the truncs."""
-    n, parts = len(front) - 1, []
-    for k, ((nf, df), (nb, db)) in enumerate(zip(front, reversed(back))):
-        x, j = zmul(nf[0], nb[0]), n - 2 * k
-        if z is None:
-            parts.append(x.scale(df * db).shift(j))
-        else:
-            parts.append(x.scale(df * db, _zw_scalar(z.coeff ** j), ctx.scale(j * z.exp)))
-    return zsum(ctx, parts)
+    after its z-product, with z^(n-2k) as `_zpow` gives it; at a point its
+    q-shift moves the scalar's trunc too, so that a zero scalar still
+    bounds the truncs."""
+    n = len(front) - 1
+    return zsum(ctx, [zmul(nf[0], nb[0]).scale(df * db, *_zpow(z, n - 2 * k, ctx))
+                      for k, ((nf, df), (nb, db)) in enumerate(zip(front, reversed(back)))])
 
 
 def rogers_poly(n: int, p: RogersParam, ctx: SeriesContext, z=None) -> ZSeries:
@@ -205,17 +204,12 @@ def aw_poly(n: int, p: AWParam, ctx: SeriesContext, z=None) -> ZSeries:
             raise ZeroDenominator(f"({label}; base)_k vanishes for k <= {n}")
     front = list(islice(_terms([(p.a, 0, 1, 1), (p.b, 0, 1, 1)], [], [ab], b, 0, ctx, z), n + 1))
     back = list(islice(_terms([(p.c, 0, -1, 1), (p.d, 0, -1, 1)], [], [cd], b, 0, ctx, z), n + 1))
-    pref = poch(b, b, ctx, n)
-    if not ab.is_zero():
-        pref = pref * poch(ab, b, ctx, n)
-    if not cd.is_zero():
-        pref = pref * poch(cd, b, ctx, n)
     out = _cauchy(front, back, ctx, z)
-    if z is not None and not out.rows:
+    if not out.rows:
         # every part vanished below the order: the row stays, so that a
-        # pref of negative val brings its trunc down
+        # prefactor of negative val brings its trunc down
         out.rows = {0: (ctx.order, [], [])}
-    return out.scale(pref)
+    return out.scale(pochhammer([b, ab, cd], b, ctx, n))
 
 
 def genfun_lhs(variant: int, a: Monomial, t_order: int, ctx: SeriesContext, z=None) -> list:

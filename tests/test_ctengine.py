@@ -378,6 +378,25 @@ def test_row_set_matches_dict_of_qseries_oracle():
     assert min(seen.values()) >= 10, seen
 
 
+def test_scale_at_a_degree_is_scale_then_shift():
+    # the z-degree of ZSeries.scale lands every row where shift would put
+    # it, with the same trunc, entries, denominator and lowest exponent
+    rng = random.Random(20261021)
+    seen = dict.fromkeys(["zero s", "negative val", "w scalar"], 0)
+    for _ in range(300):
+        ctx = SeriesContext(rng.choice([1, 2]), rng.randint(3, 12))
+        terms = {m: _random_series(rng, ctx) for m in rng.sample(range(-5, 6), rng.randint(0, 4))}
+        x, s = zseries(ctx, terms), _random_series(rng, ctx)
+        k = _zw_scalar(rand_cycrat(rng, 5) or ONE)
+        e, deg = rng.randint(-4, 4), rng.randint(-5, 5)
+        got, want = x.scale(s, k, e, deg), x.scale(s, k, e).shift(deg)
+        assert (got.rows, got.d, got.lo) == (want.rows, want.d, want.lo), (terms, s, k, e, deg)
+        seen["zero s"] += s.is_zero() and bool(terms)
+        seen["negative val"] += any(r.val < 0 and not r.is_zero() for r in terms.values())
+        seen["w scalar"] += bool(k[2])
+    assert min(seen.values()) >= 10, seen
+
+
 def test_zproduct_matches_the_parent_on_random_integrands():
     # the ct{} integrands of the honesty generator, at their planned
     # windows and working orders

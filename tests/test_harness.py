@@ -397,6 +397,21 @@ def test_cli_filter_selecting_no_case_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_cli_run_with_no_case_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # a missing suite directory, an empty one and an empty suite file each
+    # end before any case runs, so a strict run that verifies nothing fails
+    empty_dir, empty_file = tmp_path / "empty", tmp_path / "empty.qid"
+    empty_dir.mkdir()
+    empty_file.write_text("")
+    for where, argv in [(tmp_path / "missing", []), (empty_dir, []),
+                        (SUITE_DIR, ["--suite", str(empty_file)])]:
+        monkeypatch.setenv("QRUCIBLE_SUITE_DIR", str(where))
+        assert cli_main(["verify", "--strict", *argv]) == 2
+        out, err = capsys.readouterr()
+        shown = empty_file if argv else where / "*.qid"
+        assert (out, err) == ("", f"qrucible: error: {shown} holds no case\n")
+
+
 def test_cli_unreadable_suite_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "nope.qid"
     binary = tmp_path / "binary.qid"
