@@ -607,7 +607,7 @@ def _elaborate(e, ctx, path) -> QSeries:
     def sub(child, tag):
         return elaborate(child, ctx, f"{path}.{tag}")
 
-    if isinstance(e, (Rational, Omega, QPower)):
+    if isinstance(e, (Rational, Omega, QPower, ZPower)):
         return monomial_to_series(as_monomial(e), ctx)
     if isinstance(e, Neg):
         return -sub(e.arg, "arg")

@@ -290,6 +290,13 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     row and no product of series is built; every coefficient below the
     order is exact, and the trunc is that of each lattice point's term
     c*q^e times its rows, whose vals are counted as integers.
+
+    The variables run in ascending bound order, ties in the given order,
+    the shortest chain outermost. Its divisions are then the only ones
+    on the full window from the sum's least exponent; the long chains
+    run innermost, on windows that start at their prefix's exponent.
+    The order cannot change the sum: its coefficients are exact, and a
+    lattice point's trunc does not depend on the order of its rows.
     """
     m = len(spec.lin)
     if not m:
@@ -330,6 +337,11 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             k += 1
         bounds.append(k)
 
+    p = sorted(range(m), key=bounds.__getitem__)
+    A = [[A[i][j] for j in p] for i in p]
+    fields = (eff, mins, bounds, spec.signs, spec.denom_args, spec.denom_bases, spec.coeffs)
+    eff, mins, bounds, signs, args, bases, coeffs = ([xs[i] for i in p] for xs in fields)
+
     # per variable i and k <= bounds[i], as Z[w] triples stepped by one
     # product each: the binomial (c, e) that takes row k to row k+1, the
     # signed weight ((-1)^signs_i*coeffs_i)^k, and the (val, trunc) of
@@ -337,10 +349,10 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     order = ctx.order
     steps, powers, row_vals = [], [], []
     for i in range(m):
-        d, b = spec.denom_args[i], spec.denom_bases[i]
+        d, b = args[i], bases[i]
         c, e, eb = _zw_scalar(d.coeff), ctx.scale(d.exp), ctx.scale(b.exp)
-        cb, w = _zw_scalar(b.coeff), spec.coeffs[i].coeff
-        w = _zw_scalar(-w if spec.signs[i] % 2 else w)
+        cb, w = _zw_scalar(b.coeff), coeffs[i].coeff
+        w = _zw_scalar(-w if signs[i] % 2 else w)
         step, power, row_val = [], [ZW_ONE], [0]
         for _ in range(bounds[i]):
             if e == 0 and c == ZW_ONE:

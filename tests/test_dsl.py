@@ -571,6 +571,22 @@ def test_elaborate_ct_with_shift():
     assert picked.coefficient(0) == -ONE
 
 
+def test_z_to_the_zero_is_one():
+    # a ZPower leaf folds through as_monomial like a q-power: z^0 is the
+    # constant 1, inside ct{} or not, and z^d with d != 0 is no constant
+    ctx = SeriesContext(1, 20)
+    for text, plain in [
+        ("z^0", "1"),
+        ("ct{z^0*qp(z; q; inf)*qp(q/z; q; inf)}", "ct{qp(z; q; inf)*qp(q/z; q; inf)}"),
+        ("ct{qp(q*z^0; q; inf)*z^0}", "qp(q; q; inf)"),
+    ]:
+        got, want = elaborate(parse(text), ctx), elaborate(parse(plain), ctx)
+        assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw), text
+    for text in ["z^2", "z^(-1)", "z"]:
+        with pytest.raises(EvalError, match=r"not a constant expression: z"):
+            elaborate(parse(text), ctx)
+
+
 def test_grammar_file_names_the_parser_heads():
     # docs/grammar.ebnf is the one statement of the grammar; its call and
     # named productions must list exactly the heads the parser accepts

@@ -35,6 +35,7 @@ SUITE_DIR = SRC_DIR / "qrucible" / "suites"
 SHIPPED_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-report.json"
 CT_ORDER50_REPORT = Path(__file__).resolve().parent / "data" / "ct-order50-report.json"
 KR_NINE_ORDER150_REPORT = Path(__file__).resolve().parent / "data" / "kr-nine-order150-report.json"
+KR_NINE_ORDER1000_REPORT = Path(__file__).resolve().parent / "data" / "kr-nine-order1000-report.json"
 DENOM2_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-denom2-report.json"
 DEEP_REPORT = Path(__file__).resolve().parent / "data" / "shipped-suite-deep-report.json"
 BIG_COEFFICIENT = Path(__file__).resolve().parent / "data" / "big-coefficient.qid"
@@ -631,16 +632,29 @@ def test_contour_cases_at_order_50_match_the_pinned_report(tmp_path, capsys):
     assert json.dumps(items, indent=2) + "\n" == CT_ORDER50_REPORT.read_text(encoding="utf-8")
 
 
-def test_kr_nine_at_order_150_matches_the_pinned_report(registry):
-    # the lattice sums at three times the stated orders, pinned as
-    # `verify --filter 'kr-nine*' --order 150 --json` wrote it before the
-    # sums were evaluated by Horner's rule, times removed
-    code, reports = run_suite(pattern="kr-nine", order=150, registry=registry)
+def _kr_nine_report(registry, order: int) -> str:
+    """The kr-nine cases at the order, as `verify --json` writes them,
+    times removed."""
+    code, reports = run_suite(pattern="kr-nine", order=order, registry=registry)
     assert code == 0
     items = json.loads(reports_to_json(reports))
     for item in items:
         del item["elapsedMs"]
-    assert json.dumps(items, indent=2) + "\n" == KR_NINE_ORDER150_REPORT.read_text(encoding="utf-8")
+    return json.dumps(items, indent=2) + "\n"
+
+
+def test_kr_nine_at_order_150_matches_the_pinned_report(registry):
+    # the lattice sums at three times the stated orders, pinned as
+    # `verify --filter 'kr-nine*' --order 150 --json` wrote it before the
+    # sums were evaluated by Horner's rule
+    assert _kr_nine_report(registry, 150) == KR_NINE_ORDER150_REPORT.read_text(encoding="utf-8")
+
+
+def test_kr_nine_at_order_1000_matches_the_pinned_report(registry):
+    # the lattice sums at twenty times the stated orders, pinned as
+    # `verify --filter 'kr-nine*' --order 1000 --json` wrote it while the
+    # variables still ran in the order each spec lists them
+    assert _kr_nine_report(registry, 1000) == KR_NINE_ORDER1000_REPORT.read_text(encoding="utf-8")
 
 
 def test_every_case_at_three_times_its_order_matches_the_pinned_report(registry):

@@ -562,13 +562,18 @@ def test_row_vals_raise_the_lattice_trunc():
         ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 24))
         spec = rand_negative_rows_spec(rng, ctx)
         expect = _matches_the_parent(spec, ctx)
-        m = len(spec.lin)
-        least = min(
-            sum(spec.quad[i][i] * k[i] * k[i] + spec.lin[i] * k[i] for i in range(m))
-            for k in itertools.product(range(5), repeat=m)
-        )
-        raised += expect is not None and expect.trunc > ctx.order + min(0, least)
+        raised += expect is not None and expect.trunc > ctx.order + min(0, _least_exponent(spec))
     assert raised >= 50, raised
+
+
+def _least_exponent(spec):
+    """The least exponent of a lattice point of a spec without cross
+    terms, whose least points lie in 0 <= k_i < 5."""
+    m = len(spec.lin)
+    return min(
+        sum(spec.quad[i][i] * k[i] * k[i] + spec.lin[i] * k[i] for i in range(m))
+        for k in itertools.product(range(5), repeat=m)
+    )
 
 
 KR_NINE = [(1, 0, 3), (2, 4, 9), (4, 6, 15), (1, 6, 9), (2, 2, 9), (3, 5, 12), (1, 3, 6), (1, 1, 6), (2, -1, 6)]
@@ -580,6 +585,60 @@ def test_kr_nine_triples_match_the_parent(order):
     for u, v, w in KR_NINE:
         spec = f_triple_spec(qpow(u), qpow(v), qpow(w), ctx)
         assert _matches_the_parent(spec, ctx) is not None, (u, v, w)
+
+
+def _permuted(spec, p):
+    """spec with its variables in the order p: variable i is spec's p[i]."""
+    return MultiSumSpec(
+        quad=tuple(tuple(spec.quad[i][j] for j in p) for i in p),
+        lin=tuple(spec.lin[i] for i in p),
+        signs=tuple(spec.signs[i] for i in p),
+        denom_args=tuple(spec.denom_args[i] for i in p),
+        denom_bases=tuple(spec.denom_bases[i] for i in p),
+        coeffs=tuple(spec.coeffs[i] for i in p),
+    )
+
+
+def _order_free(spec, ctx):
+    """multisum and parent_multisum give the same (val, trunc, zw), or
+    raise the same exception, for every permutation of spec's variables;
+    returns it."""
+    outcomes = []
+    for p in itertools.permutations(range(len(spec.lin))):
+        for evaluate in (multisum, parent_multisum):
+            try:
+                x = evaluate(_permuted(spec, p), ctx)
+                outcomes.append((x.val, x.trunc, x.zw))
+            except ZeroDenominator as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert all(o == outcomes[0] for o in outcomes), (ctx, spec)
+    return outcomes[0]
+
+
+def test_the_variable_order_does_not_change_a_lattice_sum():
+    # multisum runs the variables in ascending bound order and the oracle
+    # in the given one, so over all permutations the oracle sees every
+    # order; in the negative-rows specs later rows' vals raise a point's
+    # trunc, which must not depend on the order of its rows
+    rng = random.Random(20261021)
+    for _ in range(150):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 24))
+        _order_free(rand_multisum_spec(rng, ctx), ctx)
+    raised = 0
+    for _ in range(150):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 24))
+        spec = rand_negative_rows_spec(rng, ctx)
+        out = _order_free(spec, ctx)
+        raised += out[0] is not ZeroDenominator and out[1] > ctx.order + min(0, _least_exponent(spec))
+    assert raised >= 25, raised
+    for make in NAMED_SUMS.values():
+        for order in (1, 7, 30, 61):
+            ctx = SeriesContext(2, order)
+            _order_free(make(ctx), ctx)
+    for order in (1, 2, 3, 7, 30, 61, 150):
+        ctx = SeriesContext(1, order)
+        for u, v, w in KR_NINE:
+            _order_free(f_triple_spec(qpow(u), qpow(v), qpow(w), ctx), ctx)
 
 
 def test_triple_sum_builds_no_q_w_lists(monkeypatch):
