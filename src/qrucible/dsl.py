@@ -651,6 +651,15 @@ def _flat_factors(e: Product, path: str, inverted: bool):
             yield f"{path}.{i}", inverted != inv, x
 
 
+def _without_unit_z(factors) -> list:
+    """The factors (path, inverted, node) of a product, less its z-powers
+    where their degrees total 0: z^2*z^(-2) is 1, as in ct{}. Otherwise
+    they stay, and the first z-power raises at its path."""
+    factors = list(factors)
+    degs = [-x.deg if inv else x.deg for _, inv, x in factors if isinstance(x, ZPower)]
+    return [f for f in factors if not isinstance(f[2], ZPower)] if degs and not sum(degs) else factors
+
+
 def _product(factors, ctx, rest=()) -> QSeries:
     """The product of the series in rest and of each factor (path,
     inverted, node) to the power -1 if inverted. The factors that are not
@@ -663,7 +672,7 @@ def _product(factors, ctx, rest=()) -> QSeries:
     product exactly zero, known to the order; where it is inverted it
     raises at its path, so 0/0 never cancels."""
     pochs, rest = [], list(rest)
-    for path, inverted, x in factors:
+    for path, inverted, x in _without_unit_z(factors):
         if isinstance(x, Poch):
             pochs.append((path, -1 if inverted else 1, x))
             continue
@@ -799,7 +808,7 @@ def _plan_inverse(plan, order: int) -> tuple:
 def _plan_product(factors, ctx, rest=()) -> tuple:
     """The plan of `_product`, its factors split by their planned vals."""
     order, pochs, rest = ctx.order, [], list(rest)
-    for _, inverted, x in factors:
+    for _, inverted, x in _without_unit_z(factors):
         if isinstance(x, Poch):
             pochs.append((x, -1 if inverted else 1))
             continue

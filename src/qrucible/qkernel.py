@@ -33,7 +33,6 @@ from .series import (
     _zw_scalar,
     _zw_times,
     _zw_value,
-    chain_trunc,
     mono,
     mul_binomial,  # noqa: F401 -- perfbench wraps qkernel.mul_binomial by name
     mul_binomials,
@@ -287,9 +286,15 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     T_0 + (T_1 + (T_2 + ...)/(1 - d*b))/(1 - d): k runs down from the
     bound, one ZwSum is divided in place by that step's binomial, and T_k
     is added, the inner variable's sum or +-c*q^e at a lattice point. No
-    row and no product of series is built; every coefficient below the
-    order is exact, and the trunc is that of each lattice point's term
-    c*q^e times its rows, whose vals are counted as integers.
+    row and no product of series is built.
+
+    The trunc T comes first, in integers. Over a lattice point's chain,
+    its term c*q^e and its rows, each known to the order O, with row vals
+    in [0, O] and val O for a zero term, chain_trunc is
+    O + min(0, V - max v), V the sum of the vals: only a nonzero term at
+    e < 0 lowers T. The Horner windows then end at T, not at O, and a
+    prefix at or past T is skipped; each division and add only moves
+    coefficients upward, so every coefficient below T is still exact.
 
     The variables run in ascending bound order, ties in the given order,
     the shortest chain outermost. Its divisions are then the only ones
@@ -344,8 +349,8 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
 
     # per variable i and k <= bounds[i], as Z[w] triples stepped by one
     # product each: the binomial (c, e) that takes row k to row k+1, the
-    # signed weight ((-1)^signs_i*coeffs_i)^k, and the (val, trunc) of
-    # row k (a factor with e < 0 raises the val by -e, up to the order)
+    # signed weight ((-1)^signs_i*coeffs_i)^k, and the val of row k (a
+    # factor with e < 0 raises it by -e, up to the order)
     order = ctx.order
     steps, powers, row_vals = [], [], []
     for i in range(m):
@@ -364,40 +369,53 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
             e += eb
         steps.append(step)
         powers.append(power)
-        row_vals.append([(v, order) for v in row_val])
+        row_vals.append(row_val)
 
     # rest[i]: the least exponent variables i.. can add to a prefix; cross
     # terms are nonnegative, so a prefix whose exponent plus rest reaches
-    # the order has no term below it.
+    # a bound has no term below it.
     rest = [sum(mins[i:]) for i in range(m + 1)]
     ks = [0] * m
     trunc = order
 
+    def lowest(i: int, exp_acc: int, vs: int, vmax: int) -> None:
+        """Lower trunc to the least point trunc over the completions of
+        ks[:i], whose rows' vals so far sum to vs, at most vmax."""
+        nonlocal trunc
+        lin = eff[i] + sum(2 * A[i][j] * ks[j] for j in range(i))
+        for k in range(bounds[i] + 1):
+            ks[i] = k
+            e, v = exp_acc + (A[i][i] * k + lin) * k, row_vals[i][k]
+            t = order + e + vs + v - max(vmax, v)  # vs - vmax only grows with more rows
+            if t + rest[i + 1] >= trunc or powers[i][k] == ZW_ZERO:
+                continue
+            if i < m - 1:
+                lowest(i + 1, e, vs + v, max(vmax, v))
+            else:
+                trunc = t
+
     def horner(i: int, exp_acc: int, coeff_acc: tuple) -> ZwSum:
         """The terms over all completions of ks[:i], times the rows of
-        variables i.., summed from exponent exp_acc + rest[i] up."""
-        nonlocal trunc
-        acc = ZwSum(ctx, exp_acc + rest[i])
+        variables i.., summed from exponent exp_acc + rest[i] up to trunc."""
+        acc = ZwSum(ctx, exp_acc + rest[i], trunc)
         lin = eff[i] + sum(2 * A[i][j] * ks[j] for j in range(i))
         for k in range(bounds[i], -1, -1):
             if k < bounds[i]:
                 acc.div_binomial(*steps[i][k])
             ks[i] = k
             e = exp_acc + (A[i][i] * k + lin) * k
-            if e + rest[i + 1] >= order:
+            if e + rest[i + 1] >= trunc:
                 continue
             c = _zw_times(coeff_acc, powers[i][k])
             if i < m - 1:
                 acc.add(horner(i + 1, e, c))
-                continue
-            # a lattice point: its trunc is that of c*q^e times its rows
-            factors = [(e if c != ZW_ZERO else order, order)] + [row_vals[j][ks[j]] for j in range(m)]
-            trunc = min(trunc, chain_trunc(order, factors))
-            acc.add_monomial(c, e)
+            else:
+                acc.add_monomial(c, e)
         return acc
 
+    lowest(0, 0, 0, 0)
     acc = horner(0, 0, ZW_ONE)
-    del horner  # it refers to itself through its cell: break that cycle now, not in a gc pass
+    del lowest, horner  # each refers to itself through its cell: break those cycles now, not in a gc pass
     return acc.series(trunc)
 
 

@@ -460,25 +460,27 @@ def _zw_scale(d: int, re: list, om: list, k: tuple):
 
 class ZwSum:
     """The one way series are added (`series_sum`, `phi`, lattice sums): a
-    running sum q^val * (re + om*w)/d known below the order, held as one
-    Z[w] window from val up to at most the order, zero past its end (empty,
-    val the order, for the zero sum). Terms c*q^e*x, x a QSeries or a
-    ZwSum, are added in integers, the window growing to cover them;
-    `div_binomial` divides the whole sum in place by the pass of
-    mul_binomials. Terms must start at or above lo; their truncs are not
-    tracked (the caller states the trunc of the sum)."""
+    running sum q^val * (re + om*w)/d known below hi (default: the order),
+    held as one Z[w] window from val up to at most hi, zero past its end
+    (empty, val hi, for the zero sum). Adds and divisions only move
+    coefficients upward, so a window cut at hi is exact below it. Terms
+    c*q^e*x, x a QSeries or a ZwSum, are added in integers, the window
+    growing to cover them; `div_binomial` divides the whole sum in place
+    by the pass of mul_binomials. Terms must start at or above lo; their
+    truncs are not tracked (the caller states the trunc of the sum)."""
 
-    __slots__ = ("ctx", "lo", "val", "d", "re", "om")
+    __slots__ = ("ctx", "lo", "hi", "val", "d", "re", "om")
 
-    def __init__(self, ctx: SeriesContext, lo: int):
-        self.ctx, self.lo, self.val, self.d, self.re, self.om = ctx, lo, ctx.order, 1, [], []
+    def __init__(self, ctx: SeriesContext, lo: int, hi: int | None = None):
+        hi = ctx.order if hi is None else hi
+        self.ctx, self.lo, self.hi, self.val, self.d, self.re, self.om = ctx, lo, hi, hi, 1, [], []
 
     @property
     def zw(self) -> tuple:
         return self.d, self.re, self.om
 
     def add(self, x, c: CycRat = ONE, e: int = 0) -> None:
-        """self += c*q^e*x for a QSeries or a ZwSum x, cut to the order."""
+        """self += c*q^e*x for a QSeries or a ZwSum x, cut to hi."""
         if c:
             self._add(x.val + e, *x.zw, _zw_scalar(c))
 
@@ -488,13 +490,12 @@ class ZwSum:
             self._add(e, k[0], [k[1]], [k[2]], ZW_ONE)
 
     def _add(self, v: int, d: int, re: list, om: list, k: tuple) -> None:
-        """self += k*q^v*(re + om*w)/d for a nonzero triple k, cut to the
-        order."""
+        """self += k*q^v*(re + om*w)/d for a nonzero triple k, cut to hi."""
         if not re:
             return
         if v < self.lo:
             raise ValueError(f"term at exponent {v} is below the sum's {self.lo}")
-        n = self.ctx.order - v
+        n = self.hi - v
         if n <= 0:
             return
         re, om = re[:n], om[:n]
@@ -522,18 +523,18 @@ class ZwSum:
             aom[off : off + n] = [a + b for a, b in zip(aom[off : off + n], om)]
 
     def div_binomial(self, c: tuple, e: int) -> None:
-        """self /= (1 - c*q^e) in place, over the window grown to the
-        order; c a triple, and e == 0 requires c != 1."""
-        order = self.ctx.order
-        if len(self.re) < order - self.val:
-            self.re[len(self.re) :] = self.om[len(self.om) :] = [0] * (order - self.val - len(self.re))
-        self.d, self.re, self.om, self.val, _ = _binomials(
-            order, self.d, self.re, self.om, self.val, order, [(c, e, -1)]
-        )
+        """self /= (1 - c*q^e) in place, over the window grown to hi; c a
+        triple, and e == 0 requires c != 1. The zero sum stays zero."""
+        if not self.re:
+            return
+        hi = self.hi
+        if len(self.re) < hi - self.val:
+            self.re[len(self.re) :] = self.om[len(self.om) :] = [0] * (hi - self.val - len(self.re))
+        self.d, self.re, self.om, self.val, _ = _binomials(hi, self.d, self.re, self.om, self.val, hi, [(c, e, -1)])
 
     def series(self, trunc: int | None = None) -> QSeries:
-        """The sum as a QSeries known below trunc (default: the order)."""
-        t = self.ctx.order if trunc is None else trunc
+        """The sum as a QSeries known below trunc (default: hi)."""
+        t = self.hi if trunc is None else trunc
         return QSeries.from_zw(self.ctx, self.val, self.d, self.re, self.om, t)
 
 

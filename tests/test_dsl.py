@@ -587,6 +587,25 @@ def test_z_to_the_zero_is_one():
             elaborate(parse(text), ctx)
 
 
+def test_z_powers_whose_degrees_cancel_are_one():
+    # outside ct{} as inside it: a product's z-powers whose degrees total
+    # 0 multiply to 1, and a total of any other degree raises at the
+    # first z-power, as a lone z-power does
+    ctx = SeriesContext(1, 5)
+    for text, plain in [
+        ("z^2*z^(-2)", "1"),
+        ("z/z", "1"),
+        ("q*z^2*qp(q; q; inf)*3/z^2", "q*qp(q; q; inf)*3"),
+        ("ct{z^2*z^(-2)}", "1"),
+    ]:
+        got, want = elaborate(parse(text), ctx), elaborate(parse(plain), ctx)
+        assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw), text
+    for text, where in [("z^2*z^(-1)", "Product.0: not a constant expression: z^2"), ("w*q/z*z^2", "Product.2: not a constant expression: z")]:
+        with pytest.raises(EvalError) as err:
+            elaborate(parse(text), ctx)
+        assert str(err.value) == f"at {where}", text
+
+
 def test_grammar_file_names_the_parser_heads():
     # docs/grammar.ebnf is the one statement of the grammar; its call and
     # named productions must list exactly the heads the parser accepts

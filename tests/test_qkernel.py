@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -574,6 +575,41 @@ def _least_exponent(spec):
         sum(spec.quad[i][i] * k[i] * k[i] + spec.lin[i] * k[i] for i in range(m))
         for k in itertools.product(range(5), repeat=m)
     )
+
+
+def test_multisum_matches_the_parent_far_below_q0():
+    # weights far below q^0 put the least point truncs below 0, so the
+    # Horner windows end there, far short of the order
+    rng = random.Random(20261022)
+    below = 0
+    for _ in range(80):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 30))
+        spec = rand_multisum_spec(rng, ctx)
+        spec = dataclasses.replace(spec, lin=tuple(rng.randint(-60, ctx.denom) for _ in spec.lin))
+        expect = _matches_the_parent(spec, ctx)
+        below += expect is not None and expect.trunc < 0
+    assert below >= 40, below
+
+
+def test_a_weight_far_below_q0_divides_only_below_the_trunc(monkeypatch):
+    # F(q^(-150), 2*q, w*q^2) is ten exponents long, val -5700 and trunc
+    # -5690, at order 10: no division may run on an empty sum or on a
+    # window that reaches past that trunc. The spy sits on _binomials, the
+    # pass each ZwSum.div_binomial that does divide runs.
+    from qrucible import series
+    from qrucible.dsl import elaborate, parse
+
+    windows = []
+    real = series._binomials
+
+    def spy(order, d, re, om, val, trunc, factors):
+        windows.append((len(re), order, trunc))
+        return real(order, d, re, om, val, trunc, factors)
+
+    monkeypatch.setattr(series, "_binomials", spy)
+    x = elaborate(parse("F(q^(-150), 2*q, w*q^2)"), SeriesContext(1, 10))
+    assert (x.val, x.trunc) == (-5700, -5690)
+    assert windows and all(n > 0 and order <= x.trunc and trunc <= x.trunc for n, order, trunc in windows)
 
 
 KR_NINE = [(1, 0, 3), (2, 4, 9), (4, 6, 15), (1, 6, 9), (2, 2, 9), (3, 5, 12), (1, 3, 6), (1, 1, 6), (2, -1, 6)]

@@ -512,6 +512,50 @@ def test_chain_trunc_matches_left_to_right_products():
         assert chain_trunc(ctx.order, [(f.val, f.trunc) for f in factors]) == product.trunc
 
 
+def test_chain_trunc_closed_form_over_a_lattice_point():
+    """Over a lattice point's chain, its term's factor (e, O) with e of
+    any sign, or (O, O) for a zero term, then rows (v, O) with v in
+    [0, O], chain_trunc is O + min(0, V - max v), V the sum of the vals:
+    `multisum` computes its trunc by this form."""
+    rng = random.Random(30)
+    lowered = 0
+    for _ in range(3000):
+        order = rng.randint(1, 40)
+        head = order if rng.random() < 0.15 else rng.randint(-3 * order - 10, 2 * order)
+        vals = [head] + [rng.choice([0, order, rng.randint(0, order)]) for _ in range(rng.randint(0, 4))]
+        got = chain_trunc(order, [(v, order) for v in vals])
+        assert got == order + min(0, sum(vals) - max(vals)), (order, vals)
+        lowered += got < order
+    assert lowered > 500, lowered
+
+
+def test_zw_sum_window_ending_below_the_order_is_exact_below_it():
+    """A ZwSum whose window ends at hi holds every coefficient below hi
+    as the same sum over the window to the order does: adds and divisions
+    only move coefficients upward. Dividing the zero sum leaves it zero."""
+    rng = random.Random(31)
+    ctx = SeriesContext(1, 30)
+    for _ in range(200):
+        hi = rng.randint(-10, ctx.order)
+        ops = []
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.5:
+                ops.append(("add", _zw_scalar(rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(1, 2))])), rng.randint(-20, 35)))
+            else:
+                ops.append(("div", _zw_scalar(rng.choice([ONE, -ONE, OMEGA2, CycRat(2)])), rng.choice([-3, -1, 1, 2, 5])))
+        full, short = ZwSum(ctx, -20), ZwSum(ctx, -20, hi)
+        for acc in (full, short):
+            for op, c, e in ops:
+                acc.add_monomial(c, e) if op == "add" else acc.div_binomial(c, e)
+        got = short.series()
+        want = full.series(hi)
+        assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw), (hi, ops)
+        assert len(short.re) <= max(0, hi - short.val)
+    empty = ZwSum(ctx, 0)
+    empty.div_binomial(ZW_ONE, -2)
+    assert (empty.re, empty.val, empty.series()) == ([], ctx.order, ctx.zero())
+
+
 def test_products_and_inverses_honest_across_truncations():
     """The same operands known to N and to N+k: results agree below the
     smaller claimed truncation, which never exceeds the larger one."""
