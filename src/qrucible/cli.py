@@ -8,13 +8,15 @@ Exit code 0 iff all selected cases PASS (SKIPs tolerated unless
 empty suite directory, empty suite files), a --filter that selects no
 case, a suite file that cannot be read or does not parse, an identity
 name given twice, or a --json path that cannot be written (checked
-before any case runs).
+before any case runs); 1 when the reader closes stdout before the
+output is written (`qrucible verify | head -1`), which ends quietly.
 QRUCIBLE_SUITE_DIR overrides the default suite location.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -68,6 +70,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at exit cannot raise again (the recipe in the
+        # Python docs, signal module, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.command != "verify":
         return 2

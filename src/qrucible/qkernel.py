@@ -10,6 +10,7 @@ passes the truncation order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -275,6 +276,24 @@ class MultiSumSpec:
     coeffs: tuple
 
 
+def _negative_run(a: int, b: int, c: int, top: int) -> range:
+    """The k in [0, top] with a*k*k + b*k + c < 0, for a > 0: one run,
+    strictly between the roots of the convex quadratic. math.isqrt puts
+    each end at most one step outside the run, and each is then moved in
+    to the first k where the quadratic is negative."""
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        return range(0)
+    r = math.isqrt(disc)
+    lo, hi = (-b - r) // (2 * a), (-b + r + 1) // (2 * a)  # the run lies in [lo, hi]
+    while lo <= hi and (a * lo + b) * lo + c >= 0:
+        lo += 1
+    while hi >= lo and (a * hi + b) * hi + c >= 0:
+        hi -= 1
+    lo, hi = max(lo, 0), min(hi, top)
+    return range(lo, hi + 1) if lo <= hi else range(0)
+
+
 def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     """Exact sum over all lattice points whose exponent is below the
     truncation; per-variable bounds come from the diagonal of the
@@ -283,8 +302,8 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     Row k of variable i, 1/(d_i; b_i)_k, is row k-1 divided by
     (1 - d_i*b_i^(k-1)), so each variable's sum sum_k row_k*T_k is
     evaluated by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4) as
-    T_0 + (T_1 + (T_2 + ...)/(1 - d*b))/(1 - d): k runs down from the
-    bound, one ZwSum is divided in place by that step's binomial, and T_k
+    T_0 + (T_1 + (T_2 + ...)/(1 - d*b))/(1 - d): k runs down to 0, one
+    ZwSum is divided in place by that step's binomial, and T_k
     is added, the inner variable's sum or +-c*q^e at a lattice point. No
     row and no product of series is built.
 
@@ -295,6 +314,16 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
     e < 0 lowers T. The Horner windows then end at T, not at O, and a
     prefix at or past T is skipped; each division and add only moves
     coefficients upward, so every coefficient below T is still exact.
+
+    Each prefix's live k are solved, not scanned up to the bound. The
+    exponent e(k) = exp_acc + A_ii*k^2 + lin*k at the prefix's next
+    variable is a convex quadratic in k, so the k with e(k) + rest < T
+    form one run, found with math.isqrt (`_negative_run`). Horner adds
+    its terms over that run and divides from its top down to k = 0. The
+    trunc walk, while T still falls, visits the run of
+    O + e(k) + V - max v + rest < T, V and max v over the prefix's rows:
+    each row val is at least 0, so a point trunc is at least that, and no
+    point outside the run lowers T.
 
     The variables run in ascending bound order, ties in the given order,
     the shortest chain outermost. Its divisions are then the only ones
@@ -383,7 +412,7 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
         ks[:i], whose rows' vals so far sum to vs, at most vmax."""
         nonlocal trunc
         lin = eff[i] + sum(2 * A[i][j] * ks[j] for j in range(i))
-        for k in range(bounds[i] + 1):
+        for k in _negative_run(A[i][i], lin, exp_acc + order + vs - vmax + rest[i + 1] - trunc, bounds[i]):
             ks[i] = k
             e, v = exp_acc + (A[i][i] * k + lin) * k, row_vals[i][k]
             t = order + e + vs + v - max(vmax, v)  # vs - vmax only grows with more rows
@@ -399,13 +428,15 @@ def multisum(spec: MultiSumSpec, ctx: SeriesContext) -> QSeries:
         variables i.., summed from exponent exp_acc + rest[i] up to trunc."""
         acc = ZwSum(ctx, exp_acc + rest[i], trunc)
         lin = eff[i] + sum(2 * A[i][j] * ks[j] for j in range(i))
-        for k in range(bounds[i], -1, -1):
-            if k < bounds[i]:
+        live = _negative_run(A[i][i], lin, exp_acc + rest[i + 1] - trunc, bounds[i])
+        top = live.stop - 1  # -1 where no k is live
+        for k in range(top, -1, -1):
+            if k < top:
                 acc.div_binomial(*steps[i][k])
+            if k < live.start:
+                continue
             ks[i] = k
             e = exp_acc + (A[i][i] * k + lin) * k
-            if e + rest[i + 1] >= trunc:
-                continue
             c = _zw_times(coeff_acc, powers[i][k])
             if i < m - 1:
                 acc.add(horner(i + 1, e, c))

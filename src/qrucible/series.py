@@ -17,12 +17,17 @@ left in Q(w) (ROADMAP item 2). Every product goes through one kernel,
 Z[w] product (Karatsuba with w^2 = -1 - w); a slot up to 8 bytes wide is
 widened to a machine word and converted through `array`, a wider one per
 entry. Binomial factors (1 - c*q^e)^(+-1) go through one integer pass on
-the same lists (`mul_binomials`; a division on a window of n runs its
-recurrence e entries at a time where e^2 >= n, n/e slice steps, and in e
-strided runs otherwise). Every sum (`+`, `-`, `series_sum`) is one
-`ZwSum`, which adds scaled, shifted series in integers and divides itself
-in place by binomials through that pass. `QSeries.inverse` is Newton
-iteration on the kernel, and reads compare and hash the triple.
+the same lists (`mul_binomials`). A division by an integer c with e > 0
+is one in-place recurrence, `_recur`: on a window of n it runs e entries
+at a time where e^2 >= n, n/e slice steps, and in e strided runs
+otherwise. Every sum (`+`, `-`, `series_sum`) is one `ZwSum`, which adds
+scaled, shifted series in integers and divides itself in place: by
+`_recur` on its own lists where c is an integer and e > 0, and through
+the pass otherwise. The pass decides once whether its series has a
+w-part, and a `ZwSum` keeps that answer in its slot `wpart`, set when a
+term or a factor brings one in; until then neither runs a step on om.
+`QSeries.inverse` is Newton iteration on the kernel, and reads compare
+and hash the triple.
 The kernels' scalars (factors, term weights) are canonical triples
 (s, cr, co) = (cr + co*w)/s, multiplied and inverted in integers; a CycRat
 is converted once where it enters (`mul_binomial`, `div_binomial`,
@@ -465,15 +470,20 @@ class ZwSum:
     (empty, val hi, for the zero sum). Adds and divisions only move
     coefficients upward, so a window cut at hi is exact below it. Terms
     c*q^e*x, x a QSeries or a ZwSum, are added in integers, the window
-    growing to cover them; `div_binomial` divides the whole sum in place
-    by the pass of mul_binomials. Terms must start at or above lo; their
-    truncs are not tracked (the caller states the trunc of the sum)."""
+    growing to cover them; `div_binomial` divides the whole sum in place:
+    by an integer c and e > 0 with the recurrence of mul_binomials
+    (`_recur`) run on the sum's own lists, by any other c through the pass
+    of mul_binomials. The slot `wpart` is set once a term or a factor
+    brings a w-part in; until then om is all zero and no step touches it.
+    Terms must start at or above lo; their truncs are not tracked (the
+    caller states the trunc of the sum)."""
 
-    __slots__ = ("ctx", "lo", "hi", "val", "d", "re", "om")
+    __slots__ = ("ctx", "lo", "hi", "val", "d", "re", "om", "wpart")
 
     def __init__(self, ctx: SeriesContext, lo: int, hi: int | None = None):
         hi = ctx.order if hi is None else hi
         self.ctx, self.lo, self.hi, self.val, self.d, self.re, self.om = ctx, lo, hi, hi, 1, [], []
+        self.wpart = False
 
     @property
     def zw(self) -> tuple:
@@ -521,6 +531,7 @@ class ZwSum:
         are[off : off + n] = [a + b for a, b in zip(are[off : off + n], re)]
         if any(om):
             aom[off : off + n] = [a + b for a, b in zip(aom[off : off + n], om)]
+            self.wpart = True
 
     def div_binomial(self, c: tuple, e: int) -> None:
         """self /= (1 - c*q^e) in place, over the window grown to hi; c a
@@ -530,7 +541,13 @@ class ZwSum:
         hi = self.hi
         if len(self.re) < hi - self.val:
             self.re[len(self.re) :] = self.om[len(self.om) :] = [0] * (hi - self.val - len(self.re))
+        s, cr, co = c
+        if s == 1 and not co and e > 0:
+            for xs in (self.re, self.om) if self.wpart else (self.re,):
+                _recur(xs, cr, e)
+            return
         self.d, self.re, self.om, self.val, _ = _binomials(hi, self.d, self.re, self.om, self.val, hi, [(c, e, -1)])
+        self.wpart = self.wpart or co != 0
 
     def series(self, trunc: int | None = None) -> QSeries:
         """The sum as a QSeries known below trunc (default: hi)."""
@@ -609,6 +626,24 @@ def mul_binomials(x: QSeries, factors) -> QSeries:
     return QSeries.from_zw(x.ctx, val, d, re, om, trunc)
 
 
+def _recur(xs: list, cr: int, e: int) -> None:
+    """xs /= (1 - cr*q^e) in place, cr an integer and e > 0, on the window
+    of len(xs): out[k] = x[k] + cr*out[k-e] over the n/e blocks out[k:k+e],
+    each x there plus cr times the block before, where e*e >= n, and as e
+    strided runs otherwise."""
+    n = len(xs)
+    if e * e >= n:
+        for k in range(e, n, e):
+            xs[k : k + e] = (
+                map(add, xs[k : k + e], xs[k - e : k]) if cr == 1
+                else [a + cr * b for a, b in zip(xs[k : k + e], xs[k - e : k])]
+            )
+    else:
+        step = None if cr == 1 else (lambda acc, a: a + cr * acc)
+        for r in range(e):
+            xs[r::e] = accumulate(xs[r::e], step)
+
+
 def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, factors):
     """The pass of mul_binomials on q^val * (re + om*w)/d known below trunc:
     returns (d, re, om, val, trunc) times the factors, re and om changed in
@@ -622,11 +657,15 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
     d takes the factor s (product) or s^((n-1)//e) (quotient over a window
     of n), so every step stays in Z[w]. A quotient keeps
     len(re) == trunc - val when it holds on entry (`ZwSum` relies on it).
+    Whether the series has a w-part is read once, on entry, and set by the
+    first w-valued factor; until then no integer step touches om.
     """
+    wpart = any(om)
     for c, e, p in factors:
         s, cr, co = c
         if not (cr or co):
             continue
+        wpart = wpart or co != 0  # a w-valued factor or scale brings a w-part in
         if e == 0:
             if c == ZW_ONE:
                 if p < 0:
@@ -661,7 +700,7 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
             ur, uo, wr, wo = (xr, xo, yr, yo) if e > 0 else (yr, yo, xr, xo)
             if s == 1 and not co:
                 re = [a - cr * b for a, b in zip(ur, wr)]
-                om = [a - cr * b for a, b in zip(uo, wo)] if any(om) else [0] * m
+                om = [a - cr * b for a, b in zip(uo, wo)] if wpart else [0] * m
             else:
                 d *= s
                 re = [s * a - cr * b + co * b2 for a, b, b2 in zip(ur, wr, wo)]
@@ -671,21 +710,9 @@ def _binomials(order: int, d: int, re: list, om: list, val: int, trunc: int, fac
             continue  # the recurrence never reaches back into the window
         re += [0] * (n - len(re))
         om += [0] * (n - len(om))
-        # out[k] = x[k] + c*out[k-e] over the n/e blocks out[k:k+e], each x
-        # there plus c times the block before; for c in Z and e*e < n, as e
-        # strided runs instead
         if s == 1 and not co:
-            for xs in (re, om) if any(om) else (re,):
-                if e * e >= n:
-                    for k in range(e, n, e):
-                        xs[k : k + e] = (
-                            map(add, xs[k : k + e], xs[k - e : k]) if cr == 1
-                            else [a + cr * b for a, b in zip(xs[k : k + e], xs[k - e : k])]
-                        )
-                else:
-                    step = None if cr == 1 else (lambda acc, a: a + cr * acc)
-                    for r in range(e):
-                        xs[r::e] = accumulate(xs[r::e], step)
+            for xs in (re, om) if wpart else (re,):
+                _recur(xs, cr, e)
             continue
         # carried at denominator d*D: out[k-e] has denominator s^((k-e)//e),
         # so D*out[k-e] is divisible by s

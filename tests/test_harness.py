@@ -732,6 +732,27 @@ def test_cli_entry_point_runs():
     assert "PASS kr-conj-5" in proc.stdout
 
 
+def test_a_closed_stdout_ends_quietly_with_exit_code_1():
+    # `qrucible verify | head -1`: the reader closes the pipe before the
+    # report reaches it, which used to end in a BrokenPipeError on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qrucible.cli", "verify", "--filter", "kr-conj-5",
+         "--order", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))},
+    )
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert proc.returncode == 1 and stderr == b"", stderr
+
+
 def test_cli_kernel_domain_errors_end_without_traceback(tmp_path):
     # each of these used to end in a traceback with exit code 1
     suite = tmp_path / "hostile.qid"

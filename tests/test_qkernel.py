@@ -577,9 +577,19 @@ def _least_exponent(spec):
     )
 
 
-def test_multisum_matches_the_parent_far_below_q0():
+def scanning_run(a, b, c, top):
+    """Oracle for qkernel._negative_run: every k from 0 to top checked in
+    turn, as the lattice walks did before they solved the run."""
+    live = [k for k in range(top + 1) if a * k * k + b * k + c < 0]
+    return range(live[0], live[-1] + 1) if live else range(0)
+
+
+def test_multisum_matches_the_parent_far_below_q0(monkeypatch):
     # weights far below q^0 put the least point truncs below 0, so the
-    # Horner windows end there, far short of the order
+    # Horner windows end there, far short of the order. Further below, the
+    # parent's rows grow too long to build; there multisum's walks, each
+    # prefix's live k solved, must match the same walks scanning every k
+    # up to the bound.
     rng = random.Random(20261022)
     below = 0
     for _ in range(80):
@@ -589,27 +599,57 @@ def test_multisum_matches_the_parent_far_below_q0():
         expect = _matches_the_parent(spec, ctx)
         below += expect is not None and expect.trunc < 0
     assert below >= 40, below
+    far = 0
+    for _ in range(40):
+        ctx = SeriesContext(rng.choice([1, 2, 3]), rng.randint(1, 30))
+        spec = rand_multisum_spec(rng, ctx)
+        spec = dataclasses.replace(spec, lin=tuple(rng.randint(-400, ctx.denom) for _ in spec.lin))
+        with monkeypatch.context() as patched:
+            patched.setattr(qkernel, "_negative_run", scanning_run)
+            expect = _outcome(multisum, spec, ctx)
+        _same_series(_outcome(multisum, spec, ctx), expect)
+        far += not isinstance(expect, type) and expect.trunc < -1000
+    assert far >= 25, far
 
 
 def test_a_weight_far_below_q0_divides_only_below_the_trunc(monkeypatch):
     # F(q^(-150), 2*q, w*q^2) is ten exponents long, val -5700 and trunc
     # -5690, at order 10: no division may run on an empty sum or on a
-    # window that reaches past that trunc. The spy sits on _binomials, the
-    # pass each ZwSum.div_binomial that does divide runs.
+    # window that reaches past that trunc. ZwSum.div_binomial divides an
+    # integer-c step with _recur on the sum's own lists and any other step
+    # with _binomials (here every step has c = 1, so none does); the spies
+    # sit on all three, the one on div_binomial giving the sum whose window
+    # each _recur call divides.
     from qrucible import series
     from qrucible.dsl import elaborate, parse
 
-    windows = []
-    real = series._binomials
+    his, passes, recurs, dividing = [], [], [], []
+    real_div, real_pass, real_recur = series.ZwSum.div_binomial, series._binomials, series._recur
 
-    def spy(order, d, re, om, val, trunc, factors):
-        windows.append((len(re), order, trunc))
-        return real(order, d, re, om, val, trunc, factors)
+    def div_spy(acc, c, e):
+        his.append(acc.hi)
+        dividing.append(acc)
+        try:
+            real_div(acc, c, e)
+        finally:
+            dividing.pop()
 
-    monkeypatch.setattr(series, "_binomials", spy)
+    def pass_spy(order, d, re, om, val, trunc, factors):
+        passes.append((len(re), order, trunc))
+        return real_pass(order, d, re, om, val, trunc, factors)
+
+    def recur_spy(xs, cr, e):
+        recurs.append((len(xs), dividing[-1].val + len(xs) if dividing else None))
+        real_recur(xs, cr, e)
+
+    monkeypatch.setattr(series.ZwSum, "div_binomial", div_spy)
+    monkeypatch.setattr(series, "_binomials", pass_spy)
+    monkeypatch.setattr(series, "_recur", recur_spy)
     x = elaborate(parse("F(q^(-150), 2*q, w*q^2)"), SeriesContext(1, 10))
     assert (x.val, x.trunc) == (-5700, -5690)
-    assert windows and all(n > 0 and order <= x.trunc and trunc <= x.trunc for n, order, trunc in windows)
+    assert his and all(hi <= x.trunc for hi in his)
+    assert all(n > 0 and order <= x.trunc and trunc <= x.trunc for n, order, trunc in passes)
+    assert recurs and all(n > 0 and end is not None and end <= x.trunc for n, end in recurs)
 
 
 KR_NINE = [(1, 0, 3), (2, 4, 9), (4, 6, 15), (1, 6, 9), (2, 2, 9), (3, 5, 12), (1, 3, 6), (1, 1, 6), (2, -1, 6)]

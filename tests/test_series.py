@@ -556,6 +556,62 @@ def test_zw_sum_window_ending_below_the_order_is_exact_below_it():
     assert (empty.re, empty.val, empty.series()) == ([], ctx.order, ctx.zero())
 
 
+def _cut(x, hi):
+    """x known only below hi."""
+    return QSeries.from_zw(x.ctx, x.val, *x.zw, min(x.trunc, hi))
+
+
+def test_zw_sum_steps_in_place_match_the_one_pass():
+    """ZwSum.div_binomial, which divides integer-c steps with e > 0 on the
+    sum's own lists and skips om until a term or a factor brings a w-part
+    in, against mul_binomials on the same series: windows ending at or
+    below the order, series with and without a w-part, integer and
+    non-integer c, e <= 0, and e from 1 to past the window, one to three
+    steps in a row. A monomial added inside or outside the window matches
+    series_sum."""
+    rng = random.Random(32)
+    cs = [ONE, -ONE, CycRat(2), CycRat(-3), CycRat(Fraction(1, 2)), OMEGA, CycRat(1, 1)]
+    seen = dict.fromkeys(["w part", "no w part", "e <= 0", "e*e >= n", "e*e < n", "e >= n", "slot set by a step", "monomial in the window"], 0)
+    for _ in range(1500):
+        ctx = SeriesContext(1, rng.randint(1, 40))
+        hi = ctx.order if rng.random() < 0.5 else rng.randint(-5, ctx.order)
+        val = rng.randint(-10, hi - 1)
+        n = hi - val
+        coeffs = rand_zw_list(rng, rng.randint(1, n), num=30, den=4)
+        if rng.random() < 0.5:
+            coeffs = [CycRat(c.re) for c in coeffs]
+        coeffs[0] = coeffs[0] or ONE
+        x = QSeries(ctx, val, coeffs, hi)
+        seen["w part" if any(x.zw[2]) else "no w part"] += 1
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice(cs)
+            e = rng.randint(-3, 0) if rng.random() < 0.2 else rng.randint(1, n + 2)
+            if e == 0 and c == ONE:
+                continue
+            factors.append((c, e, -1))
+            seen["e <= 0" if e <= 0 else "e >= n" if e >= n else "e*e >= n" if e * e >= n else "e*e < n"] += 1
+        acc = ZwSum(ctx, val - 3, hi)
+        acc.add(x)
+        had = acc.wpart
+        for c, e, _ in factors:
+            acc.div_binomial(_zw_scalar(c), e)
+            assert acc.wpart or not any(acc.om)
+        seen["slot set by a step"] += acc.wpart and not had
+        got, want = acc.series(), _cut(mul_binomials(x, zw_factors(factors)), hi)
+        assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw), (x, factors, hi)
+
+        k = rng.choice([ONE, -ONE, OMEGA, CycRat(Fraction(1, 2)), CycRat(Fraction(-1, 3), 1)])
+        e = rng.randint(max(acc.lo, got.val - 3), hi + 2)
+        seen["monomial in the window"] += 0 <= e - acc.val < len(acc.re)
+        acc.add_monomial(_zw_scalar(k), e)
+        assert acc.wpart or not any(acc.om)
+        got = acc.series()
+        want = _cut(series_sum(ctx, [(ONE, 0, want), (k, 0, ctx.monomial(ONE, e))]), hi)
+        assert (got.val, got.trunc, got.zw) == (want.val, want.trunc, want.zw), (x, factors, k, e, hi)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_products_and_inverses_honest_across_truncations():
     """The same operands known to N and to N+k: results agree below the
     smaller claimed truncation, which never exceeds the larger one."""
